@@ -9,6 +9,7 @@ errors.  Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ class RunConfig:
     iterations: int = 15
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoscale",
@@ -79,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path", help="output file (default: stdout)")
         p.add_argument("--tol", type=float, default=1.0e-8, help="tolerance (default 1e-8)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1, help="parallel Gram entries")
+        p.add_argument("--threads", type=int, default=1, help="deprecated; accepted and ignored")
         return p
 
     p = add("refine-solve", "Fourier-domain solution values on a frequency grid")
@@ -271,7 +273,7 @@ def _cmd_bernoulli_verdict(config: RunConfig) -> str:
 
 def _cmd_gram(config: RunConfig) -> str:
     system = _system_from_config(config)
-    report = ws.gram(system, config.tol, threads=config.threads)
+    report = ws.gram(system, config.tol)
     return ser.dump_json(ser.gram_report_to_dict(report))
 
 
@@ -285,7 +287,7 @@ def _cmd_certify(config: RunConfig) -> str:
 
 def _cmd_analyze(config: RunConfig) -> str:
     system = _system_from_config(config)
-    verdict = ws.analyze(system, config.tol, threads=config.threads)
+    verdict = ws.analyze(system, config.tol)
     return ser.dump_json(ser.verdict_to_dict(verdict))
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InconsistentTagsError, InvalidEquationError
-from .refinement import SampledFunction, TwoScaleEquation, cascade_solve, normalized_support
+from .refinement import SampledFunction, TwoScaleEquation, cascade_solve
 
 __all__ = [
     "ALL_TAGS",
@@ -85,16 +85,15 @@ class GeneratorSpec:
 
     kind: str = "abstract"
     fourier_side: bool = False
+    # points where the generator (or, on the Fourier side, its transform) is
+    # not smooth, in unit coordinates; quadrature panels break there
+    kinks: tuple = ()
 
     def __init__(self, base_tags: Iterable[str], extra_tags: Iterable[str] | None = None):
         self.tags = normalize_tags(set(base_tags) | set(extra_tags or ()))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} generator has no time-domain form")
-
-    def time_support(self) -> tuple | None:
-        """Closed support interval, or None when the support is unbounded."""
-        return None
 
     def pair_integrand(self, p, q) -> Callable[[np.ndarray], np.ndarray]:
         lp, bp = p.dilation, p.translation
@@ -156,6 +155,7 @@ class TwoSidedExp(GeneratorSpec):
     """exp(-n |x|) for a positive integer n."""
 
     kind = "two_sided_exp"
+    kinks = (0.0,)
 
     def __init__(self, n: int, extra_tags: Iterable[str] | None = None):
         if int(n) != n or n < 1:
@@ -277,23 +277,64 @@ class RationalL2(GeneratorSpec):
         return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
 
 
-class Hat(GeneratorSpec):
+class SampledGenerator(GeneratorSpec):
+    """Linearly interpolated samples on a finite support.
+
+    Pairs exactly: the product of two dilated translates of a linear
+    interpolant is piecewise quadratic between the merged sample knots.
+    """
+
+    kind = "sampled"
+
+    def __init__(self, sampled: SampledFunction, extra_tags: Iterable[str] | None = None):
+        values = np.asarray(sampled.values)
+        lo, hi = sampled.support
+        if values.ndim != 1 or values.size < 2 or not np.all(np.isfinite(values)):
+            raise InvalidEquationError("sampled generator needs at least 2 finite values")
+        if not (math.isfinite(sampled.step) and sampled.step > 0.0):
+            raise InvalidEquationError("sampled generator needs a finite positive step")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise InvalidEquationError("sampled generator needs a finite support")
+        start = float(sampled.start)
+        end = start + sampled.step * (values.size - 1)
+        # a grid end computed as start + step * (n - 1) may round just short
+        # of the declared support; beyond it the interpolant is zero anyway
+        slack = 1.0e-9 * sampled.step
+        if not (start - slack <= lo and hi <= end + slack):
+            raise InvalidEquationError(
+                f"support [{lo:g}, {hi:g}] is not inside the sample grid [{start:g}, {end:g}]"
+            )
+        self.sampled = sampled
+        self.grid = sampled.grid
+        self.values = np.real(values).astype(np.float64)
+        self._support = (max(float(lo), start), min(float(hi), end))
+        # largest |value| and |slope|, for the rounding bound of the pairing
+        self.peak = float(np.max(np.abs(self.values)))
+        self.lipschitz = float(np.max(np.abs(np.diff(self.values)))) / sampled.step
+        super().__init__({"compact_support"}, extra_tags)
+
+    def __call__(self, x):
+        xv = np.asarray(x, dtype=np.float64)
+        return np.interp(xv, self.grid, self.values, left=0.0, right=0.0)
+
+    def time_support(self) -> tuple:
+        """Closed support interval, clipped to the sample grid."""
+        return self._support
+
+
+class Hat(SampledGenerator):
     """Piecewise-linear hat max(0, 1 - |x - 1|), supported on [0, 2]."""
 
     kind = "hat"
 
     def __init__(self, extra_tags: Iterable[str] | None = None):
-        super().__init__({"compact_support"}, extra_tags)
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        return np.maximum(0.0, 1.0 - np.abs(xv - 1.0))
-
-    def time_support(self):
-        return (0.0, 2.0)
+        samples = SampledFunction(
+            start=0.0, step=1.0, values=np.array([0.0, 1.0, 0.0]), support=(0.0, 2.0)
+        )
+        super().__init__(samples, extra_tags)
 
 
-class RefinementGenerator(GeneratorSpec):
+class RefinementGenerator(SampledGenerator):
     """Cascade solution of a two-scale equation, sampled and interpolated."""
 
     kind = "refinement"
@@ -309,15 +350,7 @@ class RefinementGenerator(GeneratorSpec):
         self.resolution = float(resolution)
         self.iterations = int(iterations)
         sampled, _ = cascade_solve(equation, self.resolution, self.iterations)
-        self.sampled = sampled
-        super().__init__({"compact_support"}, extra_tags)
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        return np.interp(xv, self.sampled.grid, self.sampled.values.real, left=0.0, right=0.0)
-
-    def time_support(self):
-        return normalized_support(self.equation)
+        super().__init__(sampled, extra_tags)
 
     def params(self):
         return {
@@ -325,26 +358,6 @@ class RefinementGenerator(GeneratorSpec):
             "resolution": self.resolution,
             "iterations": self.iterations,
         }
-
-
-class SampledGenerator(GeneratorSpec):
-    """Linearly interpolated samples on a finite support."""
-
-    kind = "sampled"
-
-    def __init__(self, sampled: SampledFunction, extra_tags: Iterable[str] | None = None):
-        lo, hi = sampled.support
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise InvalidEquationError("sampled generator needs a finite support")
-        self.sampled = sampled
-        super().__init__({"compact_support"}, extra_tags)
-
-    def __call__(self, x):
-        xv = np.asarray(x, dtype=np.float64)
-        return np.interp(xv, self.sampled.grid, np.real(self.sampled.values), left=0.0, right=0.0)
-
-    def time_support(self):
-        return self.sampled.support
 
 
 class _CatalogEntry:
@@ -355,12 +368,14 @@ class _CatalogEntry:
         ft_support: tuple | None,
         ft_envelope: tuple | None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
         time_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        ft_kinks: tuple = (),
     ):
         self.tags = tags
         self.ft = ft
         self.ft_support = ft_support
         self.ft_envelope = ft_envelope
         self.time_fn = time_fn
+        self.ft_kinks = ft_kinks
 
 
 def _ft_log_exp_ratio(g: np.ndarray) -> np.ndarray:
@@ -395,6 +410,7 @@ _CATALOG = {
         ft=_ft_log_exp_ratio,
         ft_support=None,
         ft_envelope=(1.0, 0.5, 12.0),
+        ft_kinks=(0.0,),
     ),
     # indicator of [-1/2, 1/2] in frequency; sinc in time
     "ft_box": _CatalogEntry(
@@ -403,6 +419,7 @@ _CATALOG = {
         ft_support=(-0.5, 0.5),
         ft_envelope=None,
         time_fn=_sinc,
+        ft_kinks=(-0.5, 0.5),
     ),
     # tent on 1 <= |gamma| <= 2: compact frequency support vanishing near 0
     "ft_annulus_tent": _CatalogEntry(
@@ -412,6 +429,7 @@ _CATALOG = {
         ft=_ft_annulus_tent,
         ft_support=(-2.0, 2.0),
         ft_envelope=None,
+        ft_kinks=(-2.0, -1.5, -1.0, 1.0, 1.5, 2.0),
     ),
     # sech(pi x) is its own Fourier transform and is monotone on each side
     "sech": _CatalogEntry(
@@ -455,6 +473,7 @@ class CatalogGenerator(GeneratorSpec):
             ) from None
         self.catalog_id = catalog_id
         self._entry = entry
+        self.kinks = entry.ft_kinks
         super().__init__(entry.tags, extra_tags)
 
     def __call__(self, x):

@@ -151,6 +151,10 @@ def generator_to_dict(gen: GeneratorSpec) -> dict:
 def generator_from_dict(doc: dict) -> GeneratorSpec:
     kind = _require(doc, "kind", "generator")
     tags = doc.get("tags")
+    if tags is not None and not (
+        isinstance(tags, list) and all(isinstance(t, str) for t in tags)
+    ):
+        raise ParseError("generator: 'tags' must be a list of strings")
     if kind == "gaussian":
         return Gaussian(extra_tags=tags)
     if kind == "two_sided_exp":

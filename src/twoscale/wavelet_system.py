@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DuplicatePointError
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, Hat, SampledGenerator
 from .numerics import hermitian_eigen, integrate_adaptive
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 
 DEPENDENCE_THRESHOLD = 1.0e-8
 
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 @dataclass(frozen=True)
 class WaveletPoint:
@@ -46,6 +48,8 @@ class WaveletPoint:
     translation: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.dilation) and math.isfinite(self.translation)):
+            raise ValueError("dilation and translation must be finite")
         if not (self.dilation > 0.0):
             raise ValueError("dilation must be positive")
 
@@ -113,33 +117,76 @@ class Verdict:
     evidence: GramReport | None = None
 
 
+def _sampled_pair(gen: SampledGenerator, p: WaveletPoint, q: WaveletPoint) -> tuple:
+    """Exact pairing of two dilated translates of a linear interpolant.
+
+    Between consecutive knots of the merged set {(t_i + beta) / lambda} of
+    both factors the product is quadratic, so Simpson's rule on each piece
+    is exact and the only error is rounding.  The bound charges every factor
+    evaluation with its value rounding and with the slope times the rounding
+    of its argument lambda x - beta (and of the knots and midpoints).
+    """
+    s_lo, s_hi = gen.time_support()
+    lp, bp = p.dilation, p.translation
+    lq, bq = q.dilation, q.translation
+    lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
+    hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
+    if not (hi > lo):
+        return 0.0 + 0.0j, 0.0
+    start, step = gen.sampled.start, gen.sampled.step
+    last = gen.values.size - 1
+    knots = [np.array([lo, hi])]
+    for lam, beta in ((lp, bp), (lq, bq)):
+        # only the grid indices whose knots can fall inside the window
+        first, stop = np.clip((np.array([lam * lo, lam * hi]) - beta - start) / step, 0, last)
+        x = (start + step * np.arange(math.floor(first), math.ceil(stop) + 1) + beta) / lam
+        knots.append(x[(x > lo) & (x < hi)])
+    xs = np.unique(np.concatenate(knots))
+    mid = 0.5 * (xs[:-1] + xs[1:])
+
+    def product(x: np.ndarray) -> np.ndarray:
+        # x lies inside both supports up to rounding, so np.interp clamps to
+        # the end samples instead of dropping to zero just past a grid end
+        return np.interp(lp * x - bp, gen.grid, gen.values) * np.interp(
+            lq * x - bq, gen.grid, gen.values
+        )
+
+    g_knot = product(xs)
+    g_mid = product(mid)
+    value = math.fsum(np.diff(xs) / 6.0 * (g_knot[:-1] + 4.0 * g_mid + g_knot[1:]))
+    reach = max(abs(lo), abs(hi))
+    radius = max(abs(s_lo), abs(s_hi))
+    slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
+    edges = 2.0 * reach * float(abs(g_knot[0]) + abs(g_knot[-1]))
+    error = _UNIT_ROUNDOFF * (
+        (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(value)
+    )
+    return complex(value, 0.0), error
+
+
 def inner_product(
     gen: GeneratorSpec, p: WaveletPoint, q: WaveletPoint, tol: float = 1.0e-10
 ) -> tuple:
     """L2 pairing of the dilated translates of gen at points p and q.
 
-    Returns (value, error bound).  Compactly supported generators integrate
-    over the exact intersection of supports; unbounded ones use a truncation
-    window with an analytic tail bound folded into the reported error.
-    Catalog generators defined through their Fourier transform pair in the
-    Fourier domain instead.
+    Returns (value, error bound).  Sampled (piecewise-linear) generators pair
+    exactly on the intersection of supports, with a rounding bound as the
+    error.  Unbounded ones use a truncation window with an analytic tail
+    bound folded into the reported error.  Catalog generators defined
+    through their Fourier transform pair in the Fourier domain instead.
+    Declared kinks become quadrature breakpoints.
     """
+    if isinstance(gen, SampledGenerator):
+        return _sampled_pair(gen, p, q)
     if gen.fourier_side:
         integrand = gen.ft_pair_integrand(p, q)
         lo, hi, tail = gen.ft_pair_window(p, q, tol)
+        kinks = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
     else:
         integrand = gen.pair_integrand(p, q)
-        support = gen.time_support()
-        if support is not None:
-            s_lo, s_hi = support
-            lo = max((s_lo + p.translation) / p.dilation, (s_lo + q.translation) / q.dilation)
-            hi = min((s_hi + p.translation) / p.dilation, (s_hi + q.translation) / q.dilation)
-            tail = 0.0
-            if not (hi > lo):
-                return 0.0 + 0.0j, 0.0
-        else:
-            lo, hi, tail = gen.pair_window(p, q, tol)
-    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol)
+        lo, hi, tail = gen.pair_window(p, q, tol)
+        kinks = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
+    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=kinks)
     return result.value, result.error_estimate + tail
 
 
@@ -163,48 +210,34 @@ def gaussian_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:
     return out
 
 
-def _hat(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=np.float64) - 1.0))
-
-
-def _hat_pair_exact(p: WaveletPoint, q: WaveletPoint) -> float:
-    lp, bp = p.dilation, p.translation
-    lq, bq = q.dilation, q.translation
-    lo = max(bp / lp, bq / lq)
-    hi = min((bp + 2.0) / lp, (bq + 2.0) / lq)
-    if not (hi > lo):
-        return 0.0
-    knots = {lo, hi}
-    for t in (1.0,):
-        for lam, beta in ((lp, bp), (lq, bq)):
-            x = (beta + t) / lam
-            if lo < x < hi:
-                knots.add(x)
-    xs = sorted(knots)
-    pieces = []
-    for a, b in zip(xs, xs[1:]):
-        mid = 0.5 * (a + b)
-        fa = float(_hat(lp * a - bp) * _hat(lq * a - bq))
-        fm = float(_hat(lp * mid - bp) * _hat(lq * mid - bq))
-        fb = float(_hat(lp * b - bp) * _hat(lq * b - bq))
-        pieces.append((b - a) / 6.0 * (fa + 4.0 * fm + fb))
-    return math.fsum(pieces)
-
-
 def hat_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:
-    """Exact Gram matrix for the hat generator.
+    """Exact Gram matrix for the hat generator, entry by entry.
 
-    Products of two piecewise-linear factors are piecewise quadratic, so
-    Simpson's rule on each breakpoint interval integrates them exactly.
+    Scalar reference for the vectorized pairing: products of two
+    piecewise-linear factors are piecewise quadratic, so Simpson's rule on
+    each interval between the kinks 0, 1, 2 of both factors is exact.
     """
     pts = [p if isinstance(p, WaveletPoint) else WaveletPoint(*p) for p in points]
+    hat = Hat()
     n = len(pts)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            value = _hat_pair_exact(pts[i], pts[j])
-            out[i, j] = value
-            out[j, i] = value
+            lp, bp = pts[i].dilation, pts[i].translation
+            lq, bq = pts[j].dilation, pts[j].translation
+            lo = max(bp / lp, bq / lq)
+            hi = min((bp + 2.0) / lp, (bq + 2.0) / lq)
+            if not (hi > lo):
+                continue
+            peaks = ((bp + 1.0) / lp, (bq + 1.0) / lq)
+            xs = sorted({lo, hi, *(x for x in peaks if lo < x < hi)})
+            pieces = []
+            for a, b in zip(xs, xs[1:]):
+                fa, fm, fb = (
+                    float(hat(lp * x - bp) * hat(lq * x - bq)) for x in (a, 0.5 * (a + b), b)
+                )
+                pieces.append((b - a) / 6.0 * (fa + 4.0 * fm + fb))
+            out[i, j] = out[j, i] = math.fsum(pieces)
     return out
 
 
@@ -236,36 +269,22 @@ def gram_report_from_matrix(
     )
 
 
-def gram(system: WaveletSystem, tol: float = 1.0e-10, threads: int = 1) -> GramReport:
-    """Quadrature Gram matrix of the system.
+def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
+    """Gram matrix of the system.
 
     The upper triangle is filled entry by entry and mirrored, so the matrix
     is Hermitian by construction; quad_error records the largest entrywise
-    integration error bound.  Entries are independent, so they may be
-    evaluated by a thread pool; each entry is deterministic and results land
-    in pre-assigned slots, making the matrix identical for any thread count.
+    error bound.
     """
     n = len(system)
-    entries = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def compute(entry: tuple) -> tuple:
-        i, j = entry
-        return inner_product(system.generator, system.points[i], system.points[j], tol)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, entries))
-    else:
-        results = [compute(entry) for entry in entries]
-
     matrix = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
-    for (i, j), (value, err) in zip(entries, results):
-        matrix[i, j] = value
-        matrix[j, i] = np.conj(value)
-        worst = max(worst, err)
+    for i in range(n):
+        for j in range(i, n):
+            value, err = inner_product(system.generator, system.points[i], system.points[j], tol)
+            matrix[i, j] = value
+            matrix[j, i] = np.conj(value)
+            worst = max(worst, err)
     return gram_report_from_matrix(matrix, quad_error=worst)
 
 
@@ -393,7 +412,7 @@ def certify(system: WaveletSystem) -> Certificate | None:
     return None
 
 
-def analyze(system: WaveletSystem, tol: float = 1.0e-10, threads: int = 1) -> Verdict:
+def analyze(system: WaveletSystem, tol: float = 1.0e-10) -> Verdict:
     """Certificate first, numerics second.
 
     A matched rule yields IndependentCertified without any quadrature;
@@ -402,5 +421,5 @@ def analyze(system: WaveletSystem, tol: float = 1.0e-10, threads: int = 1) -> Ve
     certificate = certify(system)
     if certificate is not None:
         return Verdict(outcome="IndependentCertified", certificate=certificate)
-    report = gram(system, tol, threads=threads)
+    report = gram(system, tol)
     return numeric_verdict(report)

@@ -115,7 +115,7 @@ def test_05_gaussian_gram_oracle(capsys):
 
 def test_06_dependent_system_reproduction(capsys):
     exact = gram_report_from_matrix(hat_gram_closed_form(HAT_LATTICE))
-    quad = gram(WaveletSystem(Hat(), HAT_LATTICE), 1e-10)
+    paired = gram(WaveletSystem(Hat(), HAT_LATTICE), 1e-10)
     target = np.array([1.0, -0.5, -1.0, -0.5])
     target = target / np.linalg.norm(target)
 
@@ -126,9 +126,11 @@ def test_06_dependent_system_reproduction(capsys):
 
     ok = (
         exact.relative_gap <= 1e-10
-        and quad.relative_gap <= 1e-6
+        and paired.relative_gap <= 1e-10
+        and paired.quad_error < 1e-14
+        and float(np.max(np.abs(paired.matrix - exact.matrix))) <= paired.quad_error
         and null_distance(exact) <= 1e-6
-        and null_distance(quad) <= 1e-6
+        and null_distance(paired) <= 1e-6
     )
     with capsys.disabled():
         report(6, "dependent hat lattice", ok)

@@ -90,6 +90,8 @@ class TestKinds:
         assert h(np.array([1.0]))[0] == 1.0
         assert h(np.array([2.5]))[0] == 0.0
         assert "compact_support" in h.tags
+        xs = np.linspace(-0.5, 2.5, 61)
+        assert np.array_equal(h(xs), np.maximum(0.0, 1.0 - np.abs(xs - 1.0)))
 
     def test_refinement_generator_matches_hat(self):
         g = RefinementGenerator(preset("hat"))
@@ -102,6 +104,22 @@ class TestKinds:
         sf = SampledFunction(
             start=0.0, step=0.5, values=np.array([0.0, 1.0, 0.0]), support=(0.0, math.inf)
         )
+        with pytest.raises(InvalidEquationError):
+            SampledGenerator(sf)
+
+    @pytest.mark.parametrize(
+        "start,step,values,support",
+        [
+            (0.0, 1.0, [1.0], (0.0, 1.0)),  # one value
+            (0.0, 1.0, [0.0, math.nan, 0.0], (0.0, 2.0)),  # non-finite value
+            (0.0, 0.0, [0.0, 1.0, 0.0], (0.0, 2.0)),  # zero step
+            (0.0, math.inf, [0.0, 1.0, 0.0], (0.0, 2.0)),  # infinite step
+            (0.0, 0.5, [0.0, 1.0, 0.0], (0.0, 50.0)),  # support beyond the grid
+            (0.0, 0.5, [0.0, 1.0, 0.0], (-1.0, 1.0)),  # support before the grid
+        ],
+    )
+    def test_sampled_rejects_inconsistent_data(self, start, step, values, support):
+        sf = SampledFunction(start=start, step=step, values=np.array(values), support=support)
         with pytest.raises(InvalidEquationError):
             SampledGenerator(sf)
 

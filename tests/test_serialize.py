@@ -93,6 +93,13 @@ class TestSystemJson:
         assert "schwartz" in system.generator.tags
         assert ser.system_to_dict(system)["generator"]["values"] == values
 
+    @pytest.mark.parametrize("tags", ["schwartz", ["schwartz", 3], {"schwartz": True}])
+    def test_tags_must_be_a_list_of_strings(self, tags):
+        with pytest.raises(ser.ParseError, match="tags"):
+            ser.system_from_dict(
+                {"generator": {"kind": "gaussian", "tags": tags}, "points": [{"lambda": 1, "beta": 0}]}
+            )
+
     def test_unknown_kind(self):
         with pytest.raises(ser.ParseError):
             ser.system_from_dict(

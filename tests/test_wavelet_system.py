@@ -1,21 +1,25 @@
 """Gram matrices, numeric verdicts and the certificate engine."""
 
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import smooth_bump_generator
+from twoscale import wavelet_system
 from twoscale.errors import DuplicatePointError
 from twoscale.generators import (
     CatalogGenerator,
     Gaussian,
     Hat,
     RationalL2,
+    RefinementGenerator,
     SampledGenerator,
     TwoSidedExp,
 )
-from twoscale.refinement import SampledFunction
+from twoscale.refinement import SampledFunction, preset
 from twoscale.wavelet_system import (
     WaveletPoint,
     WaveletSystem,
@@ -45,10 +49,87 @@ def aligned(vec, target):
     return min(d1, d2)
 
 
+def two_sided_exp_pair(n, p, q):
+    """Closed form of int exp(-n|lp x - bp|) exp(-n|lq x - bq|) dx.
+
+    The exponent is linear on each side of and between the two kinks.
+    """
+    k1, k2 = sorted((p.translation / p.dilation, q.translation / q.dilation))
+
+    def exponent(x):
+        return -n * (abs(p.dilation * x - p.translation) + abs(q.dilation * x - q.translation))
+
+    tails = (math.exp(exponent(k1)) + math.exp(exponent(k2))) / (n * (p.dilation + q.dilation))
+    if k2 == k1:
+        return tails
+    slope = (exponent(k2) - exponent(k1)) / (k2 - k1)
+    if slope == 0.0:
+        return tails + (k2 - k1) * math.exp(exponent(k1))
+    return tails + (math.exp(exponent(k2)) - math.exp(exponent(k1))) / slope
+
+
+def exact_sampled_pair(gen, p, q):
+    """<f(lp x - bp), f(lq x - bq)> in rational arithmetic, f the interpolant.
+
+    The product is quadratic between merged knots, so Simpson's rule on each
+    piece, evaluated exactly, is the exact integral of the float inputs.
+    """
+    t = [Fraction(float(x)) for x in gen.grid]
+    v = [Fraction(float(y)) for y in gen.values]
+    s_lo, s_hi = (Fraction(x) for x in gen.time_support())
+    lp, bp, lq, bq = (Fraction(x) for x in (p.dilation, p.translation, q.dilation, q.translation))
+
+    def f(u):
+        if u < s_lo or u > s_hi:
+            return Fraction(0)
+        i = min(max(bisect.bisect_right(t, u) - 1, 0), len(t) - 2)
+        return v[i] + (v[i + 1] - v[i]) * (u - t[i]) / (t[i + 1] - t[i])
+
+    def g(x):
+        return f(lp * x - bp) * f(lq * x - bq)
+
+    lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
+    hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
+    if hi <= lo:
+        return Fraction(0)
+    inner = {(ti + b) / lam for ti in t for lam, b in ((lp, bp), (lq, bq))}
+    xs = sorted({lo, hi} | {x for x in inner if lo < x < hi})
+    return sum((b - a) / 6 * (g(a) + 4 * g((a + b) / 2) + g(b)) for a, b in zip(xs, xs[1:]))
+
+
+def autocorrelation_oracle(eq):
+    """a(k) = int phi(x) phi(x - k) dx at integers k, for integer data.
+
+    Dahmen & Micchelli (SIAM J. Numer. Anal. 30, 1993): a is the eigenvalue-1
+    eigenvector of T[k, m] = (1/lambda) sum c_j c_l over the pairs with
+    beta_l - beta_j = m - lambda k, normalized so that sum a = 1.  a vanishes
+    for |k| at least the support length.
+    """
+    length = int(round((eq.offsets[-1] - eq.offsets[0]) / (eq.lam - 1.0)))
+    ks = list(range(1 - length, length))
+    t = np.zeros((len(ks), len(ks)))
+    for row, k in enumerate(ks):
+        for cj, bj in eq.terms:
+            for cl, bl in eq.terms:
+                m = eq.lam * k + bl - bj
+                if abs(m) < length:
+                    t[row, ks.index(int(m))] += (cj * cl).real / eq.lam
+    w, v = np.linalg.eig(t)
+    a = v[:, np.argmin(np.abs(w - 1.0))].real
+    return dict(zip(ks, a / a.sum()))
+
+
 class TestSystemConstruction:
     def test_positive_dilation_required(self):
         with pytest.raises(ValueError):
             P(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "dilation,translation", [(1.0, math.nan), (math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_non_finite_point_rejected(self, dilation, translation):
+        with pytest.raises(ValueError, match="finite"):
+            P(dilation, translation)
 
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePointError):
@@ -73,9 +154,13 @@ class TestInnerProduct:
         assert value == 0.0 and err == 0.0
 
     def test_two_sided_exp_closed_form(self):
-        # int exp(-2|x|) dx = 1
-        value, err = inner_product(TwoSidedExp(1), P(1, 0), P(1, 0))
-        assert abs(value - 1.0) <= max(err, 1e-10)
+        # (1, 0) with itself: int exp(-2|x|) dx = 1; the others have a kink
+        # of one factor inside a panel unless the kinks are breakpoints
+        pairs = ((P(1, 0), P(1, 0)), (P(1, -0.9), P(1.5, 0.2)), (P(2, 1), P(0.5, -1)))
+        for n in (1, 2):
+            for p, q in pairs:
+                value, err = inner_product(TwoSidedExp(n), p, q, 1e-10)
+                assert abs(value - two_sided_exp_pair(n, p, q)) <= max(err, 1e-12), (n, p, q)
 
     def test_rational_against_closed_form(self):
         # int dx/(1+x^2)^2 = pi/2
@@ -86,6 +171,17 @@ class TestInnerProduct:
         for cid, expected in (("ft_box", 1.0), ("sech", 2.0 / math.pi), ("ft_annulus_tent", 2.0 / 3.0)):
             value, err = inner_product(CatalogGenerator(cid), P(1, 0), P(1, 0))
             assert abs(value - expected) <= max(err, 1e-9), cid
+
+    def test_annulus_tent_thin_overlap(self):
+        # the dilated tents overlap only on 1.99 <= |g| <= 2, where both are
+        # linear, so Simpson's rule on that piece (both signs) is exact
+        def product(g):
+            return (1.0 - 2.0 * abs(g - 1.5)) * (1.0 - 2.0 * abs(g / 1.99 - 1.5))
+
+        exact = 2.0 / 1.99 * 0.01 / 6.0 * (product(1.99) + 4.0 * product(1.995) + product(2.0))
+        value, err = inner_product(CatalogGenerator("ft_annulus_tent"), P(1, 0), P(1.99, 0), 1e-10)
+        assert abs(exact - 3.3669e-7) <= 1e-11
+        assert abs(value - exact) <= max(err, 1e-19)
 
     def test_catalog_hermitian_pair(self):
         c = CatalogGenerator("sech")
@@ -146,10 +242,69 @@ class TestClosedFormGrams:
         assert np.max(np.abs(g @ v)) <= 1e-14
 
     def test_hat_closed_form_vs_quadrature(self):
-        for p, q in ((P(1, 0), P(2, 1)), (P(1, 0), P(1, 0.5)), (P(3, 1), P(2, 0))):
+        pairs = (
+            (P(1, 0), P(2, 1)),
+            (P(1, 0), P(1, 0.5)),
+            (P(3, 1), P(2, 0)),
+            (P(1.5, 0.25), P(2, 0.67)),
+        )
+        for p, q in pairs:
             value, err = inner_product(Hat(), p, q)
             expected = hat_gram_closed_form([p, q])[0, 1]
-            assert abs(value - expected) <= max(err, 1e-10)
+            assert abs(value - expected) <= err
+
+
+DYADIC_SAMPLED = SampledGenerator(
+    SampledFunction(
+        start=-1.0, step=0.25, values=np.array([0.0, 0.5, 1.75, -0.25, 3.0, 1.0, 0.0, 2.5, 0.125]),
+        support=(-1.0, 1.0),
+    )
+)
+
+
+class TestExactPairing:
+    @pytest.mark.parametrize(
+        "gen,p,q",
+        [
+            (Hat(), P(1.5, 0.25), P(2, 0.67)),
+            (DYADIC_SAMPLED, P(1, 0), P(2, 0.5)),
+            (DYADIC_SAMPLED, P(0.75, -0.3), P(3.1, 1.7)),
+            (DYADIC_SAMPLED, P(1.3, 0.1), P(1.3, 0.1)),
+        ],
+    )
+    def test_error_bounds_rational_value(self, gen, p, q):
+        value, err = inner_product(gen, p, q)
+        exact = exact_sampled_pair(gen, p, q)
+        assert value.imag == 0.0
+        assert exact != 0
+        assert abs(Fraction(value.real) - exact) <= Fraction(err)
+        assert err <= 1e-13
+
+    def test_hat_reproducer_against_closed_form(self):
+        value, _ = inner_product(Hat(), P(1.5, 0.25), P(2, 0.67), 1e-10)
+        assert abs(value - 0.374995837962963) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "name,resolution,tolerance", [("hat", 2.0**-10, 1e-14), ("rham", 2.0**-12, 2e-5)]
+    )
+    def test_refinement_gram_matches_autocorrelation(self, name, resolution, tolerance):
+        eq = preset(name)
+        a = autocorrelation_oracle(eq)
+        pts = [P(1.0, float(k)) for k in range(len(a))]
+        report = gram(WaveletSystem(RefinementGenerator(eq, resolution), pts))
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                assert abs(report.matrix[i, j] - a.get(j - i, 0.0)) <= tolerance, (i, j)
+
+    def test_no_quadrature_for_piecewise_linear_generators(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called")
+
+        monkeypatch.setattr(wavelet_system, "integrate_adaptive", forbidden)
+        pts = [P(1, 0), P(2, 0.5), P(1, 0.25)]
+        for gen in (Hat(), DYADIC_SAMPLED, RefinementGenerator(preset("hat"), 2.0**-6)):
+            report = gram(WaveletSystem(gen, pts), 1e-10)
+            assert report.quad_error <= 1e-13 * report.sigma_max
 
 
 class TestGram:
@@ -165,14 +320,6 @@ class TestGram:
         report = gram(WaveletSystem(Gaussian(), [P(1, 0)]), 1e-10)
         assert report.sigma_min == report.sigma_max
         assert abs(report.sigma_max - math.sqrt(math.pi / 2.0)) <= 1e-9
-
-    def test_threads_do_not_change_result(self):
-        pts = [P(1, 0), P(2, 0), P(3, 1)]
-        system = WaveletSystem(Gaussian(), pts)
-        r1 = gram(system, 1e-9, threads=1)
-        r2 = gram(system, 1e-9, threads=3)
-        assert np.array_equal(r1.matrix, r2.matrix)
-        assert r1.quad_error == r2.quad_error
 
     def test_psd_up_to_quadrature(self):
         pts = [P(1, 0), P(1.5, 0.5), P(2.5, -1)]
@@ -203,7 +350,8 @@ class TestNumericVerdict:
 
     def test_hat_lattice_quadrature_path(self):
         report = gram(WaveletSystem(Hat(), HAT_LATTICE), 1e-10)
-        assert report.relative_gap <= 1e-6
+        assert report.relative_gap <= 1e-10
+        assert report.quad_error < 1e-14
         verdict = numeric_verdict(report)
         assert verdict.outcome == "Dependent"
         assert aligned(verdict.null_vector, HAT_NULL) <= 1e-6
