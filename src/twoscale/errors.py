@@ -13,10 +13,6 @@ class NonConvergenceError(TwoscaleError):
     """A tolerance could not be reached within the evaluation budget."""
 
 
-class BadHintError(TwoscaleError):
-    """Sampled tail magnitudes contradict the declared decay hint."""
-
-
 class NotHermitianError(TwoscaleError):
     """Matrix is too asymmetric to be treated as Hermitian."""
 

@@ -115,6 +115,17 @@ class GeneratorSpec:
         return {}
 
 
+def _tail_window(lo: float, hi: float, radius: float, tail: Callable, tol: float) -> tuple:
+    """Widen [lo, hi] by the first radius * 2^k whose tail bound is within tol/4.
+
+    ``tail(r)`` bounds the integral of the pair product outside
+    [lo - r, hi + r]; returns that interval and its bound.
+    """
+    while (bound := tail(radius)) > 0.25 * tol:
+        radius *= 2.0
+    return lo - radius, hi + radius, bound
+
+
 class Gaussian(GeneratorSpec):
     """exp(-x^2); the pairing of two dilated translates is again a Gaussian."""
 
@@ -144,11 +155,10 @@ class Gaussian(GeneratorSpec):
         center = (lp * bp + lq * bq) / rate
         cross = (lp * bq - lq * bp) ** 2 / rate
         peak = math.exp(-cross)  # product value at its maximum
-        radius = max(1.0, 1.0 / math.sqrt(rate))
-        while peak * math.exp(-rate * radius * radius) / (rate * radius) > 0.25 * tol:
-            radius *= 2.0
-        tail = peak * math.exp(-rate * radius * radius) / (rate * radius)
-        return center - radius, center + radius, tail
+        start = max(1.0, 1.0 / math.sqrt(rate))
+        return _tail_window(
+            center, center, start, lambda r: peak * math.exp(-rate * r * r) / (rate * r), tol
+        )
 
 
 class TwoSidedExp(GeneratorSpec):
@@ -177,19 +187,15 @@ class TwoSidedExp(GeneratorSpec):
     def pair_window(self, p, q, tol):
         lp, bp = p.dilation, p.translation
         lq, bq = q.dilation, q.translation
-        kinks = (bp / lp, bq / lq)
+        lo, hi = sorted((bp / lp, bq / lq))
         rate = self.n * (lp + lq)
         integrand = self.pair_integrand(p, q)
-        radius = 1.0
-        while True:
-            lo = min(kinks) - radius
-            hi = max(kinks) + radius
+
+        def tail(r):
             # beyond both kinks the product is exactly exponential with rate n(lp+lq)
-            tail = (float(abs(integrand(np.array([lo]))[0]))
-                    + float(abs(integrand(np.array([hi]))[0]))) / rate
-            if tail <= 0.25 * tol:
-                return lo, hi, tail
-            radius *= 2.0
+            return float(np.sum(np.abs(integrand(np.array([lo - r, hi + r]))))) / rate
+
+        return _tail_window(lo, hi, 1.0, tail, tol)
 
     def params(self):
         return {"n": self.n}
@@ -267,11 +273,10 @@ class RationalL2(GeneratorSpec):
         )
         # |R(l x - b)| <= M (l x / 2)^-p once x >= max(2|b|/l, 2 U0/l)
         prefactor = m * m * (4.0 / (lp * lq)) ** power
-        while True:
-            tail = 2.0 * prefactor * radius ** (1 - 2 * power) / (2 * power - 1)
-            if tail <= 0.25 * tol:
-                return -radius, radius, tail
-            radius *= 2.0
+        return _tail_window(
+            0.0, 0.0, radius, lambda r: 2.0 * prefactor * r ** (1 - 2 * power) / (2 * power - 1),
+            tol,
+        )
 
     def params(self):
         return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
@@ -515,11 +520,9 @@ class CatalogGenerator(GeneratorSpec):
         pair_rate = rate * (1.0 / lp + 1.0 / lq)
         prefactor = 2.0 * k * k / (lp * lq)
         radius = max(1.0, start * max(lp, lq))
-        while True:
-            tail = prefactor * math.exp(-pair_rate * radius) / pair_rate
-            if tail <= 0.25 * tol:
-                return -radius, radius, tail
-            radius *= 2.0
+        return _tail_window(
+            0.0, 0.0, radius, lambda r: prefactor * math.exp(-pair_rate * r) / pair_rate, tol
+        )
 
     def params(self):
         return {"id": self.catalog_id}

@@ -1,8 +1,8 @@
 """Numerical kernels.
 
-Adaptive quadrature on finite and truncated unbounded intervals, a dense
-Hermitian eigensolver (LAPACK through numpy), and least-squares slope
-fitting in log-log coordinates.
+Adaptive quadrature on finite intervals, a dense Hermitian eigensolver
+(LAPACK through numpy), and least-squares slope fitting in log-log
+coordinates.
 
 All kernels are deterministic: node sets and summation orders are fixed,
 so identical inputs produce bit-identical outputs.  They are also
@@ -18,20 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadHintError,
-    DegenerateWindowError,
-    NonConvergenceError,
-    NotHermitianError,
-)
+from .errors import DegenerateWindowError, NonConvergenceError, NotHermitianError
 
 __all__ = [
     "QuadratureResult",
     "HermitianSpectrum",
     "SlopeFit",
-    "DecayHint",
     "integrate_adaptive",
-    "integrate_real_line",
     "hermitian_eigen",
     "loglog_slope",
 ]
@@ -107,63 +100,6 @@ class SlopeFit:
     window: tuple
 
 
-@dataclass(frozen=True)
-class DecayHint:
-    """Declared tail envelope of an integrand on the real line.
-
-    kind ``gaussian``: |f(x)| <= C exp(-rate x^2);
-    kind ``exponential``: |f(x)| <= C exp(-rate |x|);
-    kind ``polynomial``: |f(x)| <= C min(1, |x|^-power) with power > 1.
-    """
-
-    kind: str
-    rate: float = 1.0
-    power: float = 2.0
-
-    @staticmethod
-    def gaussian(rate: float = 1.0) -> "DecayHint":
-        if rate <= 0.0:
-            raise ValueError("gaussian decay rate must be positive")
-        return DecayHint("gaussian", rate=rate)
-
-    @staticmethod
-    def exponential(rate: float = 1.0) -> "DecayHint":
-        if rate <= 0.0:
-            raise ValueError("exponential decay rate must be positive")
-        return DecayHint("exponential", rate=rate)
-
-    @staticmethod
-    def polynomial(power: float) -> "DecayHint":
-        if power <= 1.0:
-            raise ValueError("polynomial decay needs power > 1 for integrability")
-        return DecayHint("polynomial", power=power)
-
-    def log_envelope(self, x: float) -> float:
-        """ln of the unit-scale envelope at x (computed without underflow)."""
-        ax = abs(x)
-        if self.kind == "gaussian":
-            return -self.rate * ax * ax
-        if self.kind == "exponential":
-            return -self.rate * ax
-        return -self.power * math.log(ax) if ax > 1.0 else 0.0
-
-    def tail(self, t: float) -> float:
-        """Upper bound for the one-sided tail integral of the unit envelope."""
-        if self.kind == "gaussian":
-            # int_T^inf exp(-r x^2) dx <= exp(-r T^2)/(2 r T) for rT^2 >= 1/2
-            return math.exp(-self.rate * t * t) / (2.0 * self.rate * t)
-        if self.kind == "exponential":
-            return math.exp(-self.rate * t) / self.rate
-        return t ** (1.0 - self.power) / (self.power - 1.0)
-
-    def start_radius(self) -> float:
-        if self.kind == "gaussian":
-            return max(1.0, 1.0 / math.sqrt(self.rate))
-        if self.kind == "exponential":
-            return max(1.0, 1.0 / self.rate)
-        return 2.0
-
-
 def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap f so it maps an ndarray of abscissae to a complex ndarray."""
 
@@ -233,9 +169,13 @@ def integrate_adaptive(
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
 
-    edges = [a, b]
-    if breakpoints is not None:
-        edges = sorted({a, b, *(float(x) for x in breakpoints if a < x < b)})
+    edges = [a]
+    # an edge within the bisection floor of its neighbour would seed a panel
+    # too narrow to evaluate; such edges are dropped
+    for x in sorted({float(x) for x in breakpoints or () if a < x < b}):
+        if min(x - edges[-1], b - x) > 8.0 * _EPS * max(abs(x), 1.0):
+            edges.append(x)
+    edges.append(b)
 
     f_eval = _vectorized(f)
     evaluations = 0
@@ -289,96 +229,6 @@ def integrate_adaptive(
     )
     estimate = math.fsum(p[3] for p in everything)
     return QuadratureResult(value=total, error_estimate=estimate, evaluations=evaluations)
-
-
-_PROBE_ABSCISSAE = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-_HINT_CONTRADICTION_FACTOR = 1.0e3
-
-
-def integrate_real_line(
-    f: Callable,
-    hint: DecayHint,
-    tol: float,
-    *,
-    max_evals: int = 10**6,
-) -> QuadratureResult:
-    """Integrate f over the whole real line using a declared decay hint.
-
-    The truncation radius T is chosen so the analytic tail bound of the
-    hinted envelope stays below tol/4; the tail bound is folded into the
-    reported error estimate.  Probes of |f| that exceed the hinted envelope
-    by more than a factor of 1e3 raise BadHintError instead of silently
-    producing a wrong tail bound.
-    """
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
-
-    f_eval = _vectorized(f)
-    probes = np.array(
-        sorted({x for p in _PROBE_ABSCISSAE for x in (p, -p)}), dtype=np.float64
-    )
-    fp = np.abs(f_eval(probes))
-    evaluations = probes.size
-
-    near_scale = float(np.max(fp[np.abs(probes) <= 2.0]))
-    log_near = math.log(near_scale) if near_scale > 0.0 else -math.inf
-
-    def check_envelope(x: float, magnitude: float) -> None:
-        if magnitude == 0.0:
-            return
-        allowed = math.log(_HINT_CONTRADICTION_FACTOR) + log_near + hint.log_envelope(x)
-        if math.log(magnitude) > allowed:
-            raise BadHintError(
-                f"|f({x:g})| = {magnitude:.3e} exceeds the declared "
-                f"{hint.kind} envelope by more than {_HINT_CONTRADICTION_FACTOR:g}x"
-            )
-
-    scale = 0.0
-    for x, magnitude in zip(probes, fp):
-        if abs(x) >= 4.0:
-            check_envelope(float(x), float(magnitude))
-        if magnitude > 0.0:
-            log_ratio = math.log(magnitude) - hint.log_envelope(float(x))
-            scale = max(scale, math.exp(min(log_ratio, 700.0)))
-
-    radius = hint.start_radius()
-    if scale > 0.0:
-        while 2.0 * scale * hint.tail(radius) > 0.25 * tol:
-            radius *= 2.0
-            if radius > 1.0e300:
-                raise NonConvergenceError(
-                    "truncation radius diverged; tail bound cannot reach tolerance"
-                )
-    else:
-        radius *= 16.0  # f vanished at every probe; integrate a generous window
-
-    tail_checks = np.array([-radius, -0.5 * radius, 0.5 * radius, radius])
-    ft = np.abs(f_eval(tail_checks))
-    evaluations += tail_checks.size
-    for x, magnitude in zip(tail_checks, ft):
-        check_envelope(float(x), float(magnitude))
-
-    tail_bound = 2.0 * scale * hint.tail(radius)
-    # geometric pre-split: without it, a feature near the origin can vanish
-    # between the nodes of one panel spanning a huge truncated interval
-    splits: list[float] = []
-    edge = 1.0
-    while edge < radius:
-        splits.extend((-edge, edge))
-        edge *= 2.0
-    inner = integrate_adaptive(
-        f,
-        -radius,
-        radius,
-        0.5 * tol,
-        max_evals=max_evals - evaluations,
-        breakpoints=splits,
-    )
-    return QuadratureResult(
-        value=inner.value,
-        error_estimate=inner.error_estimate + tail_bound,
-        evaluations=evaluations + inner.evaluations,
-    )
 
 
 def hermitian_eigen(a: np.ndarray) -> HermitianSpectrum:

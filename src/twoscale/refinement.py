@@ -10,6 +10,7 @@ bounds or estimates the Hoelder regularity of solutions.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -61,12 +62,14 @@ class TwoScaleEquation:
 
     def __init__(self, lam: float, terms: Sequence[tuple]):
         lam = float(lam)
-        if not (lam > 1.0):
-            raise InvalidEquationError("dilation must satisfy lambda > 1")
+        if not (math.isfinite(lam) and lam > 1.0):
+            raise InvalidEquationError("dilation must be finite and satisfy lambda > 1")
         merged: dict[float, complex] = {}
         for c, beta in terms:
-            beta = float(beta)
-            merged[beta] = merged.get(beta, 0.0 + 0.0j) + complex(c)
+            beta, c = float(beta), complex(c)
+            if not (math.isfinite(beta) and cmath.isfinite(c)):
+                raise InvalidEquationError("coefficients and offsets must be finite")
+            merged[beta] = merged.get(beta, 0.0 + 0.0j) + c
         cleaned = tuple(
             (merged[beta], beta) for beta in sorted(merged) if merged[beta] != 0
         )
@@ -373,8 +376,8 @@ def cascade_solve(
     summing to lambda the final values are rescaled so the trapezoid
     integral equals 1.
     """
-    if not (grid_resolution > 0.0):
-        raise ValueError("grid resolution must be positive")
+    if not (math.isfinite(grid_resolution) and grid_resolution > 0.0):
+        raise ValueError("grid resolution must be finite and positive")
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     total = eq.coefficient_sum()

@@ -74,12 +74,37 @@ def _complex_pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except TypeError:
+        raise ParseError(f"{where}: expected a number, got {type(value).__name__}") from None
+
+
+def _numbers(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of numbers")
+    return [_number(v, where) for v in value]
+
+
+def _number_pair(value, where: str) -> tuple:
+    pair = _numbers(value, where)
+    if len(pair) != 2:
+        raise ParseError(f"{where}: expected a pair of numbers")
+    return pair[0], pair[1]
+
+
+def _integer(value, where: str) -> int:
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ParseError(f"{where}: expected an integer")
+    return int(number)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ParseError(f"{where}: expected a number or [re, im] pair")
+    if isinstance(value, list):
+        return complex(*_number_pair(value, where))
+    return complex(_number(value, where))
 
 
 def _require(mapping, key, where: str):
@@ -105,10 +130,10 @@ def equation_from_dict(doc: dict) -> TwoScaleEquation:
         raise ParseError("equation: 'terms' must be a nonempty list")
     terms = []
     for k, term in enumerate(terms_doc):
-        c = _parse_complex(_require(term, "c", f"equation term {k}"), f"equation term {k}")
-        beta = float(_require(term, "beta", f"equation term {k}"))
-        terms.append((c, beta))
-    return TwoScaleEquation(float(lam), terms)
+        where = f"equation term {k}"
+        c = _parse_complex(_require(term, "c", where), where)
+        terms.append((c, _number(_require(term, "beta", where), where)))
+    return TwoScaleEquation(_number(lam, "equation lambda"), terms)
 
 
 # ------------------------------------------------------------------ systems
@@ -127,13 +152,12 @@ def _sampled_to_dict(sampled: SampledFunction) -> dict:
 
 
 def _sampled_from_dict(doc: dict, where: str) -> SampledFunction:
-    values = np.asarray(_require(doc, "values", where), dtype=np.float64)
-    support = _require(doc, "support", where)
+    values = _numbers(_require(doc, "values", where), f"{where} values")
     return SampledFunction(
-        start=float(_require(doc, "start", where)),
-        step=float(_require(doc, "step", where)),
-        values=values,
-        support=(float(support[0]), float(support[1])),
+        start=_number(_require(doc, "start", where), f"{where} start"),
+        step=_number(_require(doc, "step", where), f"{where} step"),
+        values=np.array(values, dtype=np.float64),
+        support=_number_pair(_require(doc, "support", where), f"{where} support"),
     )
 
 
@@ -158,11 +182,12 @@ def generator_from_dict(doc: dict) -> GeneratorSpec:
     if kind == "gaussian":
         return Gaussian(extra_tags=tags)
     if kind == "two_sided_exp":
-        return TwoSidedExp(int(_require(doc, "n", "generator")), extra_tags=tags)
+        n = _integer(_require(doc, "n", "generator"), "generator n")
+        return TwoSidedExp(n, extra_tags=tags)
     if kind == "rational":
         return RationalL2(
-            _require(doc, "numerator", "generator"),
-            _require(doc, "denominator", "generator"),
+            _numbers(_require(doc, "numerator", "generator"), "generator numerator"),
+            _numbers(_require(doc, "denominator", "generator"), "generator denominator"),
             extra_tags=tags,
         )
     if kind == "hat":
@@ -171,8 +196,8 @@ def generator_from_dict(doc: dict) -> GeneratorSpec:
         eq = equation_from_dict(_require(doc, "equation", "generator"))
         return RefinementGenerator(
             eq,
-            resolution=float(doc.get("resolution", 2.0**-10)),
-            iterations=int(doc.get("iterations", 40)),
+            resolution=_number(doc.get("resolution", 2.0**-10), "generator resolution"),
+            iterations=_integer(doc.get("iterations", 40), "generator iterations"),
             extra_tags=tags,
         )
     if kind == "sampled":
@@ -198,8 +223,8 @@ def system_from_dict(doc: dict) -> WaveletSystem:
         raise ParseError("system: 'points' must be a nonempty list")
     points = [
         WaveletPoint(
-            float(_require(p, "lambda", f"point {k}")),
-            float(_require(p, "beta", f"point {k}")),
+            _number(_require(p, "lambda", f"point {k}"), f"point {k}"),
+            _number(_require(p, "beta", f"point {k}"), f"point {k}"),
         )
         for k, p in enumerate(points_doc)
     ]

@@ -164,6 +164,22 @@ def _sampled_pair(gen: SampledGenerator, p: WaveletPoint, q: WaveletPoint) -> tu
     return complex(value, 0.0), error
 
 
+def _geometric_edges(origins: Sequence[float], unit: float, lo: float, hi: float) -> list:
+    """Each origin a and the points a +- unit * 2^k, k >= 0, out to the window.
+
+    Panels then widen geometrically away from each factor's origin, so a
+    product feature of width about ``unit`` cannot hide between the nodes
+    of one panel spanning the whole truncation window.
+    """
+    edges = []
+    for a in origins:
+        reach = max(a - lo, hi - a)
+        count = math.ceil(math.log2(reach) - math.log2(unit)) if reach > unit else 0
+        steps = unit * 2.0 ** np.arange(count)
+        edges.extend([a, *(a - steps), *(a + steps)])
+    return edges
+
+
 def inner_product(
     gen: GeneratorSpec, p: WaveletPoint, q: WaveletPoint, tol: float = 1.0e-10
 ) -> tuple:
@@ -174,19 +190,24 @@ def inner_product(
     error.  Unbounded ones use a truncation window with an analytic tail
     bound folded into the reported error.  Catalog generators defined
     through their Fourier transform pair in the Fourier domain instead.
-    Declared kinks become quadrature breakpoints.
+    Declared kinks become quadrature breakpoints, and so do geometric edges
+    around each factor's origin (beta / lambda in time, 0 in frequency) on
+    the scale of the narrower factor.
     """
     if isinstance(gen, SampledGenerator):
         return _sampled_pair(gen, p, q)
     if gen.fourier_side:
         integrand = gen.ft_pair_integrand(p, q)
         lo, hi, tail = gen.ft_pair_window(p, q, tol)
-        kinks = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
+        edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
+        edges += _geometric_edges((0.0,), min(p.dilation, q.dilation), lo, hi)
     else:
         integrand = gen.pair_integrand(p, q)
         lo, hi, tail = gen.pair_window(p, q, tol)
-        kinks = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
-    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=kinks)
+        edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
+        origins = (p.translation / p.dilation, q.translation / q.dilation)
+        edges += _geometric_edges(origins, 1.0 / max(p.dilation, q.dilation), lo, hi)
+    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
     return result.value, result.error_estimate + tail
 
 

@@ -218,6 +218,53 @@ class TestProcessContract:
         assert doc["error"] == "ParseError"
         assert doc["line"] == 2
 
+    @pytest.mark.parametrize(
+        "command,doc,error",
+        (
+            (
+                "gram",
+                {"generator": {"kind": "gaussian"}, "points": [{"lambda": [1], "beta": 0}]},
+                "ParseError",
+            ),
+            (
+                "gram",
+                {
+                    "generator": {
+                        "kind": "sampled", "start": 0.0, "step": None,
+                        "values": [0.0, 1.0, 0.0], "support": [0.0, 2.0],
+                    },
+                    "points": [{"lambda": 1, "beta": 0}],
+                },
+                "ParseError",
+            ),
+            (
+                "refine-validate",
+                {"lambda": 2, "terms": [{"c": [None, 0], "beta": 0}, {"c": [1, 0], "beta": 1}]},
+                "ParseError",
+            ),
+            ("refine-validate", {"lambda": float("inf"), "terms": [{"c": 1, "beta": 0}]},
+             "InvalidEquationError"),
+            (
+                "refine-validate",
+                {"lambda": 2, "terms": [{"c": 1, "beta": float("nan")}, {"c": 1, "beta": 1}]},
+                "InvalidEquationError",
+            ),
+            (
+                "refine-validate",
+                {"lambda": 2, "terms": [{"c": [float("nan"), 0], "beta": 0}, {"c": 1, "beta": 1}]},
+                "InvalidEquationError",
+            ),
+        ),
+        ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
+             "nan-beta", "nan-coefficient"),
+    )
+    def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--input", "/nonexistent/zzz.json")
         assert code == 1

@@ -5,19 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from twoscale.errors import (
-    BadHintError,
-    DegenerateWindowError,
-    NonConvergenceError,
-    NotHermitianError,
-)
-from twoscale.numerics import (
-    DecayHint,
-    hermitian_eigen,
-    integrate_adaptive,
-    integrate_real_line,
-    loglog_slope,
-)
+from twoscale.errors import DegenerateWindowError, NonConvergenceError, NotHermitianError
+from twoscale.numerics import hermitian_eigen, integrate_adaptive, loglog_slope
 
 
 def composite_simpson(f, a, b, n=4096):
@@ -110,39 +99,6 @@ class TestIntegrateAdaptive:
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
         assert r1.evaluations == r2.evaluations
-
-
-class TestIntegrateRealLine:
-    def test_gaussian_hint(self):
-        res = integrate_real_line(lambda x: np.exp(-x * x), DecayHint.gaussian(), 1e-10)
-        assert abs(res.value - math.sqrt(math.pi)) <= 1e-10
-        assert res.error_estimate <= 1e-10
-
-    def test_exponential_hint(self):
-        res = integrate_real_line(lambda x: np.exp(-np.abs(x)), DecayHint.exponential(), 1e-10)
-        assert abs(res.value - 2.0) <= 1e-10
-
-    def test_polynomial_hint(self):
-        res = integrate_real_line(lambda x: 1.0 / (1.0 + x * x), DecayHint.polynomial(2), 1e-8)
-        assert abs(res.value - math.pi) <= 1e-8
-        assert abs(res.value - math.pi) <= res.error_estimate
-
-    def test_conservative_hint_still_correct(self):
-        # exponential decay declared only polynomial: huge window, same answer
-        res = integrate_real_line(lambda x: np.exp(-np.abs(x)), DecayHint.polynomial(2), 1e-8)
-        assert abs(res.value - 2.0) <= 1e-8
-
-    def test_bad_hint_detected(self):
-        with pytest.raises(BadHintError):
-            integrate_real_line(lambda x: 1.0 / (1.0 + x * x), DecayHint.gaussian(), 1e-8)
-
-    def test_zero_function(self):
-        res = integrate_real_line(lambda x: np.zeros_like(x), DecayHint.gaussian(), 1e-10)
-        assert res.value == 0.0
-
-    def test_polynomial_power_must_be_integrable(self):
-        with pytest.raises(ValueError):
-            DecayHint.polynomial(1.0)
 
 
 class TestHermitianEigen:

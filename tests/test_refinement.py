@@ -246,6 +246,11 @@ class TestSolveFourier:
 
 
 class TestCascade:
+    @pytest.mark.parametrize("resolution", (0.0, float("inf"), float("nan")))
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(ValueError):
+            cascade_solve(preset("hat"), resolution, 5)
+
     def test_hat_fixed_point(self):
         sampled, residuals = cascade_solve(preset("hat"), 2.0**-10, 15)
         assert np.max(np.abs(sampled.values - exact_hat(sampled.grid))) <= 1e-3

@@ -100,6 +100,24 @@ class TestSystemJson:
                 {"generator": {"kind": "gaussian", "tags": tags}, "points": [{"lambda": 1, "beta": 0}]}
             )
 
+    @pytest.mark.parametrize(
+        "generator",
+        (
+            {"kind": "two_sided_exp", "n": None},
+            {"kind": "two_sided_exp", "n": float("inf")},
+            {"kind": "two_sided_exp", "n": 1.5},
+            {"kind": "rational", "numerator": None, "denominator": [1.0, 0.0, 1.0]},
+            {"kind": "rational", "numerator": [1.0], "denominator": 1.0},
+            {"kind": "refinement", "equation": {"lambda": 2, "terms": [{"c": 2, "beta": 0}]},
+             "resolution": [0.5]},
+            {"kind": "sampled", "start": 0.0, "step": 1.0, "values": [0.0, 1.0, 0.0],
+             "support": 2.0},
+        ),
+    )
+    def test_wrong_typed_generator_field(self, generator):
+        with pytest.raises(ser.ParseError):
+            ser.system_from_dict({"generator": generator, "points": [{"lambda": 1, "beta": 0}]})
+
     def test_unknown_kind(self):
         with pytest.raises(ser.ParseError):
             ser.system_from_dict(

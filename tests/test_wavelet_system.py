@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_bump_generator
 from twoscale import wavelet_system
@@ -66,6 +68,29 @@ def two_sided_exp_pair(n, p, q):
     if slope == 0.0:
         return tails + (k2 - k1) * math.exp(exponent(k1))
     return tails + (math.exp(exponent(k2)) - math.exp(exponent(k1))) / slope
+
+
+def cauchy_pair(p, q):
+    """Closed form of int dx / ((1 + (lp x - bp)^2)(1 + (lq x - bq)^2)).
+
+    Each factor is (pi / l) times a Cauchy density centred at b / l with
+    scale 1 / l; the product of two such densities integrates to a Cauchy
+    density with the summed scale s, evaluated at the distance d of the
+    centres.
+    """
+    s = 1.0 / p.dilation + 1.0 / q.dilation
+    d = p.translation / p.dilation - q.translation / q.dilation
+    return (math.pi / p.dilation) * (math.pi / q.dilation) * s / (math.pi * (s * s + d * d))
+
+
+def gaussian_pair(p, q):
+    return gaussian_gram_closed_form([p, q])[0, 1]
+
+
+def argument_rounding(p, q, exact):
+    """Rounding of lambda x - beta, relative to the entry, which the reported
+    error does not cover: it grows with the translations."""
+    return 4.0 * np.finfo(float).eps * (1.0 + abs(p.translation) + abs(q.translation)) * abs(exact)
 
 
 def exact_sampled_pair(gen, p, q):
@@ -163,9 +188,30 @@ class TestInnerProduct:
                 assert abs(value - two_sided_exp_pair(n, p, q)) <= max(err, 1e-12), (n, p, q)
 
     def test_rational_against_closed_form(self):
-        # int dx/(1+x^2)^2 = pi/2
-        value, err = inner_product(RationalL2([1.0], [1.0, 0.0, 1.0]), P(1, 0), P(1, 0))
-        assert abs(value - math.pi / 2.0) <= max(err, 1e-8)
+        lorentz = RationalL2([1.0], [1.0, 0.0, 1.0])
+        odd = RationalL2([0.0, 1.0], [1.0, 0.0, 1.0])  # x / (1 + x^2)
+        quartic = RationalL2([1.0], [1.0, 0.0, 0.0, 0.0, 1.0])  # 1 / (1 + x^4)
+        # int dx / (1 + x^4)^2; and int dx / ((1 + a x^4)(1 + x^4)) by partial
+        # fractions, for a = 100^4
+        quartic_norm = 3.0 * math.pi / (4.0 * math.sqrt(2.0))
+        quartic_cross = (1e6 - 1.0) / (1e8 - 1.0) * math.pi / math.sqrt(2.0)
+        far, near = P(1000, 3e6), P(1000, 3e6 + 0.5)
+        cases = (
+            (lorentz, P(1, 0), P(1, 0), math.pi / 2.0),
+            # products far narrower than the truncation window, or vanishing
+            # at its centre, fall between the nodes of one panel spanning it
+            (odd, P(1, 0), P(1, 0), math.pi / 2.0),
+            (odd, P(1, 0), P(2, 0), math.pi / 3.0),
+            (odd, P(2, 0), P(2, 0), math.pi / 4.0),
+            (lorentz, far, far, math.pi / 2000.0),
+            (lorentz, far, near, cauchy_pair(far, near)),
+            (quartic, P(100, 1e4), P(100, 1e4), quartic_norm / 100.0),
+            (quartic, P(1, 100), P(1, 100), quartic_norm),
+            (quartic, P(100, 1e4), P(1, 100), quartic_cross),
+        )
+        for gen, p, q, exact in cases:
+            value, err = inner_product(gen, p, q, 1e-10)
+            assert abs(value - exact) <= err + argument_rounding(p, q, exact), (gen.numerator, p, q)
 
     def test_catalog_norms(self):
         for cid, expected in (("ft_box", 1.0), ("sech", 2.0 / math.pi), ("ft_annulus_tent", 2.0 / 3.0)):
@@ -190,6 +236,35 @@ class TestInnerProduct:
         assert abs(v_pq - np.conj(v_qp)) <= 1e-9
 
 
+@st.composite
+def spread_pairs(draw):
+    """Two points, dilations log-uniform in [1e-2, 1e3], centres beta/lambda
+    within 1e4 of the origin; half the time the centres are close."""
+    centre = draw(st.floats(-1e4, 1e4))
+    offset = draw(st.one_of(st.floats(-1e4, 1e4), st.floats(-2.0, 2.0)))
+    points = []
+    for c in (centre, min(1e4, max(-1e4, centre + offset))):
+        dilation = 10.0 ** draw(st.floats(-2.0, 3.0))
+        points.append(P(dilation, c * dilation))
+    return points
+
+
+@pytest.mark.parametrize(
+    "gen,closed_form",
+    ((Gaussian(), gaussian_pair), (RationalL2([1.0], [1.0, 0.0, 1.0]), cauchy_pair)),
+    ids=("gaussian", "lorentzian"),
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair=spread_pairs())
+# a narrow factor near a wide one, far from the origin
+@example(pair=[P(3.2006707544472355, -29250.58262727902), P(897.1029611149319, -8197322.685750166)])
+def test_unbounded_pairing_within_reported_error(gen, closed_form, pair):
+    p, q = pair
+    exact = closed_form(p, q)
+    value, err = inner_product(gen, p, q)
+    assert abs(value - exact) <= err + argument_rounding(p, q, exact)
+
+
 class TestClosedFormGrams:
     def test_gaussian_single_point(self):
         g = gaussian_gram_closed_form([P(1, 0)])
@@ -206,12 +281,13 @@ class TestClosedFormGrams:
         assert abs(g[0, 2] - math.sqrt(math.pi / 17.0)) <= 1e-15
 
     def test_gaussian_closed_form_vs_quadrature(self):
-        pts = [P(1, 0), P(2, 1), P(0.5, -1)]
-        g = gaussian_gram_closed_form(pts)
-        for i in range(3):
-            for j in range(3):
-                value, err = inner_product(Gaussian(), pts[i], pts[j])
-                assert abs(value - g[i, j]) <= max(err, 1e-9)
+        # the second system is a thousand times narrower, far from the origin
+        for pts in ([P(1, 0), P(2, 1), P(0.5, -1)], [P(1000, 3e6), P(1000, 3e6 + 0.5)]):
+            g = gaussian_gram_closed_form(pts)
+            for i, p in enumerate(pts):
+                for j, q in enumerate(pts):
+                    value, err = inner_product(Gaussian(), p, q)
+                    assert abs(value - g[i, j]) <= err + argument_rounding(p, q, g[i, j]), (p, q)
 
     def test_gaussian_positive_definite(self):
         rng = np.random.default_rng(21)
