@@ -172,6 +172,7 @@ def _read_text(path: str) -> str:
 def _frequency_grid(gamma_max: float, resolution: float) -> np.ndarray:
     if not (gamma_max > 0.0) or not (resolution > 0.0):
         raise _UsageError("--gamma-max and --resolution must be positive")
+    ref.check_grid_budget(2.0 * gamma_max / resolution + 1.0)
     half = int(round(gamma_max / resolution))
     return resolution * np.arange(-half, half + 1)
 
@@ -234,13 +235,8 @@ def _cmd_bernoulli_fourier(config: RunConfig) -> str:
     grid = _frequency_grid(config.gamma_max, config.resolution or 2.0**-6)
     values = [bern.fourier(model, float(g), config.tol) for g in grid]
     if config.format == "csv":
-        lines = ["gamma,re,im"]
-        for g, v in zip(grid, values):
-            lines.append(
-                f"{format(float(g), '.17g')},{format(v, '.17g')},{format(0.0, '.17g')}"
-            )
-        return "\n".join(lines) + "\n"
-    return ser.dump_json({"alpha": config.alpha, "grid": [float(g) for g in grid], "values": values})
+        return ser.frequency_to_csv(grid, values)
+    return ser.dump_json(ser.characteristic_to_dict(config.alpha, grid, values))
 
 
 def _cmd_bernoulli_density(config: RunConfig) -> str:

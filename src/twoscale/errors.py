@@ -34,7 +34,7 @@ class DivergingError(TwoscaleError):
 
 
 class BudgetExceededError(TwoscaleError):
-    """An exact enumeration was requested beyond the atom budget."""
+    """A request exceeds a stated budget (enumeration depth, grid points)."""
 
 
 class BadParameterError(TwoscaleError):

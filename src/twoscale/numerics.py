@@ -1,7 +1,8 @@
 """Numerical kernels.
 
-Adaptive quadrature on finite intervals, a dense Hermitian eigensolver
-(LAPACK through numpy), and least-squares slope fitting in log-log
+Adaptive Gauss-Kronrod quadrature on finite intervals, bisecting in rounds
+with one vectorized integrand call per round; a dense Hermitian eigensolver
+(LAPACK through numpy); and least-squares slope fitting in log-log
 coordinates.
 
 All kernels are deterministic: node sets and summation orders are fixed,
@@ -11,7 +12,6 @@ pure and reentrant; nothing here holds shared mutable state.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,10 +70,11 @@ for _i, _w in zip((1, 3, 5, 7), _WG_HALF):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, rigorous-ish error estimate, and cost of one integration."""
+    """Value, rigorous-ish error estimate, integral of |f|, and cost of one integration."""
 
     value: complex
     error_estimate: float
+    abs_integral: float
     evaluations: int
 
 
@@ -100,44 +101,25 @@ class SlopeFit:
     window: tuple
 
 
-def _vectorized(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap f so it maps an ndarray of abscissae to a complex ndarray."""
+def _kronrod_panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """G7/K15 (value, error, integral of |f|) on each panel, by one call of f.
 
-    state = {"vector_ok": True}
-
-    def evaluate(xs: np.ndarray) -> np.ndarray:
-        if state["vector_ok"]:
-            try:
-                out = np.asarray(f(xs), dtype=np.complex128)
-                if out.shape == xs.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            state["vector_ok"] = False
-        return np.array([complex(f(float(x))) for x in xs], dtype=np.complex128)
-
-    return evaluate
-
-
-def _kronrod_panel(f_eval, a: float, b: float):
-    """Evaluate one G7/K15 panel; returns (value, error, resabs)."""
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fx = f_eval(c + h * _NODES)
+    ``sum(axis=1)`` fixes the summation order, which a BLAS dot would not.
+    """
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
+    fx = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
-        bad = c + h * _NODES[np.where(~np.isfinite(fx))[0][0]]
-        raise ValueError(f"non-finite integrand value near x={bad!r}")
-    k = h * np.dot(_WK, fx)
-    g = h * np.dot(_WG, fx)
-    absfx = np.abs(fx)
-    resabs = abs(h) * float(np.dot(_WK, absfx))
-    mean = k / (b - a)
-    resasc = abs(h) * float(np.dot(_WK, np.abs(fx - mean)))
-    err = abs(k - g)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 4.0 * _EPS * resabs)
-    return k, err, resabs
+        raise ValueError(f"non-finite integrand value near x={x[~np.isfinite(fx)][0]!r}")
+    value = h * (fx * _WK).sum(axis=1)
+    err = np.abs(value - h * (fx * _WG).sum(axis=1))
+    resabs = np.abs(h) * (np.abs(fx) * _WK).sum(axis=1)
+    resasc = np.abs(h) * (np.abs(fx - (value / (hi - lo))[:, None]) * _WK).sum(axis=1)
+    # resasc * min(1, (200 err / resasc)^1.5), the ratio formed only below 1
+    small = 200.0 * err < resasc
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=small)
+    err = np.where(resasc != 0.0, resasc * ratio**1.5, err)
+    return value, np.maximum(err, 4.0 * _EPS * resabs), resabs
 
 
 def integrate_adaptive(
@@ -151,18 +133,21 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    Adaptive bisection with a fixed 7/15-point Gauss-Kronrod rule per panel.
-    The panel with the largest error estimate is bisected until the summed
-    estimate drops below tol.  Panels are totally ordered (error, insertion
-    index), and the final value is accumulated over panels sorted by left
-    endpoint, so results are reproducible bit for bit.
+    Bisection in rounds with a fixed 7/15-point Gauss-Kronrod rule per
+    panel.  A round bisects every panel whose error estimate exceeds its
+    share tol * width / (b - a), or, if none does, every panel with a
+    nonzero estimate; panels narrower than 8 eps max(|x|, 1) stay whole.
+    All new panels of a round are evaluated by one call of f on a 1-D array
+    of nodes, which f maps to an array of the same shape.  The selection
+    depends on no ordering and ``math.fsum`` is correctly rounded, so
+    results are reproducible bit for bit.
 
     ``breakpoints`` seeds the initial panel set with interior edges (known
     kinks, or a geometric splitting of very wide intervals whose content
     would otherwise hide between the nodes of one coarse panel).
 
-    Raises NonConvergenceError if the budget of max_evals integrand
-    evaluations is exhausted first.
+    Raises NonConvergenceError if the next round would exceed max_evals
+    evaluations, or if no panel that could lower the estimate can be split.
     """
     if not (a < b):
         raise ValueError("integration bounds must satisfy a < b")
@@ -177,58 +162,35 @@ def integrate_adaptive(
             edges.append(x)
     edges.append(b)
 
-    f_eval = _vectorized(f)
-    evaluations = 0
-    seq = -1
-
-    panels = {}
-    heap = []
-    frozen: dict[int, tuple] = {}
-    for lo, hi in zip(edges, edges[1:]):
-        value, err, _ = _kronrod_panel(f_eval, lo, hi)
-        evaluations += 15
-        seq += 1
-        panels[seq] = (lo, hi, value, err)
-        heapq.heappush(heap, (-err, seq))
-
-    def total_error() -> float:
-        return math.fsum(p[3] for p in panels.values()) + math.fsum(
-            p[3] for p in frozen.values()
-        )
-
-    while total_error() > tol:
-        if not heap:
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    value, err, resabs = _kronrod_panels(f, lo, hi)
+    evaluations = 15 * lo.size
+    while (total := math.fsum(err)) > tol:
+        splittable = hi - lo > 8.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        split = splittable & (err > tol * (hi - lo) / (b - a))
+        if not split.any():
+            split = splittable & (err > 0.0)
+        if not split.any():
+            raise NonConvergenceError(f"quadrature stalled at error {total:.3e} > tol {tol:.3e}")
+        if evaluations + 30 * int(split.sum()) > max_evals:
             raise NonConvergenceError(
-                f"quadrature stalled at error {total_error():.3e} > tol {tol:.3e}"
+                f"evaluation budget {max_evals} exhausted at error {total:.3e} > tol {tol:.3e}"
             )
-        if evaluations + 30 > max_evals:
-            raise NonConvergenceError(
-                f"evaluation budget {max_evals} exhausted at error "
-                f"{total_error():.3e} > tol {tol:.3e}"
-            )
-        _, idx = heapq.heappop(heap)
-        pa, pb, pval, perr = panels.pop(idx)
-        width_floor = 8.0 * _EPS * max(abs(pa), abs(pb), 1.0)
-        if pb - pa <= width_floor:
-            # cannot subdivide further; park the panel at its error floor
-            frozen[idx] = (pa, pb, pval, perr)
-            continue
-        mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            val, err, _ = _kronrod_panel(f_eval, lo, hi)
-            evaluations += 15
-            seq += 1
-            panels[seq] = (lo, hi, val, err)
-            heapq.heappush(heap, (-err, seq))
+        keep, mid = ~split, 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_value, new_err, new_resabs = _kronrod_panels(f, new_lo, new_hi)
+        evaluations += 15 * new_lo.size
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])
+        resabs = np.concatenate([resabs[keep], new_resabs])
 
-    everything = sorted(panels.values()) + sorted(frozen.values())
-    everything.sort(key=lambda p: p[0])
-    total = complex(
-        math.fsum(p[2].real for p in everything),
-        math.fsum(p[2].imag for p in everything),
+    return QuadratureResult(
+        value=complex(math.fsum(value.real), math.fsum(value.imag)),
+        error_estimate=total,
+        abs_integral=math.fsum(resabs),
+        evaluations=evaluations,
     )
-    estimate = math.fsum(p[3] for p in everything)
-    return QuadratureResult(value=total, error_estimate=estimate, evaluations=evaluations)
 
 
 def hermitian_eigen(a: np.ndarray) -> HermitianSpectrum:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadParameterError,
+    BudgetExceededError,
     DivergingError,
     InsufficientDecadesError,
     InvalidEquationError,
@@ -41,10 +42,25 @@ __all__ = [
     "cascade_solve",
     "estimate_regularity",
     "preset",
+    "GRID_BUDGET",
+    "check_grid_budget",
 ]
 
 _NORMALIZATION_TOL = 1.0e-10
 _SUM_REPORT_TOL = 1.0e-12
+
+# Largest grid a request may ask for, in points, and for the cascade in
+# points x iterations: 32 MiB per real array, about 0.5 s of cascade.
+GRID_BUDGET = 2**22
+
+
+def check_grid_budget(points: float, iterations: int = 1) -> None:
+    """Raise BudgetExceededError if points x max(iterations, 1) exceeds GRID_BUDGET."""
+    if not (points <= GRID_BUDGET / max(iterations, 1)):
+        size = f"{points:.6g} grid points"
+        if iterations > 1:
+            size += f" x {iterations} iterations"
+        raise BudgetExceededError(f"{size} exceed the grid budget of {GRID_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -374,7 +390,8 @@ def cascade_solve(
     consecutive iterations raises DivergingError (the signature of equations
     with no continuous fixed point).  For nonnegative real coefficients
     summing to lambda the final values are rescaled so the trapezoid
-    integral equals 1.
+    integral equals 1.  A grid whose point count, or point count times
+    iterations, exceeds GRID_BUDGET raises BudgetExceededError.
     """
     if not (math.isfinite(grid_resolution) and grid_resolution > 0.0):
         raise ValueError("grid resolution must be finite and positive")
@@ -389,7 +406,9 @@ def cascade_solve(
     lo, hi = normalized_support(eq)
     if not (hi > lo):
         raise InvalidEquationError("cascade needs an equation with at least two terms")
-    count = int(math.ceil((hi - lo) / grid_resolution - 1.0e-12)) + 1
+    span = (hi - lo) / grid_resolution
+    check_grid_budget(span + 1.0, iterations)
+    count = int(math.ceil(span - 1.0e-12)) + 1
     grid = lo + grid_resolution * np.arange(count)
 
     real_coeffs = all(c.imag == 0.0 for c in eq.coefficients)

@@ -6,7 +6,7 @@ JSON schemas:
              "points": [{"lambda": number, "beta": number}, ...]}
 
 CSV formats (one record per grid point, %.17g):
-  Fourier profile  header ``gamma,re,im``
+  Fourier profile, characteristic function  header ``gamma,re,im``
   sampled function header ``x,value``
   density histogram header ``bin_left,bin_right,mass``
 
@@ -46,6 +46,8 @@ __all__ = [
     "certificate_to_dict",
     "verdict_to_dict",
     "profile_to_csv",
+    "frequency_to_csv",
+    "characteristic_to_dict",
     "sampled_to_csv",
     "histogram_to_csv",
     "dump_json",
@@ -290,12 +292,17 @@ def verdict_to_dict(verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------- CSV
 
 
-def profile_to_csv(profile: FourierProfile) -> str:
+def frequency_to_csv(grid: Sequence[float], values: Sequence[complex]) -> str:
+    """Values on a frequency grid, one ``gamma,re,im`` row each."""
     lines = ["gamma,re,im"]
-    for gamma, value in zip(profile.grid, profile.values):
+    for gamma, value in zip(grid, values):
         z = complex(value)
         lines.append(f"{_fmt(gamma)},{_fmt(z.real)},{_fmt(z.imag)}")
     return "\n".join(lines) + "\n"
+
+
+def profile_to_csv(profile: FourierProfile) -> str:
+    return frequency_to_csv(profile.grid, profile.values)
 
 
 def profile_to_dict(profile: FourierProfile) -> dict:
@@ -305,6 +312,10 @@ def profile_to_dict(profile: FourierProfile) -> dict:
         "truncation_depth": profile.truncation_depth,
         "tail_bound": profile.tail_bound,
     }
+
+
+def characteristic_to_dict(alpha: float, grid: Sequence[float], values: Sequence[float]) -> dict:
+    return {"alpha": alpha, "grid": [float(g) for g in grid], "values": [float(v) for v in values]}
 
 
 def sampled_to_csv(sampled: SampledFunction) -> str:

@@ -188,8 +188,11 @@ def inner_product(
     Returns (value, error bound).  Sampled (piecewise-linear) generators pair
     exactly on the intersection of supports, with a rounding bound as the
     error.  Unbounded ones use a truncation window with an analytic tail
-    bound folded into the reported error.  Catalog generators defined
-    through their Fourier transform pair in the Fourier domain instead.
+    bound folded into the reported error; in time the error also covers the
+    rounding of lambda x - beta, as 4 eps (1 + |beta_p| + |beta_q|) times
+    the integral of |product| (not of the product, which may cancel).
+    Catalog generators defined through their Fourier transform pair in the
+    Fourier domain instead.
     Declared kinks become quadrature breakpoints, and so do geometric edges
     around each factor's origin (beta / lambda in time, 0 in frequency) on
     the scale of the narrower factor.
@@ -201,14 +204,16 @@ def inner_product(
         lo, hi, tail = gen.ft_pair_window(p, q, tol)
         edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
         edges += _geometric_edges((0.0,), min(p.dilation, q.dilation), lo, hi)
+        rounding = 0.0
     else:
         integrand = gen.pair_integrand(p, q)
         lo, hi, tail = gen.pair_window(p, q, tol)
         edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
         origins = (p.translation / p.dilation, q.translation / q.dilation)
         edges += _geometric_edges(origins, 1.0 / max(p.dilation, q.dilation), lo, hi)
+        rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(p.translation) + abs(q.translation))
     result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
-    return result.value, result.error_estimate + tail
+    return result.value, result.error_estimate + rounding * result.abs_integral + tail
 
 
 def gaussian_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from twoscale import cli
 from twoscale import serialize as ser
-from twoscale.generators import Gaussian, Hat
+from twoscale.generators import Gaussian, Hat, TwoSidedExp
 from twoscale.refinement import preset
 from twoscale.wavelet_system import WaveletPoint, WaveletSystem
 
@@ -109,9 +110,27 @@ class TestBernoulliCommands:
             capsys, "bernoulli-fourier", "--alpha", "0.5",
             "--gamma-max", "0.5", "--resolution", "0.25", "--format", "csv",
         )
-        lines = out.strip().splitlines()
-        assert lines[0] == "gamma,re,im"
-        assert len(lines) == 6
+        assert code == 0
+        assert out == (
+            "gamma,re,im\n"
+            "-0.5,3.8981718384912362e-17,0\n"
+            "-0.25,0.63661977334286024,0\n"
+            "0,1,0\n"
+            "0.25,0.63661977334286024,0\n"
+            "0.5,3.8981718384912362e-17,0\n"
+        )
+
+    def test_fourier_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bernoulli-fourier", "--alpha", "0.5", "--gamma-max", "0.5", "--resolution", "0.25",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "alpha": 0.5,
+            "grid": [-0.5, -0.25, 0.0, 0.25, 0.5],
+            "values": [3.898171838491236e-17, 0.6366197733428602, 1.0, 0.6366197733428602,
+                       3.898171838491236e-17],
+        }
 
     def test_density_csv_mass(self, capsys):
         code, out, _ = run_cli(
@@ -171,6 +190,16 @@ class TestSystemCommands:
         code, out, _ = run_cli(capsys, "certify", "--input", path)
         assert code == 0
         assert json.loads(out)["certificate"] is None
+
+    @pytest.mark.parametrize("generator", (TwoSidedExp(1), Gaussian()), ids=("exp1", "gaussian"))
+    def test_subnormal_translation_is_silent(self, capsys, tmp_path, generator):
+        # the two origins beta / lambda are 0 and 5e-324, closer than any
+        # panel can be narrow
+        system = WaveletSystem(generator, [WaveletPoint(1, 0), WaveletPoint(1, 5e-324)])
+        path = write_system(tmp_path, "subnormal.json", system)
+        code, out, err = run_cli(capsys, "gram", "--input", path)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["matrix"]) == 2
 
     def test_threads_flag_output_identical(self, capsys, tmp_path):
         system = WaveletSystem(Hat(), [WaveletPoint(1, 0), WaveletPoint(2, 0), WaveletPoint(2, 1)])
@@ -264,6 +293,34 @@ class TestProcessContract:
         code, out, err = run_cli(capsys, command, "--input", str(path))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        (
+            (["refine-solve", "--preset", "hat", "--gamma-max", "1e6", "--resolution", "1e-6"], None),
+            (["bernoulli-fourier", "--alpha", "0.5", "--gamma-max", "inf"], None),
+            (["refine-cascade", "--preset", "hat", "--resolution", "1e-9"], None),
+            (
+                ["gram"],
+                {
+                    "generator": {"kind": "refinement", "equation": ser.equation_to_dict(preset("hat")),
+                                  "resolution": 2.0**-10, "iterations": 1e9},
+                    "points": [{"lambda": 1, "beta": 0}],
+                },
+            ),
+        ),
+        ids=("solve-grid", "fourier-infinite-grid", "cascade-grid", "cascade-iterations"),
+    )
+    def test_grid_budget_is_domain_error(self, capsys, tmp_path, argv, doc):
+        if doc is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = argv + ["--input", str(path)]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--input", "/nonexistent/zzz.json")

@@ -69,7 +69,7 @@ class TestIntegrateAdaptive:
         assert abs(res.value - 2.5) <= 1e-13
 
     def test_budget_exhaustion(self):
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match="budget"):
             integrate_adaptive(np.sin, 0.0, 1.0, 1e-30, max_evals=300)
 
     def test_precondition_errors(self):
@@ -85,12 +85,46 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_adaptive(bad, 0.0, 1.0, 1e-10)
 
-    def test_scalar_only_integrand_supported(self):
-        def scalar_f(x):
-            return math.sin(float(x))
+    def test_one_integrand_call_per_round(self):
+        calls = []
 
-        res = integrate_adaptive(scalar_f, 0.0, math.pi, 1e-10)
-        assert abs(res.value - 2.0) <= 1e-10
+        def gauss(x):
+            calls.append(x.shape)
+            return np.exp(-x * x)
+
+        res = integrate_adaptive(gauss, -8.0, 8.0, 1e-12, breakpoints=[-1.0, 1.0])
+        assert calls[0] == (45,)  # 15 nodes on each of the 3 initial panels
+        # each later round bisects its panels into pairs, all in one flat call
+        assert all(len(shape) == 1 and shape[0] % 30 == 0 for shape in calls[1:])
+        assert sum(shape[0] for shape in calls) == res.evaluations
+        # far fewer calls than panels: one per round, not one per panel
+        assert len(calls) <= res.evaluations // 15 // 4
+
+    def test_one_panel_per_round_at_a_kink(self):
+        # only the panel holding the kink has an error above its share
+        calls = []
+
+        def kink(x):
+            calls.append(x.size)
+            return np.abs(x - 1.0 / 3.0)
+
+        res = integrate_adaptive(kink, 0.0, 1.0, 1e-13)
+        assert abs(res.value - 5.0 / 18.0) <= 1e-13
+        assert calls[0] == 15 and set(calls[1:]) == {30}
+
+    def test_abs_integral(self):
+        # a Kronrod estimate of the integral of |f|: exact up to rounding once
+        # the kink of |sin| is a panel edge
+        res = integrate_adaptive(np.sin, 0.0, 2.0 * math.pi, 1e-12, breakpoints=[math.pi])
+        assert abs(res.value) <= 1e-12
+        assert abs(res.abs_integral - 4.0) <= 1e-12
+
+    def test_stall_is_non_convergence(self):
+        # [1, 1 + 64 eps] bisects three times down to panels of the bisection
+        # floor, and the rounding estimate of each is still above tol
+        b = 1.0 + 64.0 * np.finfo(float).eps
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            integrate_adaptive(np.ones_like, 1.0, b, 1e-40)
 
     def test_determinism_bit_identical(self):
         f = lambda x: np.exp(-x * x) * np.cos(3 * x)

@@ -7,15 +7,18 @@ import pytest
 
 from twoscale.errors import (
     BadParameterError,
+    BudgetExceededError,
     DivergingError,
     InsufficientDecadesError,
     InvalidEquationError,
     NotNormalizedError,
 )
 from twoscale.refinement import (
+    GRID_BUDGET,
     FourierProfile,
     TwoScaleEquation,
     cascade_solve,
+    check_grid_budget,
     estimate_regularity,
     mask,
     normalized_support,
@@ -250,6 +253,17 @@ class TestCascade:
     def test_rejects_bad_resolution(self, resolution):
         with pytest.raises(ValueError):
             cascade_solve(preset("hat"), resolution, 5)
+
+    def test_grid_budget(self):
+        check_grid_budget(GRID_BUDGET)
+        check_grid_budget(GRID_BUDGET // 4, 4)
+        for points, iterations in ((GRID_BUDGET + 1, 1), (GRID_BUDGET // 4 + 1, 4), (2.0, 10**400)):
+            with pytest.raises(BudgetExceededError):
+                check_grid_budget(points, iterations)
+        # the hat's support [0, 2] holds 2^22 + 1 points at step 2^-21
+        for resolution, iterations in ((2.0**-21, 0), (2.0**-10, 10**9), (5e-324, 1)):
+            with pytest.raises(BudgetExceededError):
+                cascade_solve(preset("hat"), resolution, iterations)
 
     def test_hat_fixed_point(self):
         sampled, residuals = cascade_solve(preset("hat"), 2.0**-10, 15)
