@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadParameterError, BudgetExceededError
-from .refinement import TwoScaleEquation
+from .errors import BadParameterError
+from .refinement import TwoScaleEquation, check_grid_budget, truncated_product
 
 __all__ = [
     "BernoulliModel",
@@ -28,8 +28,10 @@ __all__ = [
     "as_equation",
 ]
 
-_MAX_DEPTH = 26
-_BLOCK_BITS = 20
+# sign bits summed into the sorted tail; the rest are prefix bits
+_TAIL_BITS = 20
+# largest number of (prefix, edge) searches made at once
+_CHUNK = 2**_TAIL_BITS
 
 
 @dataclass(frozen=True)
@@ -98,29 +100,37 @@ def smoothness_verdict(alpha: float, n: int) -> SmoothnessVerdict:
     return SmoothnessVerdict.UNKNOWN
 
 
-def fourier(model: BernoulliModel, gamma: float, tol: float) -> float:
+def fourier(model: BernoulliModel, gamma, tol: float):
     """Characteristic function: truncated product of cos(2 pi alpha^j gamma).
 
     The truncation depth J satisfies sum_{j>J} (2 pi alpha^j gamma)^2 / 2
     <= tol, using 1 - cos(u) <= u^2/2 on each neglected factor.  The result
-    is real because the measure is symmetric.
+    is real because the measure is symmetric.  Accepts a scalar or an
+    ndarray of frequencies; each point's value depends on that point alone.
+    Points times the deepest truncation beyond the grid budget raise
+    BudgetExceededError.
     """
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
-    if gamma == 0.0:
-        return 1.0
+    g = np.asarray(gamma, dtype=np.float64)
+    points = g.ravel()
     alpha = model.alpha
     # tail bound: (2 pi |gamma|)^2 alpha^(2(J+1)) / (2 (1 - alpha^2)) <= tol
-    lead = (2.0 * math.pi * abs(gamma)) ** 2 / (2.0 * (1.0 - alpha * alpha))
-    depth = 1
-    if lead > tol:
-        depth = max(1, math.ceil(0.5 * math.log(lead / tol) / -math.log(alpha)))
-    product = 1.0
+    with np.errstate(over="ignore"):
+        lead = (2.0 * math.pi * np.abs(points)) ** 2 / (2.0 * (1.0 - alpha * alpha))
+        needs_more = lead > tol
+        required = np.ceil(0.5 * np.log(np.where(needs_more, lead / tol, 1.0)) / -math.log(alpha))
+    depths = np.where(needs_more, np.maximum(1.0, required), 1.0)
+
     scale = 1.0
-    for _ in range(depth):
+
+    def level(active):
+        nonlocal scale
         scale *= alpha
-        product *= math.cos(2.0 * math.pi * scale * gamma)
-    return product
+        return np.cos(2.0 * math.pi * scale * points[active])
+
+    values = truncated_product(depths, level)
+    return float(values[0]) if g.ndim == 0 else values.reshape(g.shape)
 
 
 def _sign_sums(alpha: float, exponents: range) -> np.ndarray:
@@ -132,6 +142,37 @@ def _sign_sums(alpha: float, exponents: range) -> np.ndarray:
     return sums
 
 
+def _prefix_offsets(terms: list, start: int, stop: int) -> np.ndarray:
+    """Sums of +-terms[b] for prefixes start..stop-1, bit b the sign of terms[b].
+
+    Each offset starts at 0.0 and adds its terms in bit order, as a scalar
+    loop over the bits would.
+    """
+    index = np.arange(start, stop)
+    offsets = np.zeros(index.size)
+    for bit, term in enumerate(terms):
+        offsets += np.where((index >> bit) & 1, term, -term)
+    return offsets
+
+
+def _count_below(tail: np.ndarray, offsets: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """#{t in tail : fl(o + t) < e} for each pair of broadcast offset o and target e.
+
+    ``tail`` is sorted.  fl(o + t) is monotone in t, so the atoms below e
+    are a leading run of the tail: binary search for e - o gives its length
+    up to rounding, and stepping until the float test agrees makes it exact.
+    """
+    index = tail.searchsorted(targets - offsets)
+    last = tail.size
+    while True:
+        down = (index > 0) & (offsets + tail[np.maximum(index - 1, 0)] >= targets)
+        up = (index < last) & (offsets + tail[np.minimum(index, last - 1)] < targets)
+        if not (down.any() or up.any()):
+            return index
+        index += up
+        index -= down
+
+
 def _symmetric_edges(radius: float, bins: int) -> np.ndarray:
     idx = np.arange(bins + 1, dtype=np.float64) - bins / 2.0
     edges = idx * (2.0 * radius / bins)
@@ -141,38 +182,50 @@ def _symmetric_edges(radius: float, bins: int) -> np.ndarray:
 
 
 def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
-    """Exact enumeration of the depth-truncated sign series, binned.
+    """Exact counts of the depth-truncated sign series, binned.
 
-    All 2^depth sign patterns are enumerated (blockwise, in fixed branch
-    order) with weight 2^-depth each, so the histogram is deterministic and
-    its masses are exact dyadic rationals.
+    Each of the 2^depth sign patterns has weight 2^-depth, so the masses are
+    exact dyadic rationals.  The deepest 20 terms are summed into a sorted
+    tail once; every atom is fl(o + t) for a prefix offset o over the other
+    terms and a tail sum t, and the atoms of one prefix below each edge are
+    counted by a search of the tail, with the comparisons np.histogram would
+    make.  That is 2^(depth - 20) prefixes x (bins + 1) edges searches,
+    which must fit the grid budget, or BudgetExceededError is raised before
+    anything is allocated.
     """
     if depth < 1:
         raise BadParameterError("depth must be positive")
-    if depth > _MAX_DEPTH:
-        raise BudgetExceededError(
-            f"depth {depth} exceeds the exact enumeration budget of {_MAX_DEPTH}"
-        )
     if bins < 1:
         raise BadParameterError("bin count must be positive")
+    tail_bits = min(depth, _TAIL_BITS)
+    prefix_bits = depth - tail_bits
+    # a depth too large to form 2^prefix_bits is past any budget
+    prefixes = 2**prefix_bits if prefix_bits <= 64 else math.inf
+    check_grid_budget(bins + 1, prefixes, "prefix sums")
 
     alpha = model.alpha
     radius = model.support_radius()
     edges = _symmetric_edges(radius, bins)
+    # x <= e iff x < next float above e, so the closed last edge is a strict one too
+    targets = edges.copy()
+    targets[-1] = np.nextafter(targets[-1], np.inf)
 
-    tail_bits = min(depth, _BLOCK_BITS)
-    prefix_bits = depth - tail_bits
     # sums over the deepest tail_bits exponents, reused for every prefix
     tail = _sign_sums(alpha, range(prefix_bits + 1, depth + 1))
+    tail.sort()
+    terms = [alpha**j for j in range(1, prefix_bits + 1)]
 
-    counts = np.zeros(bins, dtype=np.int64)
-    prefix_terms = [alpha**j for j in range(1, prefix_bits + 1)]
-    for prefix_index in range(1 << prefix_bits):
-        offset = 0.0
-        for bit, term in enumerate(prefix_terms):
-            offset += term if (prefix_index >> bit) & 1 else -term
-        block_counts, _ = np.histogram(offset + tail, bins=edges)
-        counts += block_counts
+    # below[k]: atoms under edge k (at or under the last one); np.histogram's
+    # counts are the differences
+    below = np.zeros(bins + 1, dtype=np.int64)
+    rows = max(1, _CHUNK // targets.size)
+    cols = min(targets.size, _CHUNK)
+    for start in range(0, prefixes, rows):
+        offsets = _prefix_offsets(terms, start, min(start + rows, prefixes))[:, None]
+        for left in range(0, targets.size, cols):
+            block = targets[None, left : left + cols]
+            below[left : left + cols] += _count_below(tail, offsets, block).sum(axis=0)
+    counts = np.diff(below)
 
     weight = 2.0 ** (-depth)
     masses = counts * weight

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", dest="gamma_max", type=float, default=8.0)
     p.add_argument("--resolution", type=float, default=2.0**-6)
 
-    p = add("bernoulli-density", "exact enumeration histogram")
+    p = add("bernoulli-density", "exact histogram of the depth-truncated series, by counting")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--bins", type=int, default=64)
@@ -233,7 +233,7 @@ def _cmd_refine_cascade(config: RunConfig) -> str:
 def _cmd_bernoulli_fourier(config: RunConfig) -> str:
     model = bern.BernoulliModel(config.alpha)
     grid = _frequency_grid(config.gamma_max, config.resolution or 2.0**-6)
-    values = [bern.fourier(model, float(g), config.tol) for g in grid]
+    values = bern.fourier(model, grid, config.tol)
     if config.format == "csv":
         return ser.frequency_to_csv(grid, values)
     return ser.dump_json(ser.characteristic_to_dict(config.alpha, grid, values))

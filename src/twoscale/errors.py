@@ -34,7 +34,8 @@ class DivergingError(TwoscaleError):
 
 
 class BudgetExceededError(TwoscaleError):
-    """A request exceeds a stated budget (enumeration depth, grid points)."""
+    """A request exceeds a stated budget (grid points, times iterations,
+    truncation levels or density prefix sums)."""
 
 
 class BadParameterError(TwoscaleError):

@@ -44,6 +44,7 @@ __all__ = [
     "preset",
     "GRID_BUDGET",
     "check_grid_budget",
+    "truncated_product",
 ]
 
 _NORMALIZATION_TOL = 1.0e-10
@@ -54,13 +55,41 @@ _SUM_REPORT_TOL = 1.0e-12
 GRID_BUDGET = 2**22
 
 
-def check_grid_budget(points: float, iterations: int = 1) -> None:
-    """Raise BudgetExceededError if points x max(iterations, 1) exceeds GRID_BUDGET."""
+def check_grid_budget(points: float, iterations: float = 1, unit: str = "iterations") -> None:
+    """Raise BudgetExceededError if points x max(iterations, 1) exceeds GRID_BUDGET.
+
+    ``unit`` names what ``iterations`` counts in the error message.
+    """
     if not (points <= GRID_BUDGET / max(iterations, 1)):
-        size = f"{points:.6g} grid points"
+        size = f"{_count(points)} grid points"
         if iterations > 1:
-            size += f" x {iterations} iterations"
+            size += f" x {_count(iterations)} {unit}"
         raise BudgetExceededError(f"{size} exceed the grid budget of {GRID_BUDGET}")
+
+
+def _count(n: float) -> str:
+    # integers exactly: they may lie beyond the float range
+    return str(n) if isinstance(n, int) else f"{n:.6g}"
+
+
+def truncated_product(depths: np.ndarray, level, dtype=np.float64) -> np.ndarray:
+    """Per-point products of the first depths[i] factors of an infinite product.
+
+    ``level(active)`` is called once per level j = 1, 2, ... up to the
+    deepest point, in order, and returns level j's factors at the points
+    where ``active`` (depths >= j) holds.  Each point's factors are
+    multiplied in one after another, so its value does not depend on the
+    other points.  ``depths`` holds whole numbers as floats; points x the
+    largest depth is checked against GRID_BUDGET before the loop, which also
+    refuses an infinite depth.
+    """
+    max_depth = float(np.max(depths, initial=0.0))
+    check_grid_budget(depths.size, max_depth, "levels")
+    values = np.ones(depths.size, dtype=dtype)
+    for j in range(1, int(max_depth) + 1):
+        active = depths >= j
+        values[active] *= level(active)
+    return values
 
 
 @dataclass(frozen=True)
@@ -299,7 +328,8 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     ``prod_{j>=1} m(gamma / lambda^j)`` with value exactly 1 at gamma = 0.
     The truncation depth is chosen per point so the neglected tail factor
     differs from 1 by at most tol; the largest bound actually incurred is
-    recorded in ``tail_bound``.
+    recorded in ``tail_bound``.  Grid points times the deepest truncation
+    beyond GRID_BUDGET raise BudgetExceededError before any factor is formed.
     """
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
@@ -324,28 +354,29 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     # tail sum S = C |gamma| lambda^-J / (lambda - 1) gives
     # |prod_{j>J} m - 1| <= exp(S) - 1 <= target for S <= log1p(target)
     s_cap = math.log1p(target)
-    lead = lipschitz * np.abs(pts) / (lam - 1.0)
-    depths = np.ones(pts.size, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        lead = lipschitz * np.abs(pts) / (lam - 1.0)
+    depths = np.ones(pts.size)
     needs_more = lead > s_cap
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         required = np.ceil(np.log(np.where(needs_more, lead / s_cap, 1.0)) / log_lam)
-    depths[needs_more] = np.maximum(1, required[needs_more]).astype(np.int64)
+    depths[needs_more] = np.maximum(1.0, required[needs_more])
 
-    values = np.ones(pts.size, dtype=np.complex128)
     scaled = pts.copy()
-    max_depth = int(np.max(depths))
-    for j in range(1, max_depth + 1):
-        active = depths >= j
+
+    def level(active):
         scaled[active] /= lam
-        values[active] *= mask(eq, scaled[active])
+        return mask(eq, scaled[active])
+
+    values = truncated_product(depths, level, np.complex128)
     values[pts == 0.0] = 1.0 + 0.0j
 
-    tails = np.expm1(lead * lam ** (-depths.astype(np.float64))) * np.abs(values)
+    tails = np.expm1(lead * lam ** (-depths)) * np.abs(values)
     tails[pts == 0.0] = 0.0
     return FourierProfile(
         grid=pts.copy(),
         values=values,
-        truncation_depth=max_depth,
+        truncation_depth=int(np.max(depths)),
         tail_bound=float(np.max(tails)),
     )
 

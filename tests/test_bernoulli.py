@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale.bernoulli import (
     BernoulliModel,
     SmoothnessVerdict,
+    _count_below,
     as_equation,
     density,
     fourier,
@@ -16,7 +19,44 @@ from twoscale.bernoulli import (
     threshold,
 )
 from twoscale.errors import BadParameterError, BudgetExceededError
-from twoscale.refinement import preset, validate_equation
+from twoscale.refinement import GRID_BUDGET, preset, validate_equation
+
+
+def enumerated_masses(alpha, depth, edges):
+    """Reference: every atom formed and binned by np.histogram, one prefix at a time.
+
+    The deepest 20 terms are summed into a tail in sign-bit order; each
+    prefix offset adds +-alpha^j for j = 1.. in bit order, starting at 0.0.
+    """
+    tail_bits = min(depth, 20)
+    prefix_bits = depth - tail_bits
+    tail = np.zeros(1)
+    for j in range(prefix_bits + 1, depth + 1):
+        tail = np.concatenate([tail - alpha**j, tail + alpha**j])
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    terms = [alpha**j for j in range(1, prefix_bits + 1)]
+    for prefix in range(1 << prefix_bits):
+        offset = 0.0
+        for bit, term in enumerate(terms):
+            offset += term if (prefix >> bit) & 1 else -term
+        counts += np.histogram(offset + tail, bins=edges)[0]
+    return counts * 2.0**-depth
+
+
+def scalar_fourier(alpha, gamma, tol):
+    """Reference: the characteristic function one point at a time, in libm."""
+    if gamma == 0.0:
+        return 1.0
+    lead = (2.0 * math.pi * abs(gamma)) ** 2 / (2.0 * (1.0 - alpha * alpha))
+    depth = 1
+    if lead > tol:
+        depth = max(1, math.ceil(0.5 * math.log(lead / tol) / -math.log(alpha)))
+    product = 1.0
+    scale = 1.0
+    for _ in range(depth):
+        scale *= alpha
+        product *= math.cos(2.0 * math.pi * scale * gamma)
+    return product
 
 
 class TestModel:
@@ -85,6 +125,25 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier(BernoulliModel(0.5), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha,gamma_max,step,tol",
+        ((0.6, 16.0, 2.0**-7, 1e-8), (2.0**-0.5, 8.0, 2.0**-6, 1e-10), (0.9, 4.0, 2.0**-5, 1e-12)),
+    )
+    def test_array_matches_scalar_loop(self, alpha, gamma_max, step, tol):
+        half = int(gamma_max / step)
+        grid = step * np.arange(-half, half + 1)
+        values = fourier(BernoulliModel(alpha), grid, tol)
+        expected = [scalar_fourier(alpha, float(g), tol) for g in grid]
+        assert values.tolist() == expected
+        assert fourier(BernoulliModel(alpha), float(grid[-1]), tol) == expected[-1]
+
+    def test_depth_budget(self):
+        # depth about 1.8e8 at 5 points
+        with pytest.raises(BudgetExceededError, match="levels"):
+            fourier(BernoulliModel(0.9999999), np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 1e-8)
+        with pytest.raises(BudgetExceededError):
+            fourier(BernoulliModel(0.5), 1e200, 1e-8)
+
 
 class TestDensity:
     def test_single_flip(self):
@@ -100,6 +159,50 @@ class TestDensity:
         for alpha, depth in ((0.5, 16), (1 / 3, 12), (0.7, 14)):
             hist = density(BernoulliModel(alpha), depth, 63)
             assert np.array_equal(hist.masses, hist.masses[::-1])
+
+    @pytest.mark.parametrize(
+        "alpha,depth,bins",
+        (
+            (0.6, 24, 256),
+            (0.5, 22, 64),
+            (2.0**-0.5, 26, 256),
+            (0.618034, 25, 100),
+            (1 / 3, 21, 12),
+            # more edges than one block of searches holds
+            (0.6, 20, 2**20 + 7),
+        ),
+    )
+    def test_counts_match_enumeration(self, alpha, depth, bins):
+        hist = density(BernoulliModel(alpha), depth, bins)
+        assert np.array_equal(hist.masses, enumerated_masses(alpha, depth, hist.bin_edges))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.one_of(
+            st.sampled_from([0.5, 0.25, 0.75, 1 / 3, 2.0**-0.5, (math.sqrt(5) - 1) / 2]),
+            st.floats(0.01, 0.99),
+        ),
+        depth=st.integers(1, 22),
+        bins=st.integers(1, 700),
+    )
+    def test_counts_match_enumeration_property(self, alpha, depth, bins):
+        hist = density(BernoulliModel(alpha), depth, bins)
+        assert np.array_equal(hist.masses, enumerated_masses(alpha, depth, hist.bin_edges))
+
+    def test_count_below_corrects_rounding(self):
+        # 1 + t rounds down to 1 for t <= 2^-53 and up otherwise, so a search
+        # for e - o = 2^-52 overcounts; -1 + 1 = 0 lies below 2^-60 although
+        # 2^-60 + 1 rounds to 1, where a search undercounts
+        tail = np.sort(np.concatenate([2.0**-55 * np.arange(12), [1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]]))
+        offsets = np.array([1.0, -1.0, 0.75, 3.0, -3.0])[:, None]
+        targets = np.concatenate([1.0 + tail, -1.0 + tail, [2.0**-60, 2.0**-52, -2.0**-60]])
+        targets = np.concatenate([targets, np.nextafter(targets, np.inf), np.nextafter(targets, -np.inf)])
+        targets = targets[None, :]
+        searched = tail.searchsorted(targets - offsets)
+        counted = _count_below(tail, offsets, targets)
+        exact = (offsets[..., None] + tail < targets[..., None]).sum(axis=-1)
+        assert np.array_equal(counted, exact)
+        assert np.any(searched > exact) and np.any(searched < exact)
 
     def test_matches_brute_force_enumeration(self):
         alpha, depth, bins = 0.6, 10, 17
@@ -141,8 +244,14 @@ class TestDensity:
         assert hist.positional_error == alpha ** (depth + 1) / (1 - alpha)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            density(BernoulliModel(0.5), 27, 8)
+        # 2^(depth - 20) prefixes x (bins + 1) edges searches, at most GRID_BUDGET
+        hist = density(BernoulliModel(0.5), 27, 8)
+        assert float(np.sum(hist.masses)) == 1.0
+        hist = density(BernoulliModel(0.5), 22, GRID_BUDGET // 4 - 1)
+        assert float(np.sum(hist.masses)) == 1.0
+        for depth, bins in ((22, GRID_BUDGET // 4), (30, 4096), (42, 1), (4, GRID_BUDGET), (10**12, 4)):
+            with pytest.raises(BudgetExceededError):
+                density(BernoulliModel(0.5), depth, bins)
         with pytest.raises(BadParameterError):
             density(BernoulliModel(0.5), 0, 8)
 

@@ -300,6 +300,13 @@ class TestProcessContract:
             (["refine-solve", "--preset", "hat", "--gamma-max", "1e6", "--resolution", "1e-6"], None),
             (["bernoulli-fourier", "--alpha", "0.5", "--gamma-max", "inf"], None),
             (["refine-cascade", "--preset", "hat", "--resolution", "1e-9"], None),
+            (["bernoulli-fourier", "--alpha", "0.9999999", "--gamma-max", "1", "--resolution", "0.5"], None),
+            (["refine-solve", "--preset", "bernoulli", "--alpha", "0.9999999", "--gamma-max", "1",
+              "--resolution", "0.5"], None),
+            (["bernoulli-fourier", "--alpha", "0.5", "--gamma-max", "1e300", "--resolution", "1e299"], None),
+            (["refine-solve", "--preset", "hat", "--gamma-max", "1e300", "--resolution", "1e299"], None),
+            (["bernoulli-density", "--alpha", "0.5", "--depth", "4", "--bins", "1099511627776"], None),
+            (["bernoulli-density", "--alpha", "0.5", "--depth", "1000000000000", "--bins", "4"], None),
             (
                 ["gram"],
                 {
@@ -309,7 +316,8 @@ class TestProcessContract:
                 },
             ),
         ),
-        ids=("solve-grid", "fourier-infinite-grid", "cascade-grid", "cascade-iterations"),
+        ids=("solve-grid", "fourier-infinite-grid", "cascade-grid", "fourier-depth", "solve-depth",
+             "fourier-overflow", "solve-overflow", "density-bins", "density-depth", "cascade-iterations"),
     )
     def test_grid_budget_is_domain_error(self, capsys, tmp_path, argv, doc):
         if doc is not None:
