@@ -115,11 +115,23 @@ def fourier(model: BernoulliModel, gamma, tol: float):
     g = np.asarray(gamma, dtype=np.float64)
     points = g.ravel()
     alpha = model.alpha
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * math.pi * alpha * np.abs(points)).all():
+            raise BadParameterError("frequencies too large: the phase 2 pi alpha gamma overflows")
     # tail bound: (2 pi |gamma|)^2 alpha^(2(J+1)) / (2 (1 - alpha^2)) <= tol
     with np.errstate(over="ignore"):
         lead = (2.0 * math.pi * np.abs(points)) ** 2 / (2.0 * (1.0 - alpha * alpha))
         needs_more = lead > tol
-        required = np.ceil(0.5 * np.log(np.where(needs_more, lead / tol, 1.0)) / -math.log(alpha))
+        log_quotient = np.log(np.where(needs_more, lead / tol, 1.0))
+    # where lead / tol passes the float range, its log comes from the
+    # factors' logs instead; every finite quotient keeps its depth
+    huge = np.isinf(log_quotient)
+    log_quotient[huge] = (
+        2.0 * (math.log(2.0 * math.pi) + np.log(np.abs(points[huge])))
+        - math.log(2.0 * (1.0 - alpha * alpha))
+        - math.log(tol)
+    )
+    required = np.ceil(0.5 * log_quotient / -math.log(alpha))
     depths = np.where(needs_more, np.maximum(1.0, required), 1.0)
 
     scale = 1.0

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InconsistentTagsError, InvalidEquationError
+from .errors import BadParameterError, InconsistentTagsError, InvalidEquationError
 from .refinement import SampledFunction, TwoScaleEquation, cascade_solve
 
 __all__ = [
@@ -152,8 +152,16 @@ class Gaussian(GeneratorSpec):
         lp, bp = p.dilation, p.translation
         lq, bq = q.dilation, q.translation
         rate = lp * lp + lq * lq
-        center = (lp * bp + lq * bq) / rate
-        cross = (lp * bq - lq * bp) ** 2 / rate
+        center = (lp * bp + lq * bq) / rate if 0.0 < rate < math.inf else math.nan
+        if not math.isfinite(center):
+            raise BadParameterError(
+                f"points ({lp:g}, {bp:g}) and ({lq:g}, {bq:g}) put the Gaussian pairing "
+                "window out of float range"
+            )
+        try:
+            cross = (lp * bq - lq * bp) ** 2 / rate
+        except OverflowError:  # the factors are too far apart to meet
+            cross = math.inf
         peak = math.exp(-cross)  # product value at its maximum
         start = max(1.0, 1.0 / math.sqrt(rate))
         return _tail_window(

@@ -209,8 +209,14 @@ def hermitian_eigen(a: np.ndarray) -> HermitianSpectrum:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
 
-    fro = float(np.linalg.norm(mat))
-    asym = float(np.linalg.norm(mat - mat.conj().T))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(mat))
+        asym = float(np.linalg.norm(mat - mat.conj().T))
+    if not (math.isfinite(fro) and math.isfinite(asym)):
+        # squares of entries beyond about 1e154 overflow: scale them first
+        scale = float(np.max(np.abs(mat)))
+        fro = float(np.linalg.norm(mat / scale))
+        asym = float(np.linalg.norm((mat - mat.conj().T) / scale))
     if fro > 0.0 and asym > 1.0e-8 * fro:
         raise NotHermitianError(
             f"relative asymmetry {asym / fro:.3e} exceeds 1e-8"

@@ -347,6 +347,10 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
         raise ValueError("grid must be strictly increasing")
 
     lam = eq.lam
+    with np.errstate(over="ignore"):
+        first_level = np.abs(pts) / lam
+        if not all(np.isfinite(2.0 * np.pi * abs(b) * first_level).all() for _, b in eq.terms):
+            raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
     lipschitz = _mask_lipschitz(eq)
     log_lam = math.log(lam)
     target = 0.5 * tol
@@ -359,7 +363,15 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     depths = np.ones(pts.size)
     needs_more = lead > s_cap
     with np.errstate(divide="ignore", over="ignore"):
-        required = np.ceil(np.log(np.where(needs_more, lead / s_cap, 1.0)) / log_lam)
+        quotient = np.where(needs_more, lead / s_cap, 1.0)
+        log_quotient = np.log(quotient)
+    # where lead / s_cap passes the float range, its log comes from the
+    # factors' logs instead; every finite quotient keeps its depth
+    huge = np.flatnonzero(np.isinf(quotient))
+    if huge.size:
+        log_lead = math.log(lipschitz) + np.log(np.abs(pts[huge])) - math.log(lam - 1.0)
+        log_quotient[huge] = log_lead - math.log(s_cap)
+    required = np.ceil(log_quotient / log_lam)
     depths[needs_more] = np.maximum(1.0, required[needs_more])
 
     scaled = pts.copy()
@@ -371,7 +383,11 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     values = truncated_product(depths, level, np.complex128)
     values[pts == 0.0] = 1.0 + 0.0j
 
-    tails = np.expm1(lead * lam ** (-depths)) * np.abs(values)
+    with np.errstate(invalid="ignore"):
+        remainder = lead * lam ** (-depths)
+    if huge.size:
+        remainder[huge] = np.exp(log_lead - depths[huge] * log_lam)
+    tails = np.expm1(remainder) * np.abs(values)
     tails[pts == 0.0] = 0.0
     return FourierProfile(
         grid=pts.copy(),

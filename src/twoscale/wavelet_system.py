@@ -10,13 +10,14 @@ point geometry against a fixed rule table of independence theorems.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicatePointError
+from .errors import BadParameterError, DuplicatePointError
 from .generators import GeneratorSpec, Hat, SampledGenerator
 from .numerics import hermitian_eigen, integrate_adaptive
 
@@ -117,51 +118,232 @@ class Verdict:
     evidence: GramReport | None = None
 
 
-def _sampled_pair(gen: SampledGenerator, p: WaveletPoint, q: WaveletPoint) -> tuple:
-    """Exact pairing of two dilated translates of a linear interpolant.
+# Sampled pairings run in blocks of at most this many merged knots (a pair
+# with more forms a block of its own), so the temporaries of one pass stay
+# bounded however many points the system has.
+_KNOT_BLOCK = 2**13
+# gram pairs a sampled system's triangle this many entries at a time, which
+# bounds the per-entry arrays of the window test as well
+_PAIR_CHUNK = 2**16
+# exact splitting passes before the per-entry fsum; for segments of a few
+# thousand pieces, three leave no remainder on pieces within a factor of
+# about 2^60 of the segment's largest
+_EXTRACTIONS = 3
+
+
+def _segment_fsums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment pieces[starts[s]:starts[s + 1]], with fewer addends.
+
+    Each pass splits every piece into a multiple of eps * sigma, where the
+    power of two sigma is at least (n + 2) times the segment's largest piece,
+    and an exact remainder.  The n multiples then add up exactly in any
+    order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, ExtractVector),
+    so a segment reaches fsum as its pass sums plus the few nonzero
+    remainders: the same exact total, hence the same correctly rounded sum
+    (fsum skips zeros of either sign).  Blocks with a non-finite piece go to
+    fsum as they are.
+    """
+    rest = pieces.copy()
+    count = np.diff(np.append(starts, pieces.size))
+    heads = []
+    if np.isfinite(pieces).all():
+        headroom = np.ceil(np.log2(count + 2.0)).astype(np.int64)
+        for _ in range(_EXTRACTIONS):
+            if not rest.any():
+                break
+            exponent = np.frexp(np.maximum.reduceat(np.abs(rest), starts))[1] + headroom
+            # sigma must be finite and the grid eps * sigma a float
+            usable = (exponent >= -1021) & (exponent <= 1023)
+            sigma = np.repeat(np.ldexp(1.0, np.where(usable, exponent, 0)), count)
+            part = np.where(np.repeat(usable, count), (sigma + rest) - sigma, 0.0)
+            rest -= part
+            heads.append(np.add.reduceat(part, starts))
+    heads = np.array(heads).T.tolist() if heads else [[] for _ in starts]
+    kept = np.flatnonzero(rest)
+    tails = rest[kept].tolist()
+    bounds = np.searchsorted(kept, np.append(starts, pieces.size)).tolist()
+    return np.array([math.fsum(h + tails[i:j]) for h, i, j in zip(heads, bounds, bounds[1:])])
+
+
+def _run_length(count: np.ndarray, outside) -> np.ndarray:
+    """Per window, how many of the positions 0 .. count - 1 are outside.
+
+    outside(j, i) tests position j of window i; it must hold up to some
+    position and fail from there on.  Positions 0 and 1 are probed one by
+    one, then the probes stride 2, 4, 8, ... until one lands inside, and
+    that stride is bisected, so a run of length r costs about 2 log2(r)
+    passes.
+    """
+    known = np.zeros(count.size, dtype=np.int64)  # positions below are outside
+    limit = count.astype(np.int64)  # positions from here on are not
+    galloping = np.ones(count.size, dtype=bool)
+    for passes in itertools.count():
+        i = np.flatnonzero(known < limit)
+        if not i.size:
+            return known
+        stride = 2 ** max(passes - 1, 0)
+        probe = np.where(
+            galloping[i],
+            np.minimum(known[i] + stride - 1, limit[i] - 1),
+            (known[i] + limit[i]) // 2,
+        )
+        out = outside(probe, i)
+        known[i[out]] = probe[out] + 1
+        limit[i[~out]] = probe[~out]
+        galloping[i[~out]] = False
+
+
+def _inner_knots(gen: SampledGenerator, lams, betas, lo, hi) -> tuple:
+    """First index and count of the knots (t_k + beta) / lam strictly inside each window.
+
+    lams and betas hold one row per factor; first and count come back in the
+    same shape.  The candidates are the grid indices between the clipped
+    preimages of the window ends; a knot's position is monotone in k, so
+    dropping the runs of candidates outside the window at either end leaves
+    the inner run.
+    """
+    start, step = gen.sampled.start, gen.sampled.step
+    last = gen.values.size - 1
+    first = np.floor(np.clip((lams * lo - betas - start) / step, 0, last)).astype(np.int64)
+    final = np.ceil(np.clip((lams * hi - betas - start) / step, 0, last)).astype(np.int64)
+    # both end runs of every factor, searched together: from the first
+    # candidate up while x <= lo, from the last down while x >= hi, that is
+    # -x <= -hi (the two runs cannot overlap, as lo < hi)
+    base = np.concatenate([first, final]).ravel()
+    sign = np.repeat([1, -1], first.size)
+    bound = np.concatenate([np.broadcast_to(lo, first.shape), np.broadcast_to(-hi, first.shape)])
+    bound = bound.ravel()
+    lam, beta = np.tile(lams.ravel(), 2), np.tile(betas.ravel(), 2)
+
+    def outside(j: np.ndarray, i: np.ndarray) -> np.ndarray:
+        x = (start + step * (base[i] + sign[i] * j) + beta[i]) / lam[i]
+        return sign[i] * x <= bound[i]
+
+    run = _run_length(np.tile((final - first + 1).ravel(), 2), outside).reshape(2, *first.shape)
+    first += run[0]
+    final -= run[1]
+    return first, final - first + 1
+
+
+def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tuple:
+    """Values of one block of overlapping pairs, and |product| at lo plus at hi.
+
+    Row 0 of lams, betas, first, count holds the p factors, row 1 the q ones.
+    """
+    m = lo.size
+    # merged knots keyed by (pair, position): complex numbers sort
+    # lexicographically, and the four runs below (window starts, inner knots
+    # of p, of q, window ends) are each sorted already, so a stable
+    # (run-merging) sort puts every pair's knots in order at once
+    inner = m + int(count.sum())
+    keys = np.empty(inner + m, dtype=np.complex128)
+    pairs = np.arange(m)
+    keys.real[:m] = keys.real[inner:] = pairs
+    keys.imag[:m] = lo
+    keys.imag[inner:] = hi
+    # the inner knots (t_k + beta) / lam, pair by pair, p factors then q
+    counts = count.ravel()
+    keys.real[m:inner] = np.repeat(np.tile(pairs, 2), counts)
+    k = np.arange(inner - m) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+    x = keys.imag[m:inner]
+    np.add(gen.grid[k], np.repeat(betas.ravel(), counts), out=x)
+    np.divide(x, np.repeat(lams.ravel(), counts), out=x)
+    keys.sort(kind="stable")
+    repeated = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    knots = 2 + count.sum(axis=0) - np.bincount(keys.real[repeated].astype(np.intp), minlength=m)
+    xs = np.delete(keys.imag, repeated)
+    # pieces between consecutive knots; the piece that would straddle two
+    # pairs is made empty (its right end moved onto its left end) and left
+    # out of the sums
+    first = np.cumsum(knots) - knots
+    last = first + knots - 1
+    left = xs[:-1]
+    width = xs[1:].copy()
+    width[last[:-1]] = left[last[:-1]]
+    mid = left + width
+    mid *= 0.5
+    width -= left
+    at = [np.repeat(v, knots) for v in (lams[0], betas[0], lams[1], betas[1])]
+
+    def product(x: np.ndarray, lam_p, beta_p, lam_q, beta_q) -> np.ndarray:
+        # x lies inside both supports up to rounding, so np.interp clamps to
+        # the end samples instead of dropping to zero just past a grid end
+        u = lam_p * x
+        u -= beta_p
+        g = np.interp(u, gen.grid, gen.values)
+        np.multiply(lam_q, x, out=u)
+        u -= beta_q
+        g *= np.interp(u, gen.grid, gen.values)
+        return g
+
+    g_knot = product(xs, *at)
+    g = product(mid, *(v[:-1] for v in at))
+    # Simpson: width / 6 * (g(left) + 4 g(mid) + g(right)), in that order
+    g *= 4.0
+    g += g_knot[:-1]
+    g += g_knot[1:]
+    width /= 6.0
+    width *= g
+    width[last[:-1]] = 0.0
+    return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last])
+
+
+def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
+    """Exact pairings of many pairs of dilated translates of a linear interpolant.
 
     Between consecutive knots of the merged set {(t_i + beta) / lambda} of
     both factors the product is quadratic, so Simpson's rule on each piece
     is exact and the only error is rounding.  The bound charges every factor
     evaluation with its value rounding and with the slope times the rounding
     of its argument lambda x - beta (and of the knots and midpoints).
+
+    One array test finds the pairs whose supports overlap; only those are
+    paired, in blocks of at most _KNOT_BLOCK merged knots, and each value is
+    the correctly rounded sum (math.fsum) of its pieces.  Returns (values,
+    error bounds) as float arrays, 0 for disjoint pairs.
     """
     s_lo, s_hi = gen.time_support()
-    lp, bp = p.dilation, p.translation
-    lq, bq = q.dilation, q.translation
-    lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
-    hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
-    if not (hi > lo):
-        return 0.0 + 0.0j, 0.0
-    start, step = gen.sampled.start, gen.sampled.step
-    last = gen.values.size - 1
-    knots = [np.array([lo, hi])]
-    for lam, beta in ((lp, bp), (lq, bq)):
-        # only the grid indices whose knots can fall inside the window
-        first, stop = np.clip((np.array([lam * lo, lam * hi]) - beta - start) / step, 0, last)
-        x = (start + step * np.arange(math.floor(first), math.ceil(stop) + 1) + beta) / lam
-        knots.append(x[(x > lo) & (x < hi)])
-    xs = np.unique(np.concatenate(knots))
-    mid = 0.5 * (xs[:-1] + xs[1:])
-
-    def product(x: np.ndarray) -> np.ndarray:
-        # x lies inside both supports up to rounding, so np.interp clamps to
-        # the end samples instead of dropping to zero just past a grid end
-        return np.interp(lp * x - bp, gen.grid, gen.values) * np.interp(
-            lq * x - bq, gen.grid, gen.values
+    with np.errstate(over="ignore"):
+        lo_p, lo_q = (s_lo + bp) / lp, (s_lo + bq) / lq
+        hi_p, hi_q = (s_hi + bp) / lp, (s_hi + bq) / lq
+    for window_lo, window_hi, lam, beta in ((lo_p, hi_p, lp, bp), (lo_q, hi_q, lq, bq)):
+        bad = np.flatnonzero(~(np.isfinite(window_lo) & np.isfinite(window_hi)))
+        if bad.size:
+            raise BadParameterError(
+                f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
+            )
+    # the window, with Python's max and min: the first argument wins ties
+    lo = np.where(lo_q > lo_p, lo_q, lo_p)
+    hi = np.where(hi_q < hi_p, hi_q, hi_p)
+    values = np.zeros(lo.size)
+    errors = np.zeros(lo.size)
+    live = np.flatnonzero(hi > lo)
+    lams, betas = np.stack([lp, lq])[:, live], np.stack([bp, bq])[:, live]
+    lo, hi = lo[live], hi[live]
+    first, count = _inner_knots(gen, lams, betas, lo, hi)
+    value = np.empty(live.size)
+    end_values = np.empty(live.size)
+    merged = np.cumsum(2 + count.sum(axis=0))
+    a = 0
+    while a < live.size:
+        cap = merged[a - 1] + _KNOT_BLOCK if a else _KNOT_BLOCK
+        b = max(a + 1, int(np.searchsorted(merged, cap, side="right")))
+        value[a:b], end_values[a:b] = _pair_block(
+            gen, lams[:, a:b], betas[:, a:b], lo[a:b], hi[a:b], first[:, a:b], count[:, a:b]
         )
-
-    g_knot = product(xs)
-    g_mid = product(mid)
-    value = math.fsum(np.diff(xs) / 6.0 * (g_knot[:-1] + 4.0 * g_mid + g_knot[1:]))
-    reach = max(abs(lo), abs(hi))
+        a = b
+    lp, lq = lams
+    reach = np.maximum(np.abs(lo), np.abs(hi))
     radius = max(abs(s_lo), abs(s_hi))
-    slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
-    edges = 2.0 * reach * float(abs(g_knot[0]) + abs(g_knot[-1]))
-    error = _UNIT_ROUNDOFF * (
-        (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(value)
-    )
-    return complex(value, 0.0), error
+    values[live] = value
+    # a bound past the float range is an infinite bound, as in scalar arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
+        edges = 2.0 * reach * end_values
+        errors[live] = _UNIT_ROUNDOFF * (
+            (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + np.abs(value)
+        )
+    return values, errors
 
 
 def _geometric_edges(origins: Sequence[float], unit: float, lo: float, hi: float) -> list:
@@ -198,7 +380,10 @@ def inner_product(
     the scale of the narrower factor.
     """
     if isinstance(gen, SampledGenerator):
-        return _sampled_pair(gen, p, q)
+        values, errors = _sampled_pairs(
+            gen, *(np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
+        )
+        return complex(values[0], 0.0), float(errors[0])
     if gen.fourier_side:
         integrand = gen.ft_pair_integrand(p, q)
         lo, hi, tail = gen.ft_pair_window(p, q, tol)
@@ -210,6 +395,8 @@ def inner_product(
         lo, hi, tail = gen.pair_window(p, q, tol)
         edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
         origins = (p.translation / p.dilation, q.translation / q.dilation)
+        if not all(math.isfinite(a) for a in origins):
+            raise BadParameterError("a point maps the generator's origin out of float range")
         edges += _geometric_edges(origins, 1.0 / max(p.dilation, q.dilation), lo, hi)
         rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(p.translation) + abs(q.translation))
     result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
@@ -295,22 +482,45 @@ def gram_report_from_matrix(
     )
 
 
+def _gram_matrix(system: WaveletSystem, tol: float) -> tuple:
+    """Hermitian Gram matrix of the system and its largest entry error bound.
+
+    The upper triangle is filled and mirrored.  Sampled generators pair the
+    triangle in batched passes of at most _PAIR_CHUNK entries.
+    """
+    n = len(system)
+    gen = system.generator
+    rows, cols = np.triu_indices(n)
+    if isinstance(gen, SampledGenerator):
+        lam = np.array([p.dilation for p in system.points])
+        beta = np.array([p.translation for p in system.points])
+        values = np.zeros(rows.size, dtype=np.complex128)
+        errors = np.empty(rows.size)
+        for start in range(0, rows.size, _PAIR_CHUNK):
+            part = slice(start, start + _PAIR_CHUNK)
+            i, j = rows[part], cols[part]
+            values.real[part], errors[part] = _sampled_pairs(gen, lam[i], beta[i], lam[j], beta[j])
+    else:
+        pairs = [
+            inner_product(gen, system.points[i], system.points[j], tol)
+            for i, j in zip(rows.tolist(), cols.tolist())
+        ]
+        values = np.array([v for v, _ in pairs], dtype=np.complex128)
+        errors = np.array([e for _, e in pairs])
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    matrix[rows, cols] = values
+    matrix[cols, rows] = np.conjugate(values, out=values)
+    # fmax skips a NaN bound, as a running max(worst, err) from 0 does
+    return matrix, float(np.fmax.reduce(errors, initial=0.0))
+
+
 def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
     """Gram matrix of the system.
 
-    The upper triangle is filled entry by entry and mirrored, so the matrix
-    is Hermitian by construction; quad_error records the largest entrywise
-    error bound.
+    The upper triangle is filled and mirrored, so the matrix is Hermitian by
+    construction; quad_error records the largest entrywise error bound.
     """
-    n = len(system)
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            value, err = inner_product(system.generator, system.points[i], system.points[j], tol)
-            matrix[i, j] = value
-            matrix[j, i] = np.conj(value)
-            worst = max(worst, err)
+    matrix, worst = _gram_matrix(system, tol)
     return gram_report_from_matrix(matrix, quad_error=worst)
 
 

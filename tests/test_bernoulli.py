@@ -141,8 +141,11 @@ class TestFourier:
         # depth about 1.8e8 at 5 points
         with pytest.raises(BudgetExceededError, match="levels"):
             fourier(BernoulliModel(0.9999999), np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), 1e-8)
-        with pytest.raises(BudgetExceededError):
-            fourier(BernoulliModel(0.5), 1e200, 1e-8)
+        # (2 pi gamma)^2 overflows, but its log does not: about 680 levels
+        value = fourier(BernoulliModel(0.5), 1e200, 1e-8)
+        assert math.isfinite(value) and abs(value) <= 1.0
+        with pytest.raises(BadParameterError, match="phase"):
+            fourier(BernoulliModel(0.5), 1e308, 1e-8)
 
 
 class TestDensity:

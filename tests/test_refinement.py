@@ -17,6 +17,7 @@ from twoscale.refinement import (
     GRID_BUDGET,
     FourierProfile,
     TwoScaleEquation,
+    _mask_lipschitz,
     cascade_solve,
     check_grid_budget,
     estimate_regularity,
@@ -240,6 +241,33 @@ class TestSolveFourier:
         grid = np.linspace(-6.0, 6.0, 241)
         prof = solve_fourier(preset("bernoulli(2)"), grid, 1e-10)
         assert np.max(np.abs(prof.values)) <= 1.0 + 1e-9
+
+    def test_depth_rule_continues_past_float_range(self):
+        # lead / cap is finite at 1e298 and overflows at 1e300; the depth
+        # grows by log2(100) across the switch to logarithms
+        eq = preset("hat")
+        below = solve_fourier(eq, [1e298], 1e-8).truncation_depth
+        above = solve_fourier(eq, [1e300], 1e-8).truncation_depth
+        assert above - below in (6, 7)
+        assert solve_fourier(eq, [1e300], 1e-8).tail_bound <= 0.5e-8
+
+    def test_depth_rule_unchanged_below_float_range(self, monkeypatch):
+        from twoscale import bernoulli, refinement
+
+        depths = []
+        real = refinement.truncated_product
+        spy = lambda d, *a: depths.append(d.copy()) or real(d, *a)
+        monkeypatch.setattr(refinement, "truncated_product", spy)
+        monkeypatch.setattr(bernoulli, "truncated_product", spy)
+        gammas = np.array([1e149, 1e151, 1e298, 1e300])
+        solve_fourier(preset("hat"), gammas[2:], 1e-8)
+        bernoulli.fourier(bernoulli.BernoulliModel(0.5), gammas[:2], 1e-8)
+        lam = 2.0
+        lead = _mask_lipschitz(preset("hat")) * gammas[2] / (lam - 1.0)
+        assert depths[0][0] == np.ceil(np.log(lead / math.log1p(0.5e-8)) / math.log(lam))
+        lead = (2.0 * math.pi * gammas[0]) ** 2 / (2.0 * (1.0 - 0.25))
+        assert depths[1][0] == np.ceil(0.5 * np.log(lead / 1e-8) / -math.log(0.5))
+        assert depths[1][1] - depths[1][0] in (6, 7)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

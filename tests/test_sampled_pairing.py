@@ -1,0 +1,311 @@
+"""The whole-Gram sampled pairing against the entry-by-entry reference, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twoscale import wavelet_system
+from twoscale.generators import Hat, RefinementGenerator, SampledGenerator
+from twoscale.refinement import SampledFunction, preset
+from twoscale.wavelet_system import WaveletPoint as P
+from twoscale.wavelet_system import WaveletSystem, gram, inner_product
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def reference_knots(gen, p, q):
+    """Merged knots of one pair, or None for disjoint supports (one pair at a time)."""
+    s_lo, s_hi = gen.time_support()
+    lp, bp = p.dilation, p.translation
+    lq, bq = q.dilation, q.translation
+    lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
+    hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
+    if not (hi > lo):
+        return None
+    start, step = gen.sampled.start, gen.sampled.step
+    last = gen.values.size - 1
+    knots = [np.array([lo, hi])]
+    for lam, beta in ((lp, bp), (lq, bq)):
+        # only the grid indices whose knots can fall inside the window
+        first, stop = np.clip((np.array([lam * lo, lam * hi]) - beta - start) / step, 0, last)
+        x = (start + step * np.arange(math.floor(first), math.ceil(stop) + 1) + beta) / lam
+        knots.append(x[(x > lo) & (x < hi)])
+    return np.unique(np.concatenate(knots))
+
+
+def reference_pair(gen, p, q):
+    """Exact pairing of two dilated translates of a linear interpolant, one pair at a time."""
+    xs = reference_knots(gen, p, q)
+    if xs is None:
+        return 0.0 + 0.0j, 0.0
+    s_lo, s_hi = gen.time_support()
+    lp, bp = p.dilation, p.translation
+    lq, bq = q.dilation, q.translation
+    lo, hi = xs[0], xs[-1]
+    mid = 0.5 * (xs[:-1] + xs[1:])
+
+    def product(x):
+        return np.interp(lp * x - bp, gen.grid, gen.values) * np.interp(
+            lq * x - bq, gen.grid, gen.values
+        )
+
+    g_knot = product(xs)
+    g_mid = product(mid)
+    value = math.fsum(np.diff(xs) / 6.0 * (g_knot[:-1] + 4.0 * g_mid + g_knot[1:]))
+    reach = max(abs(lo), abs(hi))
+    radius = max(abs(s_lo), abs(s_hi))
+    slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
+    edges = 2.0 * reach * float(abs(g_knot[0]) + abs(g_knot[-1]))
+    error = _UNIT_ROUNDOFF * (
+        (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(value)
+    )
+    return complex(value, 0.0), error
+
+
+def reference_gram(gen, points):
+    """Matrix and quad_error as the entry-by-entry loop filled them."""
+    n = len(points)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            value, err = reference_pair(gen, points[i], points[j])
+            matrix[i, j] = value
+            matrix[j, i] = np.conj(value)
+            worst = max(worst, err)
+    return matrix, worst
+
+
+def assert_same_bits(gen, points):
+    matrix, worst = reference_gram(gen, points)
+    if not np.linalg.eigvalsh(matrix).max() > 0.0:
+        with pytest.raises(ValueError, match="no positive spectrum"):
+            gram(WaveletSystem(gen, points))
+        return None
+    report = gram(WaveletSystem(gen, points))
+    assert report.matrix.tobytes() == matrix.tobytes()
+    assert np.float64(report.quad_error).tobytes() == np.float64(worst).tobytes()
+    return report
+
+
+def sampled(values, start=0.0, step=1.0, support=None):
+    values = np.asarray(values, dtype=np.float64)
+    end = start + step * (values.size - 1)
+    return SampledGenerator(
+        SampledFunction(start=start, step=step, values=values, support=support or (start, end))
+    )
+
+
+DYADIC = sampled(np.sin(np.arange(33) * 0.7) + 0.3, start=-1.0, step=1.0 / 16.0)
+
+
+@st.composite
+def generators(draw):
+    count = draw(st.integers(3, 300))
+    values = draw(
+        st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=count, max_size=count)
+    )
+    start = draw(st.floats(-3.0, 3.0))
+    step = draw(st.sampled_from([1.0, 0.5, 2.0**-6, 0.1, 1.0 / 3.0, 0.0137]))
+    end = start + step * (count - 1)
+    cut = draw(st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)))
+    support = (start + cut[0] * (end - start), end - cut[1] * (end - start))
+    return sampled(values, start, step, support)
+
+
+@st.composite
+def systems(draw):
+    gen = draw(generators())
+    s_lo, s_hi = gen.time_support()
+    anchor = draw(st.floats(-5.0, 5.0))
+    points = {}
+    for _ in range(draw(st.integers(1, 7))):
+        lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+        if draw(st.booleans()):
+            # a support through the anchor, so that most pairs overlap
+            beta = lam * anchor - draw(st.floats(s_lo, s_hi))
+        else:
+            beta = draw(st.floats(-1.0e4, 1.0e4))
+        beta = min(max(beta, -1.0e4), 1.0e4)
+        points[(lam, beta)] = P(lam, beta)
+    return gen, list(points.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=systems())
+def test_gram_matches_reference_bitwise(case):
+    gen, points = case
+    assert_same_bits(gen, points)
+
+
+EPS_AT_2 = math.ulp(2.0)
+HAT_LATTICE_57 = [P(2.0**j, float(k)) for j in range(5) for k in range(2 ** (j + 1) - 1)]
+
+
+@pytest.mark.parametrize(
+    "gen,points",
+    [
+        pytest.param(Hat(), [P(1, 0), P(1, 5), P(2, 40)], id="disjoint"),
+        pytest.param(Hat(), [P(1, 0), P(1, 2), P(0.5, -2)], id="touching"),
+        pytest.param(Hat(), [P(1, 0), P(1, 2.0 - 3 * EPS_AT_2)], id="few-ulps-wide"),
+        pytest.param(DYADIC, [P(1, 0), P(2, 0), P(4, 1), P(1, 0.5)], id="coincident-knots"),
+        pytest.param(Hat(), [P(1.5, 0.25), P(2.0, 0.67)], id="f1-hat"),
+        pytest.param(Hat(), HAT_LATTICE_57, id="hat-lattice"),
+        # knots closer together than the float spacing at their position
+        pytest.param(
+            sampled(np.linspace(-1.0, 1.0, 300), start=0.0, step=1e-13),
+            [P(1.0, 1.0e4), P(1.0, 1.0e4 + 1.0e-11), P(2.0, 2.0e4)],
+            id="collapsed-knots",
+        ),
+    ],
+)
+def test_fixed_cases_match_reference_bitwise(gen, points):
+    assert_same_bits(gen, points)
+
+
+def test_window_few_ulps_wide_is_live():
+    xs = reference_knots(Hat(), P(1, 0), P(1, 2.0 - 3 * EPS_AT_2))
+    assert xs is not None and xs[-1] - xs[0] == 3 * EPS_AT_2
+
+
+def test_touching_supports_pair_to_zero():
+    assert inner_product(Hat(), P(1, 0), P(1, 2)) == (0.0 + 0.0j, 0.0)
+
+
+def test_identical_windows_on_the_diagonal():
+    points = [P(1, 0), P(3, 1.5), P(0.25, -0.5)]
+    report = assert_same_bits(DYADIC, points)
+    for i, p in enumerate(points):
+        assert inner_product(DYADIC, p, p) == reference_pair(DYADIC, p, p)
+        assert report.matrix[i, i].real == reference_pair(DYADIC, p, p)[0].real
+
+
+def test_inner_product_is_the_one_pair_gram():
+    points = [P(1, 0), P(2, 0.5), P(0.75, -0.3), P(3.1, 1.7)]
+    report = gram(WaveletSystem(DYADIC, points))
+    for i, p in enumerate(points):
+        for j, q in enumerate(points[i:], i):
+            value, err = inner_product(DYADIC, p, q)
+            assert value == report.matrix[i, j]
+            assert (value, err) == reference_pair(DYADIC, p, q)
+
+
+REFINEMENT_LATTICE = [P(2.0**j, float(k)) for j in range(3) for k in range(2 ** (j + 1) - 1)]
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 2**10])
+@pytest.mark.parametrize(
+    "gen,points",
+    [(Hat(), HAT_LATTICE_57), (RefinementGenerator(preset("hat"), 2.0**-6), REFINEMENT_LATTICE)],
+    ids=["hat57", "refinement"],
+)
+def test_blocks_leave_bits_unchanged(monkeypatch, block, gen, points):
+    expected = gram(WaveletSystem(gen, points))
+    overlapping = sum(
+        reference_knots(gen, p, q) is not None for i, p in enumerate(points) for q in points[i:]
+    )
+    monkeypatch.setattr(wavelet_system, "_KNOT_BLOCK", block)
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
+    report = gram(WaveletSystem(gen, points))
+    assert report.matrix.tobytes() == expected.matrix.tobytes()
+    assert report.quad_error == expected.quad_error
+    blocks = len(calls) // 4
+    # a block of one knot holds a single pair; a pair with more knots than
+    # the block holds is a block of its own
+    assert blocks == overlapping if block == 1 else 1 <= blocks <= overlapping
+    if block == 64 and gen.kind == "hat":
+        assert 1 < blocks < overlapping
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_pair_chunks_leave_bits_unchanged(monkeypatch, chunk):
+    expected = gram(WaveletSystem(Hat(), HAT_LATTICE_57))
+    monkeypatch.setattr(wavelet_system, "_PAIR_CHUNK", chunk)
+    report = gram(WaveletSystem(Hat(), HAT_LATTICE_57))
+    assert report.matrix.tobytes() == expected.matrix.tobytes()
+    assert report.quad_error == expected.quad_error
+
+
+def test_disjoint_pairs_never_reach_interp(monkeypatch):
+    gen = Hat()
+    overlapping = [
+        reference_knots(gen, p, q)
+        for i, p in enumerate(HAT_LATTICE_57)
+        for q in HAT_LATTICE_57[i:]
+    ]
+    knots = sum(xs.size for xs in overlapping if xs is not None)
+    assert sum(xs is not None for xs in overlapping) < len(overlapping) // 3
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
+    gram(WaveletSystem(gen, HAT_LATTICE_57))
+    # one block: each factor at every merged knot and at every midpoint
+    # between consecutive knots (the one straddling two pairs included)
+    assert len(calls) == 4
+    assert sum(calls) == 2 * knots + 2 * (knots - 1)
+
+
+def test_run_length_gallops_then_bisects():
+    rng = np.random.default_rng(5)
+    count = np.concatenate([[0, 1, 1, 2, 5, 1000, 10**6], rng.integers(0, 3000, 200)])
+    runs = np.array([rng.integers(0, c + 1) if c else 0 for c in count])
+    probes = []
+
+    def outside(j, i):
+        assert np.all((0 <= j) & (j < count[i]))
+        probes.append(j.size)
+        return j < runs[i]
+
+    assert np.array_equal(wavelet_system._run_length(count, outside), runs)
+    # about 2 log2 of the longest run, not one pass per position
+    assert len(probes) <= 2 * math.log2(runs.max() + 1) + 3
+
+
+magnitudes = st.sampled_from([1e-310, 1e-200, 1e-20, 1e-3, 1.0, 1e3, 1e150, 1e300])
+
+
+@st.composite
+def segments(draw):
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = draw(magnitudes)
+        spread = draw(st.integers(0, 120))
+        n = draw(st.integers(1, 300))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) * scale * 2.0 ** rng.integers(-spread, 1, n)
+        if draw(st.booleans()):
+            v = np.concatenate([v, -v[: n // 2]])  # cancellation
+        if draw(st.booleans()):
+            v[rng.integers(0, v.size, 3)] = draw(st.sampled_from([0.0, -0.0, 5e-324]))
+        out.append(v)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segs=segments())
+def test_segment_fsums_match_fsum_bitwise(segs):
+    pieces = np.concatenate(segs)
+    starts = np.cumsum([0] + [v.size for v in segs[:-1]])
+    expected = [math.fsum(v.tolist()) for v in segs]
+    got = wavelet_system._segment_fsums(pieces, starts)
+    assert np.array(expected).tobytes() == got.tobytes()
+
+
+def test_segment_fsums_round_the_exact_total():
+    # 1 + 2^-53 + 2^-106 lies just above a tie: each pass keeps one term, and
+    # only a correctly rounded sum of the pass sums rounds up
+    pieces = np.array([1.0, 2.0**-53, 2.0**-106])
+    assert wavelet_system._segment_fsums(pieces, np.array([0]))[0] == 1.0 + 2.0**-52
+
+
+def test_segment_fsums_pass_zeros_and_non_finite_pieces_through():
+    pieces = np.array([-0.0, -0.0, 1.0, -1.0, 0.5, math.inf, 1.0])
+    assert wavelet_system._segment_fsums(pieces[:4], np.array([0, 2])).tolist() == [0.0, 0.0]
+    got = wavelet_system._segment_fsums(pieces, np.array([0, 2, 5]))
+    assert got.tolist() == [0.0, 0.5, math.inf]
