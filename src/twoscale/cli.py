@@ -172,7 +172,8 @@ def _read_text(path: str) -> str:
 def _frequency_grid(gamma_max: float, resolution: float) -> np.ndarray:
     if not (gamma_max > 0.0) or not (resolution > 0.0):
         raise _UsageError("--gamma-max and --resolution must be positive")
-    ref.check_grid_budget(2.0 * gamma_max / resolution + 1.0)
+    # divided first: 2 gamma_max alone may overflow
+    ref.check_grid_budget(2.0 * (gamma_max / resolution) + 1.0)
     half = int(round(gamma_max / resolution))
     return resolution * np.arange(-half, half + 1)
 

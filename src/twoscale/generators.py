@@ -54,6 +54,8 @@ _IMPLICATIONS = {
     "faster_than_exponential_decay": frozenset({"faster_than_polynomial_decay"}),
 }
 
+_UNIT_ROUNDOFF = 2.0**-53
+
 # pairs that cannot hold together for a nonzero square integrable function
 _EXCLUSIONS = (
     ("compact_support", "noncompact_support"),
@@ -84,7 +86,6 @@ class GeneratorSpec:
     """Base class: evaluation, support and pairing windows for one generator."""
 
     kind: str = "abstract"
-    fourier_side: bool = False
     # points where the generator (or, on the Fourier side, its transform) is
     # not smooth, in unit coordinates; quadrature panels break there
     kinks: tuple = ()
@@ -95,35 +96,131 @@ class GeneratorSpec:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} generator has no time-domain form")
 
-    def pair_integrand(self, p, q) -> Callable[[np.ndarray], np.ndarray]:
-        lp, bp = p.dilation, p.translation
-        lq, bq = q.dilation, q.translation
+    def pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Products of the dilated translates at pairs of points (arrays lp, bp, lq, bq).
 
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return self(lp * x - bp) * np.conj(self(lq * x - bq))
+        The returned function maps nodes x, and for each node the index of
+        its pair, to the product values at those nodes.
+        """
+
+        def integrand(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
+            return self(lp[pair] * x - bp[pair]) * np.conj(self(lq[pair] * x - bq[pair]))
 
         return integrand
 
-    def pair_window(self, p, q, tol: float) -> tuple:
-        """Truncation interval (a, b) plus analytic tail bound for the pairing."""
+    def pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """Truncation intervals (lo, hi) plus analytic tail bounds, one per pair of points."""
         raise NotImplementedError(
             f"{self.kind} generator has unbounded support but no tail model"
         )
+
+    def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """What quadrature needs to pair the dilated translates at pairs of points.
+
+        Returns (integrand, lo, hi, breakpoints, rounding, tail): the pair
+        products, the truncation windows, the panel edges (flat points and
+        the pair of each), and per pair the factor on the integral of
+        |product| and the tail bound that go into the error bound.  In time
+        the rounding of lambda x - beta costs 4 eps (1 + |beta_p| + |beta_q|)
+        times the integral of |product| (not of the product, which may
+        cancel).  The declared kinks are edges, and so are geometric edges
+        around each factor's origin beta / lambda on the scale of the
+        narrower factor.
+        """
+        window = self.pair_window(lp, bp, lq, bq, tol)
+        with np.errstate(all="ignore"):  # overflow to inf, as in scalar arithmetic
+            origins = (bp / lp, bq / lq)
+            kinks = [(k + beta) / lam for k in self.kinks for lam, beta in ((lp, bp), (lq, bq))]
+            rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + np.abs(bp) + np.abs(bq))
+            unit = 1.0 / np.maximum(lp, lq)
+        if not all(np.isfinite(a).all() for a in origins):
+            raise BadParameterError("a point maps the generator's origin out of float range")
+        lo, hi, tail = _checked_window(window, lp, bp, lq, bq)
+        edges = _breakpoints(kinks, origins, unit, lo, hi)
+        return self.pair_integrand(lp, bp, lq, bq), lo, hi, edges, rounding, tail
 
     def params(self) -> dict:
         """Kind-specific JSON parameters (tags are serialized separately)."""
         return {}
 
 
-def _tail_window(lo: float, hi: float, radius: float, tail: Callable, tol: float) -> tuple:
-    """Widen [lo, hi] by the first radius * 2^k whose tail bound is within tol/4.
+def _tail_window(lo, hi, radius, tail: Callable, tol: float) -> tuple:
+    """Widen each [lo, hi] by the first radius * 2^k whose tail bound is within tol/4.
 
-    ``tail(r)`` bounds the integral of the pair product outside
-    [lo - r, hi + r]; returns that interval and its bound.
+    ``tail(r, i)`` bounds, for the pairs i, the integral of the pair product
+    outside [lo - r, hi + r]; returns those intervals and their bounds.
     """
-    while (bound := tail(radius)) > 0.25 * tol:
-        radius *= 2.0
+    radius = np.array(radius, dtype=np.float64)
+    bound = np.empty(radius.size)
+    i = np.arange(radius.size)
+    while i.size:
+        bound[i] = tail(radius[i], i)
+        i = i[bound[i] > 0.25 * tol]
+        radius[i] *= 2.0
     return lo - radius, hi + radius, bound
+
+
+def _checked_window(window: tuple, lp, bp, lq, bq) -> tuple:
+    """The windows (lo, hi, tail); one that is empty or not finite is a
+    BadParameterError naming both points."""
+    lo, hi, tail = window
+    bad = np.flatnonzero(~((lo < hi) & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(tail)))
+    if bad.size:
+        k = bad[0]
+        raise BadParameterError(
+            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) give no finite "
+            f"pairing window: [{lo[k]:g}, {hi[k]:g}] with tail bound {tail[k]:g}"
+        )
+    return window
+
+
+def _breakpoints(kinks: list, origins: tuple, unit: np.ndarray, lo, hi) -> tuple:
+    """Panel edges of each pair: its kinks, and each origin a with the points
+    a +- unit * 2^k, k >= 0, out to the window.
+
+    Panels then widen geometrically away from each factor's origin, so a
+    product feature of width about ``unit`` cannot hide between the nodes
+    of one panel spanning the whole truncation window.  Returns the points,
+    flat, and the index of each point's pair.
+    """
+    pair = np.arange(unit.size)
+    # math.log2, not np.log2: the step counts are those of the scalar rule
+    log_unit = np.array([math.log2(u) for u in unit.tolist()])
+    points, owners = list(kinks), [pair] * len(kinks)
+    for a in origins:
+        with np.errstate(over="ignore"):
+            reach = np.maximum(a - lo, hi - a)
+        if not np.isfinite(reach).all():
+            raise BadParameterError("a pairing window reaches out of float range")
+        count = np.zeros(unit.size, dtype=np.int64)
+        far = np.flatnonzero(reach > unit)
+        log_reach = np.array([math.log2(r) for r in reach[far].tolist()])
+        count[far] = np.ceil(log_reach - log_unit[far])
+        owner = np.repeat(pair, count)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        with np.errstate(over="ignore"):
+            steps = unit[owner] * 2.0**k
+            points += [a, a[owner] - steps, a[owner] + steps]
+        owners += [pair, owner, owner]
+    return np.concatenate(points), np.concatenate(owners)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each element: np.exp may differ in the last bit, and the
+    tail bounds, which decide the windows, stay those of the scalar rule."""
+    return np.array([math.exp(v) for v in x.tolist()], dtype=np.float64)
+
+
+def _power(x: np.ndarray, exponent: int) -> np.ndarray:
+    """x ** exponent as Python computes it for each element, inf past the float range."""
+
+    def one(v: float) -> float:
+        try:
+            return v**exponent
+        except OverflowError:
+            return math.inf
+
+    return np.array([one(v) for v in x.tolist()], dtype=np.float64)
 
 
 class Gaussian(GeneratorSpec):
@@ -148,25 +245,27 @@ class Gaussian(GeneratorSpec):
     def __call__(self, x):
         return np.exp(-np.square(np.asarray(x, dtype=np.float64)))
 
-    def pair_window(self, p, q, tol):
-        lp, bp = p.dilation, p.translation
-        lq, bq = q.dilation, q.translation
-        rate = lp * lp + lq * lq
-        center = (lp * bp + lq * bq) / rate if 0.0 < rate < math.inf else math.nan
-        if not math.isfinite(center):
-            raise BadParameterError(
-                f"points ({lp:g}, {bp:g}) and ({lq:g}, {bq:g}) put the Gaussian pairing "
-                "window out of float range"
-            )
-        try:
-            cross = (lp * bq - lq * bp) ** 2 / rate
-        except OverflowError:  # the factors are too far apart to meet
-            cross = math.inf
-        peak = math.exp(-cross)  # product value at its maximum
-        start = max(1.0, 1.0 / math.sqrt(rate))
-        return _tail_window(
-            center, center, start, lambda r: peak * math.exp(-rate * r * r) / (rate * r), tol
-        )
+    def pair_window(self, lp, bp, lq, bq, tol):
+        with np.errstate(all="ignore"):
+            rate = lp * lp + lq * lq
+            center = (lp * bp + lq * bq) / rate
+            center[~((0.0 < rate) & (rate < math.inf))] = math.nan
+            bad = np.flatnonzero(~np.isfinite(center))
+            if bad.size:
+                k = bad[0]
+                raise BadParameterError(
+                    f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the Gaussian "
+                    "pairing window out of float range"
+                )
+            # factors too far apart to meet have cross = inf
+            cross = _power(lp * bq - lq * bp, 2) / rate
+            peak = _exp(-cross)  # product value at its maximum
+            start = np.maximum(1.0, 1.0 / np.sqrt(rate))
+
+            def tail(r, i):
+                return peak[i] * _exp(-rate[i] * r * r) / (rate[i] * r)
+
+            return _tail_window(center, center, start, tail, tol)
 
 
 class TwoSidedExp(GeneratorSpec):
@@ -192,18 +291,20 @@ class TwoSidedExp(GeneratorSpec):
     def __call__(self, x):
         return np.exp(-self.n * np.abs(np.asarray(x, dtype=np.float64)))
 
-    def pair_window(self, p, q, tol):
-        lp, bp = p.dilation, p.translation
-        lq, bq = q.dilation, q.translation
-        lo, hi = sorted((bp / lp, bq / lq))
-        rate = self.n * (lp + lq)
-        integrand = self.pair_integrand(p, q)
+    def pair_window(self, lp, bp, lq, bq, tol):
+        integrand = self.pair_integrand(lp, bp, lq, bq)
+        with np.errstate(all="ignore"):
+            lo = np.minimum(bp / lp, bq / lq)
+            hi = np.maximum(bp / lp, bq / lq)
+            rate = self.n * (lp + lq)
 
-        def tail(r):
-            # beyond both kinks the product is exactly exponential with rate n(lp+lq)
-            return float(np.sum(np.abs(integrand(np.array([lo - r, hi + r]))))) / rate
+            def tail(r, i):
+                # beyond both kinks the product is exactly exponential with rate n(lp+lq)
+                x = np.concatenate([lo[i] - r, hi[i] + r])
+                ends = np.abs(integrand(x, np.tile(i, 2)))
+                return (ends[: i.size] + ends[i.size :]) / rate[i]
 
-        return _tail_window(lo, hi, 1.0, tail, tol)
+            return _tail_window(lo, hi, np.ones(lo.size), tail, tol)
 
     def params(self):
         return {"n": self.n}
@@ -267,24 +368,22 @@ class RationalL2(GeneratorSpec):
         u_den = max(1.0, 2.0 * sum(abs(c) for c in self.denominator[:-1]) / lead_den)
         return 4.0 * lead_num / lead_den, max(u_num, u_den)
 
-    def pair_window(self, p, q, tol):
-        lp, bp = p.dilation, p.translation
-        lq, bq = q.dilation, q.translation
+    def pair_window(self, lp, bp, lq, bq, tol):
         m, u0 = self._envelope_constants()
         power = self.decay_power
-        radius = max(
-            1.0,
-            2.0 * abs(bp) / lp,
-            2.0 * abs(bq) / lq,
-            2.0 * u0 / lp,
-            2.0 * u0 / lq,
-        )
-        # |R(l x - b)| <= M (l x / 2)^-p once x >= max(2|b|/l, 2 U0/l)
-        prefactor = m * m * (4.0 / (lp * lq)) ** power
-        return _tail_window(
-            0.0, 0.0, radius, lambda r: 2.0 * prefactor * r ** (1 - 2 * power) / (2 * power - 1),
-            tol,
-        )
+        with np.errstate(all="ignore"):
+            radius = np.maximum.reduce(
+                [np.ones(lp.size), 2.0 * np.abs(bp) / lp, 2.0 * np.abs(bq) / lq,
+                 2.0 * u0 / lp, 2.0 * u0 / lq]
+            )
+            # |R(l x - b)| <= M (l x / 2)^-p once x >= max(2|b|/l, 2 U0/l)
+            prefactor = m * m * _power(4.0 / (lp * lq), power)
+
+            def tail(r, i):
+                return 2.0 * prefactor[i] * _power(r, 1 - 2 * power) / (2 * power - 1)
+
+            zero = np.zeros(lp.size)
+            return _tail_window(zero, zero, radius, tail, tol)
 
     def params(self):
         return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
@@ -475,7 +574,6 @@ class CatalogGenerator(GeneratorSpec):
     tails."""
 
     kind = "le_catalog"
-    fourier_side = True
 
     def __init__(self, catalog_id: str, extra_tags: Iterable[str] | None = None):
         try:
@@ -499,38 +597,59 @@ class CatalogGenerator(GeneratorSpec):
     def ft(self, gamma):
         return self._entry.ft(gamma)
 
-    def ft_pair_integrand(self, p, q) -> Callable[[np.ndarray], np.ndarray]:
-        lp, bp = p.dilation, p.translation
-        lq, bq = q.dilation, q.translation
-        shift = bp / lp - bq / lq
-        scale = 1.0 / (lp * lq)
+    def ft_pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Fourier-side products at pairs of points, as GeneratorSpec.pair_integrand."""
+        with np.errstate(all="ignore"):
+            shift = bp / lp - bq / lq
+            scale = 1.0 / (lp * lq)
+        bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
+        if bad.size:
+            k = bad[0]
+            raise BadParameterError(
+                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
+                "Fourier-side pairing out of float range"
+            )
+        # formed in Python's complex arithmetic, as for a single pair
+        phase = np.array([-2.0j * np.pi * s for s in shift.tolist()], dtype=np.complex128)
         ft = self._entry.ft
 
-        def integrand(g: np.ndarray) -> np.ndarray:
+        def integrand(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
             g = np.asarray(g, dtype=np.float64)
             return (
-                scale
-                * ft(g / lp)
-                * np.conj(ft(g / lq))
-                * np.exp(-2.0j * np.pi * shift * g)
+                scale[pair]
+                * ft(g / lp[pair])
+                * np.conj(ft(g / lq[pair]))
+                * np.exp(phase[pair] * g)
             )
 
         return integrand
 
-    def ft_pair_window(self, p, q, tol: float) -> tuple:
-        lp = p.dilation
-        lq = q.dilation
-        if self._entry.ft_support is not None:
-            lo, hi = self._entry.ft_support
-            reach = max(abs(lo), abs(hi)) * min(lp, lq)
-            return -reach, reach, 0.0
-        k, rate, start = self._entry.ft_envelope
-        pair_rate = rate * (1.0 / lp + 1.0 / lq)
-        prefactor = 2.0 * k * k / (lp * lq)
-        radius = max(1.0, start * max(lp, lq))
-        return _tail_window(
-            0.0, 0.0, radius, lambda r: prefactor * math.exp(-pair_rate * r) / pair_rate, tol
-        )
+    def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """As GeneratorSpec.pair_quadrature, in frequency: no rounding term,
+        and the geometric edges widen around 0 from the narrower factor's
+        bandwidth."""
+        lo, hi, tail = _checked_window(self.ft_pair_window(lp, bp, lq, bq, tol), lp, bp, lq, bq)
+        with np.errstate(over="ignore"):  # to inf, as in scalar arithmetic
+            kinks = [k * lam for k in self.kinks for lam in (lp, lq)]
+        edges = _breakpoints(kinks, (np.zeros(lp.size),), np.minimum(lp, lq), lo, hi)
+        return self.ft_pair_integrand(lp, bp, lq, bq), lo, hi, edges, 0.0, tail
+
+    def ft_pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
+        with np.errstate(all="ignore"):
+            if self._entry.ft_support is not None:
+                lo, hi = self._entry.ft_support
+                reach = max(abs(lo), abs(hi)) * np.minimum(lp, lq)
+                return -reach, reach, np.zeros(lp.size)
+            k, rate, start = self._entry.ft_envelope
+            pair_rate = rate * (1.0 / lp + 1.0 / lq)
+            prefactor = 2.0 * k * k / (lp * lq)
+            radius = np.maximum(1.0, start * np.maximum(lp, lq))
+
+            def tail(r, i):
+                return prefactor[i] * _exp(-pair_rate[i] * r) / pair_rate[i]
+
+            zero = np.zeros(lp.size)
+            return _tail_window(zero, zero, radius, tail, tol)
 
     def params(self):
         return {"id": self.catalog_id}

@@ -125,6 +125,9 @@ _KNOT_BLOCK = 2**13
 # gram pairs a sampled system's triangle this many entries at a time, which
 # bounds the per-entry arrays of the window test as well
 _PAIR_CHUNK = 2**16
+# and an unbounded generator's this many, which bounds the panels that one
+# batch of quadratures holds at once
+_QUADRATURE_CHUNK = 2**6
 # exact splitting passes before the per-entry fsum; for segments of a few
 # thousand pieces, three leave no remainder on pieces within a factor of
 # about 2^60 of the segment's largest
@@ -346,20 +349,11 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     return values, errors
 
 
-def _geometric_edges(origins: Sequence[float], unit: float, lo: float, hi: float) -> list:
-    """Each origin a and the points a +- unit * 2^k, k >= 0, out to the window.
-
-    Panels then widen geometrically away from each factor's origin, so a
-    product feature of width about ``unit`` cannot hide between the nodes
-    of one panel spanning the whole truncation window.
-    """
-    edges = []
-    for a in origins:
-        reach = max(a - lo, hi - a)
-        count = math.ceil(math.log2(reach) - math.log2(unit)) if reach > unit else 0
-        steps = unit * 2.0 ** np.arange(count)
-        edges.extend([a, *(a - steps), *(a + steps)])
-    return edges
+def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
+    """Pairings of an unbounded generator at pairs of points, by one batch of quadratures."""
+    integrand, lo, hi, edges, rounding, tail = gen.pair_quadrature(lp, bp, lq, bq, tol)
+    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
+    return result.value, result.error_estimate + rounding * result.abs_integral + tail
 
 
 def inner_product(
@@ -369,38 +363,19 @@ def inner_product(
 
     Returns (value, error bound).  Sampled (piecewise-linear) generators pair
     exactly on the intersection of supports, with a rounding bound as the
-    error.  Unbounded ones use a truncation window with an analytic tail
-    bound folded into the reported error; in time the error also covers the
-    rounding of lambda x - beta, as 4 eps (1 + |beta_p| + |beta_q|) times
-    the integral of |product| (not of the product, which may cancel).
-    Catalog generators defined through their Fourier transform pair in the
-    Fourier domain instead.
-    Declared kinks become quadrature breakpoints, and so do geometric edges
-    around each factor's origin (beta / lambda in time, 0 in frequency) on
-    the scale of the narrower factor.
+    error.  Unbounded ones are integrated adaptively on a truncation window,
+    with the tail bound and, in time, the rounding of lambda x - beta folded
+    into the error (see GeneratorSpec.pair_quadrature); catalog generators
+    defined through their Fourier transform pair in the Fourier domain.
+    This is the one-pair call of the kernels that gram runs on the whole
+    matrix.
     """
+    params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
     if isinstance(gen, SampledGenerator):
-        values, errors = _sampled_pairs(
-            gen, *(np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
-        )
+        values, errors = _sampled_pairs(gen, *params)
         return complex(values[0], 0.0), float(errors[0])
-    if gen.fourier_side:
-        integrand = gen.ft_pair_integrand(p, q)
-        lo, hi, tail = gen.ft_pair_window(p, q, tol)
-        edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
-        edges += _geometric_edges((0.0,), min(p.dilation, q.dilation), lo, hi)
-        rounding = 0.0
-    else:
-        integrand = gen.pair_integrand(p, q)
-        lo, hi, tail = gen.pair_window(p, q, tol)
-        edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
-        origins = (p.translation / p.dilation, q.translation / q.dilation)
-        if not all(math.isfinite(a) for a in origins):
-            raise BadParameterError("a point maps the generator's origin out of float range")
-        edges += _geometric_edges(origins, 1.0 / max(p.dilation, q.dilation), lo, hi)
-        rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(p.translation) + abs(q.translation))
-    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
-    return result.value, result.error_estimate + rounding * result.abs_integral + tail
+    values, errors = _quadrature_pairs(gen, *params, tol)
+    return complex(values[0]), float(errors[0])
 
 
 def gaussian_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:
@@ -485,28 +460,28 @@ def gram_report_from_matrix(
 def _gram_matrix(system: WaveletSystem, tol: float) -> tuple:
     """Hermitian Gram matrix of the system and its largest entry error bound.
 
-    The upper triangle is filled and mirrored.  Sampled generators pair the
-    triangle in batched passes of at most _PAIR_CHUNK entries.
+    The upper triangle is filled and mirrored, in batched passes of at most
+    _PAIR_CHUNK entries for sampled generators and _QUADRATURE_CHUNK for
+    the others.
     """
     n = len(system)
     gen = system.generator
     rows, cols = np.triu_indices(n)
-    if isinstance(gen, SampledGenerator):
-        lam = np.array([p.dilation for p in system.points])
-        beta = np.array([p.translation for p in system.points])
-        values = np.zeros(rows.size, dtype=np.complex128)
-        errors = np.empty(rows.size)
-        for start in range(0, rows.size, _PAIR_CHUNK):
-            part = slice(start, start + _PAIR_CHUNK)
-            i, j = rows[part], cols[part]
+    lam = np.array([p.dilation for p in system.points])
+    beta = np.array([p.translation for p in system.points])
+    sampled = isinstance(gen, SampledGenerator)
+    chunk = _PAIR_CHUNK if sampled else _QUADRATURE_CHUNK
+    values = np.zeros(rows.size, dtype=np.complex128)
+    errors = np.empty(rows.size)
+    for start in range(0, rows.size, chunk):
+        part = slice(start, start + chunk)
+        i, j = rows[part], cols[part]
+        if sampled:
             values.real[part], errors[part] = _sampled_pairs(gen, lam[i], beta[i], lam[j], beta[j])
-    else:
-        pairs = [
-            inner_product(gen, system.points[i], system.points[j], tol)
-            for i, j in zip(rows.tolist(), cols.tolist())
-        ]
-        values = np.array([v for v, _ in pairs], dtype=np.complex128)
-        errors = np.array([e for _, e in pairs])
+        else:
+            values[part], errors[part] = _quadrature_pairs(
+                gen, lam[i], beta[i], lam[j], beta[j], tol
+            )
     matrix = np.zeros((n, n), dtype=np.complex128)
     matrix[rows, cols] = values
     matrix[cols, rows] = np.conjugate(values, out=values)

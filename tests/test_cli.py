@@ -283,9 +283,16 @@ class TestProcessContract:
                 {"lambda": 2, "terms": [{"c": [float("nan"), 0], "beta": 0}, {"c": 1, "beta": 1}]},
                 "InvalidEquationError",
             ),
+            # the Gaussian window's radius vanishes in rounding next to its centre
+            (
+                "gram",
+                {"generator": {"kind": "gaussian"},
+                 "points": [{"lambda": 2.47, "beta": 1.1}, {"lambda": 3.11, "beta": 1e300}]},
+                "BadParameterError",
+            ),
         ),
         ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
-             "nan-beta", "nan-coefficient"),
+             "nan-beta", "nan-coefficient", "gaussian-window-collapse"),
     )
     def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
         path = tmp_path / "doc.json"
@@ -349,13 +356,19 @@ class TestProcessContract:
         (
             ["bernoulli-fourier", "--alpha", "0.6", "--gamma-max", "8e307", "--resolution", "1e307"],
             ["refine-solve", "--preset", "rham", "--gamma-max", "8e307", "--resolution", "1e307"],
+            # 35 points: 2 gamma_max alone would overflow
+            ["bernoulli-fourier", "--alpha", "0.6", "--gamma-max", "1.7e308", "--resolution", "1e307"],
+            ["refine-solve", "--preset", "rham", "--gamma-max", "1.7e308", "--resolution", "1e307"],
         ),
-        ids=("fourier", "solve"),
+        ids=("fourier", "solve", "fourier-35-points", "solve-35-points"),
     )
     def test_overflowing_phase_is_domain_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BadParameterError"
+
+    def test_grid_near_float_max_fits_the_budget(self):
+        assert cli._frequency_grid(1.7e308, 1e307).size == 35
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--input", "/nonexistent/zzz.json")
