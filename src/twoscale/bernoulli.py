@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameterError
-from .refinement import TwoScaleEquation, check_grid_budget, truncated_product
+from .refinement import TwoScaleEquation, check_grid_budget, preset, truncated_product
 
 __all__ = [
     "BernoulliModel",
@@ -252,5 +252,4 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
 
 def as_equation(model: BernoulliModel) -> TwoScaleEquation:
     """The two-term refinement equation with dilation 1/alpha."""
-    lam = model.lam
-    return TwoScaleEquation(lam, [(lam / 2.0, -1.0), (lam / 2.0, 1.0)])
+    return preset("bernoulli", model.lam)

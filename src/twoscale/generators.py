@@ -495,7 +495,9 @@ def _ft_log_exp_ratio(g: np.ndarray) -> np.ndarray:
     out = np.zeros_like(g)
     nz = g != 0.0
     gn = g[nz]
-    out[nz] = gn * np.log(np.abs(gn)) / (np.exp(gn) + np.exp(-gn))
+    with np.errstate(over="ignore"):  # inf past |gamma| = 709, where the quotient is 0
+        denominator = np.exp(gn) + np.exp(-gn)
+    out[nz] = gn * np.log(np.abs(gn)) / denominator
     return out
 
 
@@ -629,10 +631,20 @@ class CatalogGenerator(GeneratorSpec):
         and the geometric edges widen around 0 from the narrower factor's
         bandwidth."""
         lo, hi, tail = _checked_window(self.ft_pair_window(lp, bp, lq, bq, tol), lp, bp, lq, bq)
+        integrand = self.ft_pair_integrand(lp, bp, lq, bq)  # checks shift and scale first
         with np.errstate(over="ignore"):  # to inf, as in scalar arithmetic
             kinks = [k * lam for k in self.kinks for lam in (lp, lq)]
+            # the largest phase 2 pi |shift| gamma the window reaches
+            phase = 2.0 * np.pi * np.abs(bp / lp - bq / lq) * np.maximum(np.abs(lo), np.abs(hi))
+        bad = np.flatnonzero(~np.isfinite(phase))
+        if bad.size:
+            k = bad[0]
+            raise BadParameterError(
+                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
+                "Fourier-side phase out of float range"
+            )
         edges = _breakpoints(kinks, (np.zeros(lp.size),), np.minimum(lp, lq), lo, hi)
-        return self.ft_pair_integrand(lp, bp, lq, bq), lo, hi, edges, 0.0, tail
+        return integrand, lo, hi, edges, 0.0, tail
 
     def ft_pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
         with np.errstate(all="ignore"):

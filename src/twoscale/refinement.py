@@ -405,29 +405,10 @@ def _interp_complex(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.n
     return np.interp(x, grid, values, left=0.0, right=0.0)
 
 
-def _initial_values(kind: str, grid: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    width = hi - lo
-    if kind == "indicator":
-        values = np.full(grid.shape, 1.0 / width)
-        # mean-value sampling at the jump: keeps the lattice dynamics from
-        # spawning spurious spikes where dilated arguments hit the support
-        # endpoints exactly
-        values[0] = 0.5 / width
-        values[-1] = 0.5 / width
-        return values
-    if kind == "hat":
-        center = 0.5 * (lo + hi)
-        half = 0.5 * width
-        peak = 1.0 / half  # integral one
-        return np.maximum(0.0, peak * (1.0 - np.abs(grid - center) / half))
-    raise BadParameterError(f"unknown cascade initialization {kind!r}")
-
-
 def cascade_solve(
     eq: TwoScaleEquation,
     grid_resolution: float,
     iterations: int,
-    init: str = "indicator",
 ) -> tuple[SampledFunction, list]:
     """Fixed-point cascade iteration phi_{n+1}(x) = sum_k c_k phi_n(lambda x - beta_k).
 
@@ -463,7 +444,12 @@ def cascade_solve(
     iter_terms = [
         ((c.real if real_coeffs else c), beta) for c, beta in eq.terms
     ]
-    values = _initial_values(init, grid, lo, hi)
+    # the indicator of [lo, hi] with integral one, at its mean value on the
+    # jumps: keeps the lattice dynamics from spawning spurious spikes where
+    # dilated arguments hit the support endpoints exactly
+    width = hi - lo
+    values = np.full(grid.shape, 1.0 / width)
+    values[0] = values[-1] = 0.5 / width
     if not real_coeffs:
         values = values.astype(np.complex128)
 

@@ -10,7 +10,6 @@ point geometry against a fixed rule table of independence theorems.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -118,9 +117,9 @@ class Verdict:
     evidence: GramReport | None = None
 
 
-# Sampled pairings run in blocks of at most this many merged knots (a pair
-# with more forms a block of its own), so the temporaries of one pass stay
-# bounded however many points the system has.
+# Sampled pairings run in blocks of at most this many candidate knots,
+# window ends included (a pair with more forms a block of its own), so the
+# temporaries of one pass stay bounded however many points the system has.
 _KNOT_BLOCK = 2**13
 # gram pairs a sampled system's triangle this many entries at a time, which
 # bounds the per-entry arrays of the window test as well
@@ -168,63 +167,18 @@ def _segment_fsums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(h + tails[i:j]) for h, i, j in zip(heads, bounds, bounds[1:])])
 
 
-def _run_length(count: np.ndarray, outside) -> np.ndarray:
-    """Per window, how many of the positions 0 .. count - 1 are outside.
-
-    outside(j, i) tests position j of window i; it must hold up to some
-    position and fail from there on.  Positions 0 and 1 are probed one by
-    one, then the probes stride 2, 4, 8, ... until one lands inside, and
-    that stride is bisected, so a run of length r costs about 2 log2(r)
-    passes.
-    """
-    known = np.zeros(count.size, dtype=np.int64)  # positions below are outside
-    limit = count.astype(np.int64)  # positions from here on are not
-    galloping = np.ones(count.size, dtype=bool)
-    for passes in itertools.count():
-        i = np.flatnonzero(known < limit)
-        if not i.size:
-            return known
-        stride = 2 ** max(passes - 1, 0)
-        probe = np.where(
-            galloping[i],
-            np.minimum(known[i] + stride - 1, limit[i] - 1),
-            (known[i] + limit[i]) // 2,
-        )
-        out = outside(probe, i)
-        known[i[out]] = probe[out] + 1
-        limit[i[~out]] = probe[~out]
-        galloping[i[~out]] = False
-
-
-def _inner_knots(gen: SampledGenerator, lams, betas, lo, hi) -> tuple:
-    """First index and count of the knots (t_k + beta) / lam strictly inside each window.
+def _candidate_knots(gen: SampledGenerator, lams, betas, lo, hi) -> tuple:
+    """First index and count of the candidate knots (t_k + beta) / lam of each window.
 
     lams and betas hold one row per factor; first and count come back in the
     same shape.  The candidates are the grid indices between the clipped
-    preimages of the window ends; a knot's position is monotone in k, so
-    dropping the runs of candidates outside the window at either end leaves
-    the inner run.
+    preimages of the window ends: every knot strictly inside the window,
+    and a few on or past its ends, which _pair_block clips onto those ends.
     """
     start, step = gen.sampled.start, gen.sampled.step
     last = gen.values.size - 1
     first = np.floor(np.clip((lams * lo - betas - start) / step, 0, last)).astype(np.int64)
     final = np.ceil(np.clip((lams * hi - betas - start) / step, 0, last)).astype(np.int64)
-    # both end runs of every factor, searched together: from the first
-    # candidate up while x <= lo, from the last down while x >= hi, that is
-    # -x <= -hi (the two runs cannot overlap, as lo < hi)
-    base = np.concatenate([first, final]).ravel()
-    sign = np.repeat([1, -1], first.size)
-    bound = np.concatenate([np.broadcast_to(lo, first.shape), np.broadcast_to(-hi, first.shape)])
-    bound = bound.ravel()
-    lam, beta = np.tile(lams.ravel(), 2), np.tile(betas.ravel(), 2)
-
-    def outside(j: np.ndarray, i: np.ndarray) -> np.ndarray:
-        x = (start + step * (base[i] + sign[i] * j) + beta[i]) / lam[i]
-        return sign[i] * x <= bound[i]
-
-    run = _run_length(np.tile((final - first + 1).ravel(), 2), outside).reshape(2, *first.shape)
-    first += run[0]
-    final -= run[1]
     return first, final - first + 1
 
 
@@ -235,7 +189,7 @@ def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tup
     """
     m = lo.size
     # merged knots keyed by (pair, position): complex numbers sort
-    # lexicographically, and the four runs below (window starts, inner knots
+    # lexicographically, and the four runs below (window starts, candidate knots
     # of p, of q, window ends) are each sorted already, so a stable
     # (run-merging) sort puts every pair's knots in order at once
     inner = m + int(count.sum())
@@ -244,13 +198,17 @@ def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tup
     keys.real[:m] = keys.real[inner:] = pairs
     keys.imag[:m] = lo
     keys.imag[inner:] = hi
-    # the inner knots (t_k + beta) / lam, pair by pair, p factors then q
+    # the candidate knots (t_k + beta) / lam, pair by pair, p factors then q,
+    # clipped into the window: one on or past an end becomes that end and is
+    # dropped below as a repeat of the end's key
     counts = count.ravel()
     keys.real[m:inner] = np.repeat(np.tile(pairs, 2), counts)
     k = np.arange(inner - m) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
     x = keys.imag[m:inner]
     np.add(gen.grid[k], np.repeat(betas.ravel(), counts), out=x)
     np.divide(x, np.repeat(lams.ravel(), counts), out=x)
+    np.maximum(x, np.repeat(np.tile(lo, 2), counts), out=x)
+    np.minimum(x, np.repeat(np.tile(hi, 2), counts), out=x)
     keys.sort(kind="stable")
     repeated = np.flatnonzero(keys[1:] == keys[:-1]) + 1
     knots = 2 + count.sum(axis=0) - np.bincount(keys.real[repeated].astype(np.intp), minlength=m)
@@ -323,7 +281,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     live = np.flatnonzero(hi > lo)
     lams, betas = np.stack([lp, lq])[:, live], np.stack([bp, bq])[:, live]
     lo, hi = lo[live], hi[live]
-    first, count = _inner_knots(gen, lams, betas, lo, hi)
+    first, count = _candidate_knots(gen, lams, betas, lo, hi)
     value = np.empty(live.size)
     end_values = np.empty(live.size)
     merged = np.cumsum(2 + count.sum(axis=0))

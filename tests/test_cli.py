@@ -290,9 +290,16 @@ class TestProcessContract:
                  "points": [{"lambda": 2.47, "beta": 1.1}, {"lambda": 3.11, "beta": 1e300}]},
                 "BadParameterError",
             ),
+            # finite shift and window, but a phase 2 pi |shift| gamma past the float range
+            (
+                "gram",
+                {"generator": {"kind": "le_catalog", "id": "sech"},
+                 "points": [{"lambda": 1.7e308, "beta": 1e308}, {"lambda": 1, "beta": -1e308}]},
+                "BadParameterError",
+            ),
         ),
         ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
-             "nan-beta", "nan-coefficient", "gaussian-window-collapse"),
+             "nan-beta", "nan-coefficient", "gaussian-window-collapse", "sech-phase-overflow"),
     )
     def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
         path = tmp_path / "doc.json"

@@ -1,6 +1,7 @@
 """Generator catalog, tags and evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from twoscale.generators import (
     normalize_tags,
 )
 from twoscale.refinement import SampledFunction, preset
+from twoscale.wavelet_system import WaveletPoint, WaveletSystem, gram
 
 
 class TestTags:
@@ -147,6 +149,21 @@ class TestCatalog:
         assert "ft_le_combination" in c.tags
         with pytest.raises(NotImplementedError):
             c(np.array([1.0]))
+
+    def test_log_exp_ratio_is_zero_past_the_exp_range_without_warning(self):
+        c = CatalogGenerator("log_exp_ratio")
+        g = np.array([-1e300, -710.0, -709.0, -2.0, 0.5, 709.0, 710.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = c.ft(g)
+            # the catalog pairing reaches |gamma| / 0.01 > 709
+            report = gram(WaveletSystem(c, [WaveletPoint(0.01, 0.0), WaveletPoint(1.0, 0.0)]))
+        far = np.abs(g) > 709.0
+        assert np.all(values[far] == 0.0)
+        near = g[~far]
+        expected = near * np.log(np.abs(near)) / (np.exp(near) + np.exp(-near))
+        assert values[~far].tobytes() == expected.tobytes()
+        assert np.all(np.isfinite(report.matrix))
 
     def test_ft_box_is_sinc_in_time(self):
         c = CatalogGenerator("ft_box")

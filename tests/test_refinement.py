@@ -317,16 +317,6 @@ class TestCascade:
         assert residuals == []
         assert sampled.values[1] == 0.5  # indicator level, no renormalization
 
-    def test_hat_init_shape(self):
-        sampled, _ = cascade_solve(preset("hat"), 2.0**-6, 0, init="hat")
-        mid = len(sampled.values) // 2
-        assert sampled.values[mid] == pytest.approx(1.0)
-        assert sampled.values[0] == 0.0
-
-    def test_bad_init_rejected(self):
-        with pytest.raises(BadParameterError):
-            cascade_solve(preset("hat"), 2.0**-6, 1, init="spline")
-
     def test_failing_lemma_drives_divergence(self):
         eq = TwoScaleEquation(2.0, [(3.0, 0.0), (-1.0, 1.0)])
         with pytest.raises(DivergingError):

@@ -143,6 +143,12 @@ def test_gram_matches_reference_bitwise(case):
 
 EPS_AT_2 = math.ulp(2.0)
 HAT_LATTICE_57 = [P(2.0**j, float(k)) for j in range(5) for k in range(2 ** (j + 1) - 1)]
+# knots closer together than the float spacing, with both ends of the
+# window between the first two points inside runs of them; the third
+# point's knots are far apart, so some lie strictly past those ends, where
+# the product does not vanish
+COLLAPSED_ENDS = sampled(np.cos(np.arange(2000) * 0.01), start=0.0, step=1e-14)
+COLLAPSED_PAIR = [P(1.0, 1.0e4), P(1.0, 1.0e4 + 5.0e-12)]
 
 
 @pytest.mark.parametrize(
@@ -159,6 +165,9 @@ HAT_LATTICE_57 = [P(2.0**j, float(k)) for j in range(5) for k in range(2 ** (j +
             sampled(np.linspace(-1.0, 1.0, 300), start=0.0, step=1e-13),
             [P(1.0, 1.0e4), P(1.0, 1.0e4 + 1.0e-11), P(2.0, 2.0e4)],
             id="collapsed-knots",
+        ),
+        pytest.param(
+            COLLAPSED_ENDS, [*COLLAPSED_PAIR, P(1.0e-3, 10.0)], id="collapsed-window-ends"
         ),
     ],
 )
@@ -250,20 +259,25 @@ def test_disjoint_pairs_never_reach_interp(monkeypatch):
     assert sum(calls) == 2 * knots + 2 * (knots - 1)
 
 
-def test_run_length_gallops_then_bisects():
-    rng = np.random.default_rng(5)
-    count = np.concatenate([[0, 1, 1, 2, 5, 1000, 10**6], rng.integers(0, 3000, 200)])
-    runs = np.array([rng.integers(0, c + 1) if c else 0 for c in count])
-    probes = []
-
-    def outside(j, i):
-        assert np.all((0 <= j) & (j < count[i]))
-        probes.append(j.size)
-        return j < runs[i]
-
-    assert np.array_equal(wavelet_system._run_length(count, outside), runs)
-    # about 2 log2 of the longest run, not one pass per position
-    assert len(probes) <= 2 * math.log2(runs.max() + 1) + 3
+def test_candidates_past_the_window_ends_reach_interp_once(monkeypatch):
+    p, q = COLLAPSED_PAIR
+    xs = reference_knots(COLLAPSED_ENDS, p, q)
+    expected = reference_pair(COLLAPSED_ENDS, p, q)
+    lams = np.array([[p.dilation], [q.dilation]])
+    betas = np.array([[p.translation], [q.translation]])
+    first, count = wavelet_system._candidate_knots(COLLAPSED_ENDS, lams, betas, xs[:1], xs[-1:])
+    for lam, beta, a, n in zip(lams.ravel(), betas.ravel(), first.ravel(), count.ravel()):
+        x = (COLLAPSED_ENDS.grid[a : a + n] + beta) / lam
+        # long runs of candidates on or past both ends of the window
+        assert (x <= xs[0]).sum() > 50 and (x >= xs[-1]).sum() > 50
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
+    assert inner_product(COLLAPSED_ENDS, p, q) == expected
+    # each factor at the merged knots and their midpoints only, the
+    # candidates clipped onto an end dropped as repeats
+    assert len(calls) == 4
+    assert sum(calls) == 2 * xs.size + 2 * (xs.size - 1)
 
 
 magnitudes = st.sampled_from([1e-310, 1e-200, 1e-20, 1e-3, 1.0, 1e3, 1e150, 1e300])
