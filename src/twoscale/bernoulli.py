@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameterError
-from .refinement import TwoScaleEquation, check_grid_budget, preset, truncated_product
+from .refinement import check_grid_budget, truncated_product
 
 __all__ = [
     "BernoulliModel",
@@ -25,7 +25,6 @@ __all__ = [
     "smoothness_verdict",
     "fourier",
     "density",
-    "as_equation",
 ]
 
 # sign bits summed into the sorted tail; the rest are prefix bits
@@ -248,8 +247,3 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
         depth=depth,
         positional_error=positional_error,
     )
-
-
-def as_equation(model: BernoulliModel) -> TwoScaleEquation:
-    """The two-term refinement equation with dilation 1/alpha."""
-    return preset("bernoulli", model.lam)

@@ -6,8 +6,11 @@ as "ultimately decreasing Fourier modulus" are not decidable from samples,
 so they are declared at construction (catalog kinds populate the tags that
 are provable for them) rather than inferred numerically.
 
-Catalog generators defined through a closed-form Fourier transform pair in
-the Fourier domain; everything else pairs in the time domain.
+Generators whose ``closed_form`` is true (the Gaussian, the two-sided
+exponentials, rationals with separated poles, and the band-limited catalog
+entries) pair exactly through ``pair_closed_form``.  The others pair by
+quadrature: catalog generators, defined through a closed-form Fourier
+transform, in the Fourier domain; the rest in the time domain.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ _IMPLICATIONS = {
 }
 
 _UNIT_ROUNDOFF = 2.0**-53
+# twice the smallest subnormal: the absolute rounding of a result that underflows
+_TINY = 2.0**-1073
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # pairs that cannot hold together for a nonzero square integrable function
 _EXCLUSIONS = (
@@ -86,6 +92,8 @@ class GeneratorSpec:
     """Base class: evaluation, support and pairing windows for one generator."""
 
     kind: str = "abstract"
+    # whether pair_closed_form gives every pairing of this generator
+    closed_form: bool = False
     # points where the generator (or, on the Fourier side, its transform) is
     # not smooth, in unit coordinates; quadrature panels break there
     kinks: tuple = ()
@@ -139,9 +147,39 @@ class GeneratorSpec:
         edges = _breakpoints(kinks, origins, unit, lo, hi)
         return self.pair_integrand(lp, bp, lq, bq), lo, hi, edges, rounding, tail
 
+    def pair_closed_form(self, lp, bp, lq, bq) -> tuple:
+        """Exact pairings of the dilated translates at pairs of points, for the
+        generators whose ``closed_form`` is true.
+
+        Returns (values, error bounds) as float arrays.  The values are formed
+        in relative coordinates: they depend on the translations only through
+        the shift d = bp / lp - bq / lq (see _relative_shift).  The bounds cover
+        the rounding of every step, the rounding of d included; they do not
+        depend on a tolerance.
+        """
+        raise NotImplementedError(f"{self.kind} generator has no closed-form pairing")
+
     def params(self) -> dict:
         """Kind-specific JSON parameters (tags are serialized separately)."""
         return {}
+
+
+def _relative_shift(lp, bp, lq, bq) -> tuple:
+    """The shift d = bp / lp - bq / lq between the origins of each pair, and a
+    bound on its rounding (0 for a point paired with itself, where d is 0)."""
+    with np.errstate(all="ignore"):
+        ap, aq = bp / lp, bq / lq
+        d = ap - aq
+        bound = 2.0 * _UNIT_ROUNDOFF * (np.abs(ap) + np.abs(aq) + np.abs(d)) + _TINY
+    bad = np.flatnonzero(~(np.isfinite(d) & np.isfinite(bound)))
+    if bad.size:
+        k = bad[0]
+        raise BadParameterError(
+            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the shift "
+            "between their origins out of float range"
+        )
+    bound[(lp == lq) & (bp == bq)] = 0.0
+    return d, bound
 
 
 def _tail_window(lo, hi, radius, tail: Callable, tol: float) -> tuple:
@@ -227,6 +265,7 @@ class Gaussian(GeneratorSpec):
     """exp(-x^2); the pairing of two dilated translates is again a Gaussian."""
 
     kind = "gaussian"
+    closed_form = True
 
     def __init__(self, extra_tags: Iterable[str] | None = None):
         super().__init__(
@@ -244,6 +283,35 @@ class Gaussian(GeneratorSpec):
 
     def __call__(self, x):
         return np.exp(-np.square(np.asarray(x, dtype=np.float64)))
+
+    def pair_closed_form(self, lp, bp, lq, bq):
+        """sqrt(pi / (lp^2 + lq^2)) exp(-(lp lq d)^2 / (lp^2 + lq^2)).
+
+        Formed as sqrt(pi) / (M h) exp(-s^2), with M the larger dilation, m
+        the smaller, h = sqrt(1 + (m / M)^2) and s = m |d| / h, so that no
+        square leaves the float range.  If s is off by at most ds, exp(-s^2)
+        is off by at most exp(-s_low^2) min(1, (2 s + ds) ds) with s_low =
+        s - ds, and that bound is formed from logarithms, so it does not
+        underflow before the entry does.
+        """
+        d, dd = _relative_shift(lp, bp, lq, bq)
+        u = _UNIT_ROUNDOFF
+        big, small = np.maximum(lp, lq), np.minimum(lp, lq)
+        with np.errstate(all="ignore"):
+            h = np.hypot(1.0, small / big)
+            s = small * np.abs(d) / h
+            value = math.sqrt(math.pi) / (big * h) * np.exp(-s * s)
+            ds = 4.0 * u * s + small * dd / h
+            low = np.fmax(0.0, (s - ds) * (1.0 - 4.0 * u))
+            spread = np.fmin(1.0, (2.0 * s + ds) * ds + 2.0 * u * s * s)
+            log_scale = 0.5 * math.log(math.pi) - np.log(big) - np.log(h)
+            # a subnormal exp(-s^2) rounds by up to _TINY / 2, scaled with the entry
+            error = (
+                8.0 * u * value
+                + np.exp(log_scale - low * low) * spread
+                + _TINY * (1.0 + math.sqrt(math.pi) / (big * h))
+            )
+        return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
         with np.errstate(all="ignore"):
@@ -272,6 +340,7 @@ class TwoSidedExp(GeneratorSpec):
     """exp(-n |x|) for a positive integer n."""
 
     kind = "two_sided_exp"
+    closed_form = True
     kinks = (0.0,)
 
     def __init__(self, n: int, extra_tags: Iterable[str] | None = None):
@@ -290,6 +359,32 @@ class TwoSidedExp(GeneratorSpec):
 
     def __call__(self, x):
         return np.exp(-self.n * np.abs(np.asarray(x, dtype=np.float64)))
+
+    def pair_closed_form(self, lp, bp, lq, bq):
+        """Three exponential pieces, split at the kinks 0 and |d| of the two factors.
+
+        With rates a = n lp, b = n lq and D = |d|, the pieces left of both
+        kinks, right of both and between them integrate to
+        (e^(-aD) + e^(-bD)) / (a + b) + D e^(-cD) g(|a - b| D), where c =
+        min(a, b) and g(y) = -expm1(-y) / y stays accurate when a is close
+        to b.  Every piece is positive and each exponent is off by at most
+        about u (a + b) D, so the rounding is relative; the entry falls in D
+        with slope at most min(a, b) times its value, which bounds the
+        effect of the rounding of d.
+        """
+        d, dd = _relative_shift(lp, bp, lq, bq)
+        u = _UNIT_ROUNDOFF
+        with np.errstate(all="ignore"):
+            a, b = self.n * lp, self.n * lq
+            dist = np.abs(d)
+            value = _two_sided_exp_pairing(a, b, dist)
+            nearest = _two_sided_exp_pairing(a, b, np.fmax(0.0, dist - dd))
+            error = (
+                u * (20.0 + 6.0 * (a + b) * dist) * value
+                + np.minimum(a, b) * dd * nearest * (1.0 + 4.0 * u)
+                + _TINY * (2.0 / (a + b) + dist + 2.0)  # subnormal exponentials
+            )
+        return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
         integrand = self.pair_integrand(lp, bp, lq, bq)
@@ -310,11 +405,75 @@ class TwoSidedExp(GeneratorSpec):
         return {"n": self.n}
 
 
+def _two_sided_exp_pairing(a, b, dist):
+    """Integral of exp(-a |t - dist|) exp(-b |t|) over the line."""
+    outer = (np.exp(-a * dist) + np.exp(-b * dist)) / (a + b)
+    y = np.abs(a - b) * dist
+    g = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+    return outer + dist * np.exp(-np.minimum(a, b) * dist) * g
+
+
 def _poly_eval(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+# A rational pairs by residues only when every two of its poles lie at least
+# this far apart, relative to the larger modulus.  Closer poles make the
+# residues ill-conditioned (a double pole comes out of np.roots as two poles
+# about sqrt(eps) apart), and such a rational pairs by quadrature.
+_POLE_SEPARATION = 1.0e-3
+_NEWTON_STEPS = 2
+
+
+def _upper_poles(numerator: tuple, denominator: tuple, roots: np.ndarray) -> tuple | None:
+    """(w, A, dw, dA): the poles w_k of N/D in the upper half plane, the
+    residues A_k there, and bounds on the errors of both; None when two poles
+    are closer than _POLE_SEPARATION allows.
+
+    Each root from np.roots is polished by Newton steps.  A disc of radius
+    deg D (|D(w)| + e) / (|D'(w)| - e') about w holds a root of D, where e
+    and e' bound the rounding of D(w) and D'(w); with the poles separated it
+    is the root w stands for.  A_k = N(w_k) / D'(w_k), charged with its
+    rounding and with twice its first-order change over that disc.
+    """
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    moduli = np.abs(roots)
+    if not (gaps >= _POLE_SEPARATION * np.maximum(moduli[:, None], moduli[None, :])).all():
+        return None
+    w = roots[roots.imag > 0.0]
+    if 2 * w.size != roots.size:
+        return None
+    u = _UNIT_ROUNDOFF
+    num, den = np.array(numerator), np.array(denominator)
+    dden = den[1:] * np.arange(1, den.size)
+    ddden = dden[1:] * np.arange(1, dden.size)
+    dnum = num[1:] * np.arange(1, num.size)
+    for _ in range(_NEWTON_STEPS):
+        w = w - _poly_eval(den, w) / _poly_eval(dden, w)
+    r = np.abs(w)
+
+    def rounding(coeffs: np.ndarray) -> np.ndarray:
+        # |fl(P(w)) - P(w)| for Horner's rule in complex arithmetic
+        return 8.0 * max(coeffs.size, 1) * u * _poly_eval(np.abs(coeffs), r)
+
+    slope = _poly_eval(dden, w)
+    slope_low = np.abs(slope) - rounding(dden)
+    dw = (den.size - 1) * (np.abs(_poly_eval(den, w)) + rounding(den)) / slope_low
+    top = _poly_eval(num, w)
+    res = top / slope
+    change = np.abs(_poly_eval(dnum, w) / slope - top * _poly_eval(ddden, w) / slope**2)
+    dres = (
+        2.0 * change * dw
+        + (rounding(num) + np.abs(res) * rounding(dden)) / slope_low
+        + 4.0 * u * np.abs(res)
+    )
+    if not (np.isfinite(dw).all() and np.isfinite(dres).all() and (slope_low > 0.0).all()):
+        return None
+    return w, res, dw, dres
 
 
 class RationalL2(GeneratorSpec):
@@ -349,6 +508,8 @@ class RationalL2(GeneratorSpec):
         self.numerator = tuple(num)
         self.denominator = tuple(den)
         self.decay_power = len(den) - len(num)
+        self._poles = _upper_poles(self.numerator, self.denominator, roots)
+        self.closed_form = self._poles is not None
         base = {"noncompact_support", "smooth_all_derivs_L1"}
         # the Fourier transform is a combination of polynomial-times-real-
         # exponential germs only when every pole is purely imaginary
@@ -359,6 +520,47 @@ class RationalL2(GeneratorSpec):
     def __call__(self, x):
         xv = np.asarray(x, dtype=np.float64)
         return _poly_eval(self.numerator, xv) / _poly_eval(self.denominator, xv)
+
+    def pair_closed_form(self, lp, bp, lq, bq):
+        """-4 pi Im sum_jk A_j conj(A_k) / (lp lq d + w_j lq - conj(w_k) lp), by residues.
+
+        With R = sum_k A_k / (u - w_k) + conj(A_k) / (u - conj(w_k)) over the
+        upper poles w_k, the product of the two factors is a sum of terms
+        c / ((t - p) (t - q)); such a term integrates to 2 pi i c / (p - q)
+        when p is an upper pole and q a lower one, to the negative of that
+        when q is upper and p lower, and to 0 otherwise.  The two mixed sums
+        are conjugate, which leaves the imaginary part above.  Every
+        denominator has imaginary part Im(w_j) lq + Im(w_k) lp > 0, so none
+        cancels.  Each term is charged with the errors of its poles and
+        residues and the rounding of its denominator; where those could move
+        the denominator by half its size, with twice its largest modulus.
+        """
+        w, res, dw, dres = self._poles
+        d, dd = _relative_shift(lp, bp, lq, bq)
+        u = _UNIT_ROUNDOFF
+        p, q = lp[:, None, None], lq[:, None, None]
+        with np.errstate(all="ignore"):
+            x = np.clip(lp * (lq * d), -_FLOAT_MAX, _FLOAT_MAX)[:, None, None]
+            dx = (lp * (lq * dd))[:, None, None] + 2.0 * u * np.abs(x)
+            den = x + w[:, None] * q - np.conj(w) * p
+            weight = res[:, None] * np.conj(res)
+            terms = weight / den
+            value = -4.0 * math.pi * terms.imag.sum(axis=(1, 2))
+            size = np.abs(den)
+            weight_abs = np.abs(weight)
+            modulus = np.abs(res)
+            dweight = dres[:, None] * modulus + modulus[:, None] * dres + dres[:, None] * dres
+            shift = dx + dw[:, None] * q + dw * p
+            shift += 4.0 * u * (np.abs(x) + np.abs(w)[:, None] * q + np.abs(w) * p)
+            rho = shift / size
+            im_low = w.imag[:, None] * q + w.imag * p - (dw[:, None] * q + dw * p)
+            near = (2.0 * dweight + weight_abs * (2.0 * rho + 8.0 * u)) / size
+            far = (2.0 * weight_abs + dweight) / im_low
+            term_error = np.where(rho <= 0.5, near, far).sum(axis=(1, 2))
+            rounding = (w.size**2 + 2) * u * (weight_abs / size).sum(axis=(1, 2))
+            rounding += w.size**2 * _TINY  # subnormal terms
+            error = 4.0 * math.pi * (term_error + rounding) + 2.0 * u * np.abs(value) + _TINY
+        return value, error
 
     def _envelope_constants(self) -> tuple:
         """(M, U0) with |R(u)| <= M |u|^-p for |u| >= U0."""
@@ -481,6 +683,7 @@ class _CatalogEntry:
         ft_envelope: tuple | None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
         time_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         ft_kinks: tuple = (),
+        pair_closed_form: Callable | None = None,  # as GeneratorSpec.pair_closed_form
     ):
         self.tags = tags
         self.ft = ft
@@ -488,6 +691,7 @@ class _CatalogEntry:
         self.ft_envelope = ft_envelope
         self.time_fn = time_fn
         self.ft_kinks = ft_kinks
+        self.pair_closed_form = pair_closed_form
 
 
 def _ft_log_exp_ratio(g: np.ndarray) -> np.ndarray:
@@ -516,6 +720,127 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x)  # sin(pi x)/(pi x)
 
 
+# np.sinc forms pi x, which is past the float range beyond 5.7e307; past
+# this magnitude the pairings take sinc as 0, within |sinc| <= 1 / (pi |x|)
+_SINC_FAR = 2.0**60
+
+
+def _box_pairs(lp, bp, lq, bq) -> tuple:
+    """Pairings of the indicator of [-1/2, 1/2] in frequency: sinc(d m) / M.
+
+    The product of the two indicators is that of [-m/2, m/2], with m the
+    smaller dilation and M the larger.  |sinc'(y)| <= min(pi / 2,
+    (1 + 1 / (pi y)) / y), taken at the lower end of the argument's error
+    interval, bounds the effect of the rounding of d m.
+    """
+    d, dd = _relative_shift(lp, bp, lq, bq)
+    u = _UNIT_ROUNDOFF
+    big, small = np.maximum(lp, lq), np.minimum(lp, lq)
+    with np.errstate(all="ignore"):
+        x = d * small
+        dx = small * dd + u * np.abs(x)
+        far = np.abs(x) >= _SINC_FAR
+        sinc = np.where(far, 0.0, np.sinc(np.where(far, 0.0, x)))
+        low = np.fmax(0.0, np.abs(x) - dx)
+        slope = np.fmin(0.5 * math.pi, (1.0 + 1.0 / (math.pi * low)) / low)
+        drift = np.where(far, 1.0 / (math.pi * low), slope * dx)
+        value = sinc / big
+        error = (4.0 * u * (1.0 + np.abs(sinc)) + drift) / big + u * np.abs(value) + _TINY
+    return value, error
+
+
+# moments of [-1, 1] below |theta| = 1 come from their series, to this many terms
+_SERIES_TERMS = 12
+
+
+def _tent_moments(theta: np.ndarray) -> tuple:
+    """int s^j cos(theta s) ds for j = 0, 2 and int s sin(theta s) ds over [-1, 1].
+
+    Closed forms for |theta| > 1; Taylor series below, where the closed
+    forms cancel.
+    """
+    t = np.abs(theta)
+    small = t <= 1.0
+    ts = np.where(small, t, 0.0)
+    c0 = np.zeros_like(t)
+    c2 = np.zeros_like(t)
+    s1 = np.zeros_like(t)
+    power = np.ones_like(t)  # theta^(2k) / (2k)!
+    for k in range(_SERIES_TERMS):
+        c0 += power * (2.0 / (2 * k + 1))
+        c2 += power * (2.0 / (2 * k + 3))
+        s1 += power * ts / (2 * k + 1) * (2.0 / (2 * k + 3))
+        power = power * (-ts * ts / ((2 * k + 1) * (2 * k + 2)))
+    tl = np.where(small, 1.0, t)
+    sin, cos = np.sin(tl), np.cos(tl)
+    c0 = np.where(small, c0, 2.0 * sin / tl)
+    c2 = np.where(small, c2, 2.0 * ((tl * tl - 2.0) * sin + 2.0 * tl * cos) / tl**3)
+    s1 = np.where(small, s1, 2.0 * (sin - tl * cos) / (tl * tl))
+    return c0, c2, s1
+
+
+def _annulus_tent_pairs(lp, bp, lq, bq) -> tuple:
+    """Pairings of the tent on 1 <= |gamma| <= 2, exactly on the pieces between kinks.
+
+    In gamma = M eta, with M the larger dilation and m the smaller, the
+    entry is (2 / m) int_0^2 T(eta / rp) T(eta / rq) cos(w eta) d eta, with
+    rp = lp / M, rq = lq / M and w = 2 pi |d| M.  Between the merged kinks
+    r, 1.5 r, 2 r of both factors the product of the two tents is a
+    quadratic, fixed by its values at the ends and the middle of each
+    piece; on the piece c + h s, s in [-1, 1], it integrates against
+    cos(w (c + h s)) through the three moments of _tent_moments at theta =
+    w h.  The bound charges each piece with the rounding of its values and
+    moments, and with the errors of the phases w c and w h, which carry the
+    rounding of d; the moments' slopes in theta are at most 1.
+    """
+    d, dd = _relative_shift(lp, bp, lq, bq)
+    u = _UNIT_ROUNDOFF
+    big, small = np.maximum(lp, lq), np.minimum(lp, lq)
+    with np.errstate(all="ignore"):  # an entry past the float range is refused by the caller
+        omega = 2.0 * math.pi * np.abs(d) * big
+        domega = 2.0 * math.pi * dd * big + 4.0 * u * omega
+        bad = np.flatnonzero(~(np.isfinite(omega) & np.isfinite(domega)))
+        if bad.size:
+            k = bad[0]
+            raise BadParameterError(
+                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
+                "Fourier-side pairing out of float range"
+            )
+        rates = np.stack([lp / big, lq / big], axis=1)
+        kinks = np.sort(np.concatenate([rates, 1.5 * rates, 2.0 * rates], axis=1), axis=1)
+        a, b = kinks[:, :-1], kinks[:, 1:]
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+
+        # each tent value is off by at most about 10 u, so each product by
+        # 12 u times the sum of its factors
+        scale = np.zeros_like(a)
+        nodes = []
+        for eta in (a, c, b):
+            tp, tq = (_ft_annulus_tent(eta / rates[:, k, None]) for k in (0, 1))
+            nodes.append(tp * tq)
+            scale = np.maximum(scale, tp + tq)
+        fa, fc, fb = nodes
+        q0, q1, q2 = fc, 0.5 * (fb - fa), 0.5 * (fa + fb) - fc
+        w = omega[:, None]
+        theta = w * h
+        c0, c2, s1 = _tent_moments(theta)
+        even, odd = q0 * c0 + q2 * c2, q1 * s1
+        phase = w * c
+        pieces = h * (np.cos(phase) * even - np.sin(phase) * odd)
+        value = 2.0 / small * pieces.sum(axis=1)
+        dphase = c * domega[:, None] + 2.0 * u * phase + 2.0 * u
+        dtheta = h * domega[:, None] + 2.0 * u * theta
+        piece_error = h * (
+            (np.abs(q0) + np.abs(q1) + np.abs(q2)) * (dtheta + 40.0 * u)
+            + (np.abs(even) + np.abs(odd)) * dphase
+            + 64.0 * u * scale
+        )
+        error = 2.0 / small * (
+            piece_error.sum(axis=1) + 8.0 * u * np.abs(pieces).sum(axis=1) + 8.0 * _TINY
+        )
+        return value, error + 2.0 * u * np.abs(value) + _TINY
+
+
 _CATALOG = {
     # gamma ln|gamma| / (e^gamma + e^-gamma): square integrable with a
     # logarithmico-exponential germ at infinity; no closed time-domain form
@@ -534,6 +859,7 @@ _CATALOG = {
         ft_envelope=None,
         time_fn=_sinc,
         ft_kinks=(-0.5, 0.5),
+        pair_closed_form=_box_pairs,
     ),
     # tent on 1 <= |gamma| <= 2: compact frequency support vanishing near 0
     "ft_annulus_tent": _CatalogEntry(
@@ -544,6 +870,7 @@ _CATALOG = {
         ft_support=(-2.0, 2.0),
         ft_envelope=None,
         ft_kinks=(-2.0, -1.5, -1.0, 1.0, 1.5, 2.0),
+        pair_closed_form=_annulus_tent_pairs,
     ),
     # sech(pi x) is its own Fourier transform and is monotone on each side
     "sech": _CatalogEntry(
@@ -571,9 +898,9 @@ def catalog_ids() -> tuple:
 
 class CatalogGenerator(GeneratorSpec):
     """Closed-form catalog generator, keyed by id and defined via its
-    Fourier transform.  Inner products are computed in the Fourier domain,
-    which keeps band-limited entries exact and avoids slowly decaying time
-    tails."""
+    Fourier transform.  The band-limited entries pair in closed form; the
+    others by quadrature in the Fourier domain, which avoids slowly
+    decaying time tails."""
 
     kind = "le_catalog"
 
@@ -587,6 +914,7 @@ class CatalogGenerator(GeneratorSpec):
         self.catalog_id = catalog_id
         self._entry = entry
         self.kinks = entry.ft_kinks
+        self.closed_form = entry.pair_closed_form is not None
         super().__init__(entry.tags, extra_tags)
 
     def __call__(self, x):
@@ -598,6 +926,11 @@ class CatalogGenerator(GeneratorSpec):
 
     def ft(self, gamma):
         return self._entry.ft(gamma)
+
+    def pair_closed_form(self, lp, bp, lq, bq):
+        if self._entry.pair_closed_form is None:
+            return super().pair_closed_form(lp, bp, lq, bq)
+        return self._entry.pair_closed_form(lp, bp, lq, bq)
 
     def ft_pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Fourier-side products at pairs of points, as GeneratorSpec.pair_integrand."""

@@ -318,7 +318,10 @@ def mask(eq: TwoScaleEquation, gamma):
 
 def _mask_lipschitz(eq: TwoScaleEquation) -> float:
     """Lipschitz constant of the mask at 0: |m(d) - m(0)| <= C |d|."""
-    return 2.0 * math.pi * sum(abs(c) * abs(b) for c, b in eq.terms) / eq.lam
+    total = sum(abs(c) * abs(b) for c, b in eq.terms)
+    if math.isinf(total):  # coefficients near the float limit: normalize them first
+        return 2.0 * math.pi * sum(abs(c) / eq.lam * abs(b) for c, b in eq.terms)
+    return 2.0 * math.pi * total / eq.lam
 
 
 def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
@@ -462,9 +465,15 @@ def cascade_solve(
     residuals: list[float] = []
     for _ in range(iterations):
         new_values = np.zeros_like(values)
-        for c, beta in iter_terms:
-            new_values = new_values + c * _interp_complex(
-                eq.lam * grid - beta, grid, values
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, beta in iter_terms:
+                new_values = new_values + c * _interp_complex(
+                    eq.lam * grid - beta, grid, values
+                )
+        if not np.isfinite(new_values).all():
+            raise BadParameterError(
+                "cascade values leave the float range (coefficients times the "
+                "support's reciprocal width overflow)"
             )
         residuals.append(float(np.max(np.abs(new_values - values))))
         values = new_values

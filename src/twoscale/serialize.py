@@ -89,7 +89,7 @@ def _complex_pair(z: complex) -> list:
 def _number(value, where: str) -> float:
     try:
         return float(value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a number, got {type(value).__name__}") from None
 
 

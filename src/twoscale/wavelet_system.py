@@ -16,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameterError, DuplicatePointError
-from .generators import GeneratorSpec, Hat, SampledGenerator
+from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
+from .generators import GeneratorSpec, SampledGenerator
 from .numerics import hermitian_eigen, integrate_adaptive
+from .refinement import GRID_BUDGET
 
 __all__ = [
     "DEPENDENCE_THRESHOLD",
@@ -28,8 +29,6 @@ __all__ = [
     "Certificate",
     "Verdict",
     "inner_product",
-    "gaussian_gram_closed_form",
-    "hat_gram_closed_form",
     "gram",
     "gram_report_from_matrix",
     "numeric_verdict",
@@ -121,8 +120,8 @@ class Verdict:
 # window ends included (a pair with more forms a block of its own), so the
 # temporaries of one pass stay bounded however many points the system has.
 _KNOT_BLOCK = 2**13
-# gram pairs a sampled system's triangle this many entries at a time, which
-# bounds the per-entry arrays of the window test as well
+# gram pairs a sampled or closed-form system's triangle this many entries at
+# a time, which bounds the per-entry arrays of the window test as well
 _PAIR_CHUNK = 2**16
 # and an unbounded generator's this many, which bounds the panels that one
 # batch of quadratures holds at once
@@ -249,7 +248,7 @@ def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tup
     return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last])
 
 
-def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
+def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     """Exact pairings of many pairs of dilated translates of a linear interpolant.
 
     Between consecutive knots of the merged set {(t_i + beta) / lambda} of
@@ -261,7 +260,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     One array test finds the pairs whose supports overlap; only those are
     paired, in blocks of at most _KNOT_BLOCK merged knots, and each value is
     the correctly rounded sum (math.fsum) of its pieces.  Returns (values,
-    error bounds) as float arrays, 0 for disjoint pairs.
+    error bounds) as float arrays, 0 for disjoint pairs; tol is not used.
     """
     s_lo, s_hi = gen.time_support()
     with np.errstate(over="ignore"):
@@ -307,11 +306,44 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     return values, errors
 
 
+def _closed_form_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
+    """Pairings of a generator with a closed form (GeneratorSpec.pair_closed_form).
+
+    The error bounds cover rounding only, whatever tol asks; an entry or a
+    bound past the float range is a BadParameterError naming both points.
+    """
+    values, errors = gen.pair_closed_form(lp, bp, lq, bq)
+    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(errors)))
+    if bad.size:
+        k = bad[0]
+        raise BadParameterError(
+            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) give a Gram entry "
+            f"out of float range: {values[k]:g} with error bound {errors[k]:g}"
+        )
+    return values, errors
+
+
 def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
     """Pairings of an unbounded generator at pairs of points, by one batch of quadratures."""
     integrand, lo, hi, edges, rounding, tail = gen.pair_quadrature(lp, bp, lq, bq, tol)
     result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
     return result.value, result.error_estimate + rounding * result.abs_integral + tail
+
+
+def _pairing(gen: GeneratorSpec) -> tuple:
+    """The kernel that pairs gen's dilated translates, and how many entries it takes at once.
+
+    Every kernel maps (gen, lp, bp, lq, bq, tol), with arrays of the two
+    points of each entry, to (values, error bounds).  Sampled generators
+    pair exactly on merged knots; generators with a closed form
+    (``gen.closed_form``) pair by it; the others (sech, log_exp_ratio and
+    rationals with clustered poles) by batched adaptive quadrature.
+    """
+    if isinstance(gen, SampledGenerator):
+        return _sampled_pairs, _PAIR_CHUNK
+    if gen.closed_form:
+        return _closed_form_pairs, _PAIR_CHUNK
+    return _quadrature_pairs, _QUADRATURE_CHUNK
 
 
 def inner_product(
@@ -320,71 +352,18 @@ def inner_product(
     """L2 pairing of the dilated translates of gen at points p and q.
 
     Returns (value, error bound).  Sampled (piecewise-linear) generators pair
-    exactly on the intersection of supports, with a rounding bound as the
-    error.  Unbounded ones are integrated adaptively on a truncation window,
-    with the tail bound and, in time, the rounding of lambda x - beta folded
-    into the error (see GeneratorSpec.pair_quadrature); catalog generators
-    defined through their Fourier transform pair in the Fourier domain.
-    This is the one-pair call of the kernels that gram runs on the whole
-    matrix.
+    exactly on the intersection of supports, and generators with a closed
+    form by it; both report a rounding bound as the error.  The others are
+    integrated adaptively on a truncation window, with the tail bound and,
+    in time, the rounding of lambda x - beta folded into the error (see
+    GeneratorSpec.pair_quadrature); catalog generators defined through
+    their Fourier transform pair in the Fourier domain.  This is the
+    one-pair call of the kernel that gram runs on the whole matrix.
     """
     params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
-    if isinstance(gen, SampledGenerator):
-        values, errors = _sampled_pairs(gen, *params)
-        return complex(values[0], 0.0), float(errors[0])
-    values, errors = _quadrature_pairs(gen, *params, tol)
+    kernel, _ = _pairing(gen)
+    values, errors = kernel(gen, *params, tol)
     return complex(values[0]), float(errors[0])
-
-
-def gaussian_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:
-    """Exact Gram matrix for the Gaussian generator exp(-x^2).
-
-    Entry (p, q) is sqrt(pi / (lp^2 + lq^2)) * exp(-(lp bq - lq bp)^2 /
-    (lp^2 + lq^2)); symmetric positive definite for distinct points.
-    """
-    pts = [p if isinstance(p, WaveletPoint) else WaveletPoint(*p) for p in points]
-    n = len(pts)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            lp, bp = pts[i].dilation, pts[i].translation
-            lq, bq = pts[j].dilation, pts[j].translation
-            rate = lp * lp + lq * lq
-            value = math.sqrt(math.pi / rate) * math.exp(-((lp * bq - lq * bp) ** 2) / rate)
-            out[i, j] = value
-            out[j, i] = value
-    return out
-
-
-def hat_gram_closed_form(points: Sequence[WaveletPoint]) -> np.ndarray:
-    """Exact Gram matrix for the hat generator, entry by entry.
-
-    Scalar reference for the vectorized pairing: products of two
-    piecewise-linear factors are piecewise quadratic, so Simpson's rule on
-    each interval between the kinks 0, 1, 2 of both factors is exact.
-    """
-    pts = [p if isinstance(p, WaveletPoint) else WaveletPoint(*p) for p in points]
-    hat = Hat()
-    n = len(pts)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            lp, bp = pts[i].dilation, pts[i].translation
-            lq, bq = pts[j].dilation, pts[j].translation
-            lo = max(bp / lp, bq / lq)
-            hi = min((bp + 2.0) / lp, (bq + 2.0) / lq)
-            if not (hi > lo):
-                continue
-            peaks = ((bp + 1.0) / lp, (bq + 1.0) / lq)
-            xs = sorted({lo, hi, *(x for x in peaks if lo < x < hi)})
-            pieces = []
-            for a, b in zip(xs, xs[1:]):
-                fa, fm, fb = (
-                    float(hat(lp * x - bp) * hat(lq * x - bq)) for x in (a, 0.5 * (a + b), b)
-                )
-                pieces.append((b - a) / 6.0 * (fa + 4.0 * fm + fb))
-            out[i, j] = out[j, i] = math.fsum(pieces)
-    return out
 
 
 def gram_report_from_matrix(
@@ -418,28 +397,28 @@ def gram_report_from_matrix(
 def _gram_matrix(system: WaveletSystem, tol: float) -> tuple:
     """Hermitian Gram matrix of the system and its largest entry error bound.
 
-    The upper triangle is filled and mirrored, in batched passes of at most
-    _PAIR_CHUNK entries for sampled generators and _QUADRATURE_CHUNK for
-    the others.
+    The upper triangle is filled and mirrored, in batched passes of the
+    generator's pairing kernel (see _pairing).  A system with more than
+    GRID_BUDGET entries in its triangle is refused before anything is
+    allocated for it.
     """
     n = len(system)
+    entries = n * (n + 1) // 2
+    if entries > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"{n} points give {entries} Gram entries, beyond the budget of {GRID_BUDGET}"
+        )
     gen = system.generator
+    kernel, chunk = _pairing(gen)
     rows, cols = np.triu_indices(n)
     lam = np.array([p.dilation for p in system.points])
     beta = np.array([p.translation for p in system.points])
-    sampled = isinstance(gen, SampledGenerator)
-    chunk = _PAIR_CHUNK if sampled else _QUADRATURE_CHUNK
     values = np.zeros(rows.size, dtype=np.complex128)
     errors = np.empty(rows.size)
     for start in range(0, rows.size, chunk):
         part = slice(start, start + chunk)
         i, j = rows[part], cols[part]
-        if sampled:
-            values.real[part], errors[part] = _sampled_pairs(gen, lam[i], beta[i], lam[j], beta[j])
-        else:
-            values[part], errors[part] = _quadrature_pairs(
-                gen, lam[i], beta[i], lam[j], beta[j], tol
-            )
+        values[part], errors[part] = kernel(gen, lam[i], beta[i], lam[j], beta[j], tol)
     matrix = np.zeros((n, n), dtype=np.complex128)
     matrix[rows, cols] = values
     matrix[cols, rows] = np.conjugate(values, out=values)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_bump_generator
+from conftest import gaussian_gram_closed_form, hat_gram_closed_form, smooth_bump_generator
 from twoscale import cli
 from twoscale.bernoulli import BernoulliModel, SmoothnessVerdict, density, fourier
 from twoscale.bernoulli import smoothness_verdict, threshold
@@ -31,10 +31,8 @@ from twoscale.wavelet_system import (
     WaveletSystem,
     analyze,
     certify,
-    gaussian_gram_closed_form,
     gram,
     gram_report_from_matrix,
-    hat_gram_closed_form,
     numeric_verdict,
 )
 

@@ -12,7 +12,6 @@ from twoscale.bernoulli import (
     BernoulliModel,
     SmoothnessVerdict,
     _count_below,
-    as_equation,
     density,
     fourier,
     smoothness_verdict,
@@ -263,6 +262,11 @@ class TestDensity:
         radius = 0.6 / 0.4
         assert hist.bin_edges[0] == -radius
         assert hist.bin_edges[-1] == radius
+
+
+def as_equation(model):
+    """The two-term refinement equation with dilation 1/alpha, as the CLI builds it."""
+    return preset("bernoulli", model.lam)
 
 
 class TestAsEquation:

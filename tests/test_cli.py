@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +203,21 @@ class TestSystemCommands:
         assert code == 0 and err == ""
         assert len(json.loads(out)["matrix"]) == 2
 
+    def test_far_gaussian_translation_is_a_result(self, capsys, tmp_path):
+        # origins 0.45 and 3.2e299: a truncation window there collapses in
+        # rounding, the closed form pairs them in relative coordinates
+        doc = {"generator": {"kind": "gaussian"},
+               "points": [{"lambda": 2.47, "beta": 1.1}, {"lambda": 3.11, "beta": 1e300}]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "gram", "--input", str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        matrix = np.array([[complex(*z) for z in row] for row in report["matrix"]])
+        exact = np.diag([math.sqrt(math.pi / 2.0) / lam for lam in (2.47, 3.11)])
+        assert report["quad_error"] <= 1e-15
+        assert np.max(np.abs(matrix - exact)) <= report["quad_error"]
+
     def test_threads_flag_output_identical(self, capsys, tmp_path):
         system = WaveletSystem(Hat(), [WaveletPoint(1, 0), WaveletPoint(2, 0), WaveletPoint(2, 1)])
         path = write_system(tmp_path, "threads.json", system)
@@ -283,13 +300,6 @@ class TestProcessContract:
                 {"lambda": 2, "terms": [{"c": [float("nan"), 0], "beta": 0}, {"c": 1, "beta": 1}]},
                 "InvalidEquationError",
             ),
-            # the Gaussian window's radius vanishes in rounding next to its centre
-            (
-                "gram",
-                {"generator": {"kind": "gaussian"},
-                 "points": [{"lambda": 2.47, "beta": 1.1}, {"lambda": 3.11, "beta": 1e300}]},
-                "BadParameterError",
-            ),
             # finite shift and window, but a phase 2 pi |shift| gamma past the float range
             (
                 "gram",
@@ -299,7 +309,7 @@ class TestProcessContract:
             ),
         ),
         ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
-             "nan-beta", "nan-coefficient", "gaussian-window-collapse", "sech-phase-overflow"),
+             "nan-beta", "nan-coefficient", "sech-phase-overflow"),
     )
     def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
         path = tmp_path / "doc.json"
@@ -341,6 +351,23 @@ class TestProcessContract:
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BudgetExceededError"
+
+    def test_system_size_budget_is_domain_error(self, capsys, tmp_path):
+        # 3,000 points give 4,501,500 Gram entries, above GRID_BUDGET; the
+        # matrix alone would take 144 MB
+        doc = {"generator": {"kind": "gaussian"},
+               "points": [{"lambda": 1.0, "beta": float(k)} for k in range(3000)]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "gram", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BudgetExceededError"
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
         "argv",

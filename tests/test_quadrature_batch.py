@@ -1,4 +1,9 @@
-"""Batched quadrature of unbounded generators against the entry-by-entry reference, bit for bit."""
+"""Batched quadrature of unbounded generators against the entry-by-entry reference, bit for bit.
+
+gram pairs most of these generators in closed form now; the quadrature
+kernel (wavelet_system._quadrature_pairs) still pairs sech, log_exp_ratio
+and rationals with clustered poles, and it is tested here on every family.
+"""
 
 import math
 
@@ -7,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoscale import generators, numerics
+from twoscale import generators, numerics, wavelet_system
 from twoscale.errors import BadParameterError, NonConvergenceError
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
-from twoscale.wavelet_system import WaveletSystem, gram, inner_product
+from twoscale.wavelet_system import WaveletSystem, gram
 
 _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -167,24 +172,46 @@ def reference_pair(gen, p, q, tol, calls=None):
 
 
 def reference_gram(gen, points, tol):
-    """Matrix and quad_error as the entry-by-entry loop filled them."""
+    """Matrix, quad_error and the upper triangle's error bounds (row by row)
+    as the entry-by-entry loop filled them."""
     n = len(points)
     matrix = np.zeros((n, n), dtype=np.complex128)
     worst = 0.0
+    errors = []
     for i in range(n):
         for j in range(i, n):
             value, err = reference_pair(gen, points[i], points[j], tol)
             matrix[i, j] = value
             matrix[j, i] = np.conj(value)
             worst = max(worst, err)
-    return matrix, worst
+            errors.append(err)
+    return matrix, worst, np.array(errors)
+
+
+def quadrature_triangle(gen, points, tol=1e-10):
+    """Values and error bounds of the quadrature kernel on the upper triangle, in one batch."""
+    rows, cols = np.triu_indices(len(points))
+    lam = np.array([p.dilation for p in points])
+    beta = np.array([p.translation for p in points])
+    return wavelet_system._quadrature_pairs(gen, lam[rows], beta[rows], lam[cols], beta[cols], tol)
+
+
+def triangle_matrix(values, n):
+    """The Hermitian matrix whose upper triangle is values, as gram mirrors it."""
+    rows, cols = np.triu_indices(n)
+    matrix = np.zeros((n, n), dtype=np.complex128)
+    matrix[rows, cols] = values
+    matrix[cols, rows] = np.conjugate(values)
+    return matrix
 
 
 def assert_same_bits(gen, points, tol=1e-10):
-    matrix, worst = reference_gram(gen, points, tol)
-    report = gram(WaveletSystem(gen, points), tol)
-    assert report.matrix.tobytes() == matrix.tobytes()
-    assert np.float64(report.quad_error).tobytes() == np.float64(worst).tobytes()
+    matrix, worst, reference_errors = reference_gram(gen, points, tol)
+    values, errors = quadrature_triangle(gen, points, tol)
+    assert triangle_matrix(values, len(points)).tobytes() == matrix.tobytes()
+    assert errors.tobytes() == reference_errors.tobytes()
+    quad_error = np.fmax.reduce(errors, initial=0.0)
+    assert np.float64(quad_error).tobytes() == np.float64(worst).tobytes()
 
 
 GENERATORS = (
@@ -251,11 +278,29 @@ def test_fixed_systems_match_bitwise(gen, points):
     ids=("lorentz", "exp1", "log_exp_ratio"),
 )
 def test_panel_block_leaves_bytes_unchanged(monkeypatch, block, gen, points):
-    before = gram(WaveletSystem(gen, points))
+    before = quadrature_triangle(gen, points)
     monkeypatch.setattr(numerics, "_PANEL_BLOCK", block)
-    after = gram(WaveletSystem(gen, points))
-    assert after.matrix.tobytes() == before.matrix.tobytes()
-    assert np.float64(after.quad_error).tobytes() == np.float64(before.quad_error).tobytes()
+    after = quadrature_triangle(gen, points)
+    assert after[0].tobytes() == before[0].tobytes()
+    assert after[1].tobytes() == before[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "gen",
+    (
+        CatalogGenerator("sech"),
+        CatalogGenerator("log_exp_ratio"),
+        # double poles at +-i: too close together to pair by residues
+        RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),
+    ),
+    ids=("sech", "log_exp_ratio", "double-pole"),
+)
+def test_gram_pairs_generators_without_closed_form_by_quadrature(gen):
+    points = list(DECAY_POINTS_8[:5])
+    values, errors = quadrature_triangle(gen, points)
+    report = gram(WaveletSystem(gen, points))
+    assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
+    assert report.quad_error == np.fmax.reduce(errors, initial=0.0)
 
 
 def record_quadrature_calls(monkeypatch):
@@ -292,12 +337,12 @@ def test_one_integrand_call_per_round(monkeypatch):
     ]
     sizes = record_quadrature_calls(monkeypatch)
     monkeypatch.setattr(numerics, "_PANEL_BLOCK", 10**6)
-    gram(WaveletSystem(gen, points), 1e-10)
+    quadrature_triangle(gen, points, 1e-10)
     assert sizes == per_round
     # in blocks, each round's nodes come in calls of at most one block each
     sizes.clear()
     monkeypatch.setattr(numerics, "_PANEL_BLOCK", 256)
-    gram(WaveletSystem(gen, points), 1e-10)
+    quadrature_triangle(gen, points, 1e-10)
     block = 15 * 256
     expected = []
     for nodes in per_round:
@@ -387,11 +432,13 @@ def test_batch_values_are_those_of_each_integral_alone():
 
 
 def test_gaussian_window_collapse_names_both_points():
-    # the window's radius vanishes in rounding next to a centre near 2e299
+    # the window's radius vanishes in rounding next to a centre near 2e299;
+    # gram pairs these points in closed form (test_closed_form_pairing)
     with pytest.raises(BadParameterError, match=r"points \(2\.47, 1\.1\) and \(3\.11, 1e\+300\)"):
-        gram(WaveletSystem(Gaussian(), [P(2.47, 1.1), P(3.11, 1e300)]))
+        quadrature_triangle(Gaussian(), [P(2.47, 1.1), P(3.11, 1e300)])
+    pair = (np.array([v]) for v in (2.47, 1.1, 3.11, 1e300))
     with pytest.raises(BadParameterError, match="pairing window"):
-        inner_product(Gaussian(), P(2.47, 1.1), P(3.11, 1e300))
+        wavelet_system._quadrature_pairs(Gaussian(), *pair, 1e-10)
 
 
 def test_breakpoints_within_the_floor_seed_as_alone():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import smooth_bump_generator
+from conftest import gaussian_gram_closed_form, hat_gram_closed_form, smooth_bump_generator
 from twoscale import wavelet_system
 from twoscale.errors import DuplicatePointError
 from twoscale.generators import (
@@ -27,10 +27,8 @@ from twoscale.wavelet_system import (
     WaveletSystem,
     analyze,
     certify,
-    gaussian_gram_closed_form,
     gram,
     gram_report_from_matrix,
-    hat_gram_closed_form,
     inner_product,
     numeric_verdict,
 )

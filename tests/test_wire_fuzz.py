@@ -1,4 +1,4 @@
-"""System documents, valid and malformed, through the command line entry point.
+"""System and equation documents, valid and malformed, through the command line entry point.
 
 Every document must end in a result (exit 0), a JSON error object (exit 1) or
 a usage error (exit 2), with nothing on stderr that looks like a traceback or
@@ -15,7 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twoscale import cli
+from twoscale import cli, errors, serialize
+
+TYPED_ERRORS = {
+    cls.__name__
+    for module in (errors, serialize)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, errors.TwoscaleError)
+}
 
 HAT_EQUATION = {
     "lambda": 2.0,
@@ -70,6 +77,11 @@ generator_docs = st.one_of(
         st.integers(1, 12),
     ),
     st.just({"kind": "gaussian"}),
+    # the other generators that pair in closed form
+    st.just({"kind": "two_sided_exp", "n": 2}),
+    st.just({"kind": "rational", "numerator": [1.0], "denominator": [1.0, 0.0, 0.0, 0.0, 1.0]}),
+    st.just({"kind": "le_catalog", "id": "ft_box"}),
+    st.just({"kind": "le_catalog", "id": "ft_annulus_tent"}),
 )
 
 point_docs = st.fixed_dictionaries(
@@ -78,11 +90,11 @@ point_docs = st.fixed_dictionaries(
 
 
 @st.composite
-def corrupted(draw, doc):
+def corrupted(draw, doc, paths=((), ("generator",), ("points",))):
     """The document with one field deleted or replaced, one level deep or two."""
     doc = json.loads(json.dumps(doc))
     target = doc
-    path = draw(st.sampled_from([(), ("generator",), ("points",)]))
+    path = draw(st.sampled_from(paths))
     for key in path:
         target = target[key]
     if isinstance(target, list):
@@ -110,7 +122,29 @@ def documents(draw):
     return doc
 
 
-def run_document(tmp_path, doc, command):
+@st.composite
+def equation_documents(draw):
+    """Two-scale equations whose coefficients sum to lambda, at times corrupted."""
+    lam = draw(st.floats(1.1, 4.0) | edge_numbers)
+    count = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=count, max_size=count))
+    betas = draw(
+        st.lists(
+            st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0),
+            min_size=count, max_size=count, unique=True,
+        )
+    )
+    scale = lam / math.fsum(weights) if math.isfinite(lam) else 1.0
+    doc = {
+        "lambda": lam,
+        "terms": [{"c": [w * scale, 0.0], "beta": b} for w, b in zip(weights, betas)],
+    }
+    if draw(st.booleans()):
+        doc = draw(corrupted(doc, paths=((), ("terms",))))
+    return doc
+
+
+def run_document(tmp_path, doc, command, *options):
     """Exit code and stderr of one command, after checking the process contract."""
     path = tmp_path / "system.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -118,7 +152,7 @@ def run_document(tmp_path, doc, command):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.run([command, "--input", str(path)])
+            code = cli.run([command, "--input", str(path), *options])
     err = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err
@@ -143,6 +177,30 @@ def test_documents_end_in_a_result_or_a_typed_error(tmp_path, doc, command):
     run_document(tmp_path, doc, command)
 
 
+# grids kept small so that each example runs in milliseconds
+EQUATION_COMMANDS = (
+    ("refine-validate",),
+    ("refine-bound",),
+    ("refine-solve", "--gamma-max", "4", "--resolution", "0.25"),
+    ("refine-cascade", "--resolution", "0.0625", "--iterations", "6"),
+)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=equation_documents(), command=st.sampled_from(EQUATION_COMMANDS))
+def test_equation_documents_end_in_a_result_or_a_typed_error(tmp_path, doc, command):
+    code, err = run_document(tmp_path, doc, *command)
+    assert code in (0, 1)
+    if code == 1:
+        assert json.loads(err)["error"] in TYPED_ERRORS
+
+
 def _points(*pairs):
     return [{"lambda": lam, "beta": beta} for lam, beta in pairs]
 
@@ -154,9 +212,9 @@ def _points(*pairs):
         ({"kind": "hat"}, _points((5e-324, -1.2), (1.78, -2.5)), 1),
         ({"kind": "sampled", "start": 0.0, "step": 0.5, "values": [0.0, 1.0, -1.0, 0.0],
           "support": [0.0, 1.5]}, _points((5e-324, 3e-111), (1.3, -1.1)), 1),
-        ({"kind": "gaussian"}, _points((1e-300, -1.2)), 1),
+        ({"kind": "gaussian"}, _points((1e-300, -1.2)), 0),
         ({"kind": "gaussian"}, _points((3.86, 1.74), (0.576, 1.7e308)), 1),
-        ({"kind": "gaussian"}, _points((2.93, 1.7e308)), 1),
+        ({"kind": "gaussian"}, _points((2.93, 1.7e308)), 0),
         # huge or tiny but finite: Gram entries near the float limits
         ({"kind": "hat"}, _points((2.48, 1.34), (1.7e308, 2.83)), 0),
         ({"kind": "hat"}, _points((1.7e308, 0.0)), 0),
@@ -165,3 +223,46 @@ def _points(*pairs):
 )
 def test_float_range_edges(tmp_path, generator, points, code):
     assert run_document(tmp_path, {"generator": generator, "points": points}, "gram")[0] == code
+
+
+@pytest.mark.parametrize("point", [(1e-300, -1.2), (2.93, 1.7e308), (5e-324, 0.0)])
+def test_gaussian_norms_near_the_float_limits(tmp_path, point):
+    """The closed form's entry sqrt(pi / 2) / lambda, or a typed error once it overflows."""
+    doc = {"generator": {"kind": "gaussian"}, "points": _points(point)}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["gram", "--input", str(path)])
+    exact = math.sqrt(math.pi / 2.0) / point[0]
+    if not math.isfinite(exact):
+        assert code == 1 and json.loads(err.getvalue())["error"] == "BadParameterError"
+        return
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert abs(report["matrix"][0][0][0] - exact) <= report["quad_error"] <= 1e-15 * exact
+
+
+CLOSED_FORM_GENERATORS = (
+    {"kind": "gaussian"},
+    {"kind": "two_sided_exp", "n": 3},
+    {"kind": "rational", "numerator": [1.0, 2.0], "denominator": [3.0, 1.0, 0.0, 1.0, 1.0]},
+    {"kind": "le_catalog", "id": "ft_box"},
+    {"kind": "le_catalog", "id": "ft_annulus_tent"},
+)
+EDGE_POINTS = (
+    ((5e-324, 0.0), (1.0, 0.0)),
+    ((1e-300, 1.0), (1.0, -1.0)),
+    ((1.7e308, 1.0), (1.0, 0.0)),
+    ((1.7e308, 1.7e308), (1.0e308, -1.7e308)),
+    ((1.0, 1e300), (1.0, -1e300)),
+    ((1.0, 1.7e308), (1.0, -1.7e308)),
+    ((1e-300, 1e-300), (1e300, 1e300)),
+    ((2.0, 5e-324), (2.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("points", EDGE_POINTS)
+@pytest.mark.parametrize("generator", CLOSED_FORM_GENERATORS, ids=lambda g: g.get("id", g["kind"]))
+def test_closed_forms_at_float_edges(tmp_path, generator, points):
+    assert run_document(tmp_path, {"generator": generator, "points": _points(*points)}, "gram")[0] in (0, 1)
