@@ -38,8 +38,9 @@ class BudgetExceededError(TwoscaleError):
     truncation levels or density prefix sums)."""
 
 
-class BadParameterError(TwoscaleError):
-    """A named preset or parameter value is outside its admissible range."""
+class BadParameterError(TwoscaleError, ValueError):
+    """A named preset or parameter value is outside its admissible range
+    (also a ValueError, the type of a bad argument)."""
 
 
 class DuplicatePointError(TwoscaleError):

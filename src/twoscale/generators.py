@@ -164,6 +164,19 @@ class GeneratorSpec:
         return {}
 
 
+def refuse_pairs(ok, lp, bp, lq, bq, what) -> None:
+    """Raise a BadParameterError naming the first pair of points where ``ok``
+    is false; ``what`` ends the message, or ``what(k)`` when it quotes values
+    of that pair k."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k = bad[0]
+        detail = what(k) if callable(what) else what
+        raise BadParameterError(
+            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) {detail}"
+        )
+
+
 def _relative_shift(lp, bp, lq, bq) -> tuple:
     """The shift d = bp / lp - bq / lq between the origins of each pair, and a
     bound on its rounding (0 for a point paired with itself, where d is 0)."""
@@ -171,13 +184,10 @@ def _relative_shift(lp, bp, lq, bq) -> tuple:
         ap, aq = bp / lp, bq / lq
         d = ap - aq
         bound = 2.0 * _UNIT_ROUNDOFF * (np.abs(ap) + np.abs(aq) + np.abs(d)) + _TINY
-    bad = np.flatnonzero(~(np.isfinite(d) & np.isfinite(bound)))
-    if bad.size:
-        k = bad[0]
-        raise BadParameterError(
-            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the shift "
-            "between their origins out of float range"
-        )
+    refuse_pairs(
+        np.isfinite(d) & np.isfinite(bound), lp, bp, lq, bq,
+        "put the shift between their origins out of float range",
+    )
     bound[(lp == lq) & (bp == bq)] = 0.0
     return d, bound
 
@@ -202,13 +212,11 @@ def _checked_window(window: tuple, lp, bp, lq, bq) -> tuple:
     """The windows (lo, hi, tail); one that is empty or not finite is a
     BadParameterError naming both points."""
     lo, hi, tail = window
-    bad = np.flatnonzero(~((lo < hi) & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(tail)))
-    if bad.size:
-        k = bad[0]
-        raise BadParameterError(
-            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) give no finite "
-            f"pairing window: [{lo[k]:g}, {hi[k]:g}] with tail bound {tail[k]:g}"
-        )
+    refuse_pairs(
+        (lo < hi) & np.isfinite(lo) & np.isfinite(hi) & np.isfinite(tail), lp, bp, lq, bq,
+        lambda k: f"give no finite pairing window: [{lo[k]:g}, {hi[k]:g}] "
+        f"with tail bound {tail[k]:g}",
+    )
     return window
 
 
@@ -318,13 +326,10 @@ class Gaussian(GeneratorSpec):
             rate = lp * lp + lq * lq
             center = (lp * bp + lq * bq) / rate
             center[~((0.0 < rate) & (rate < math.inf))] = math.nan
-            bad = np.flatnonzero(~np.isfinite(center))
-            if bad.size:
-                k = bad[0]
-                raise BadParameterError(
-                    f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the Gaussian "
-                    "pairing window out of float range"
-                )
+            refuse_pairs(
+                np.isfinite(center), lp, bp, lq, bq,
+                "put the Gaussian pairing window out of float range",
+            )
             # factors too far apart to meet have cross = inf
             cross = _power(lp * bq - lq * bp, 2) / rate
             peak = _exp(-cross)  # product value at its maximum
@@ -345,7 +350,7 @@ class TwoSidedExp(GeneratorSpec):
 
     def __init__(self, n: int, extra_tags: Iterable[str] | None = None):
         if int(n) != n or n < 1:
-            raise ValueError("two-sided exponential needs a positive integer rate")
+            raise BadParameterError("two-sided exponential needs a positive integer rate")
         self.n = int(n)
         super().__init__(
             {
@@ -499,12 +504,12 @@ class RationalL2(GeneratorSpec):
         while den and den[-1] == 0.0:
             den.pop()
         if not num:
-            raise ValueError("numerator is identically zero")
+            raise BadParameterError("numerator is identically zero")
         if len(den) < len(num) + 1:
-            raise ValueError("denominator degree must exceed numerator degree")
+            raise BadParameterError("denominator degree must exceed numerator degree")
         roots = np.roots(list(reversed(den)))
         if any(abs(r.imag) <= 1.0e-9 * (1.0 + abs(r)) for r in roots):
-            raise ValueError("denominator must have no real roots")
+            raise BadParameterError("denominator must have no real roots")
         self.numerator = tuple(num)
         self.denominator = tuple(den)
         self.decay_power = len(den) - len(num)
@@ -799,13 +804,10 @@ def _annulus_tent_pairs(lp, bp, lq, bq) -> tuple:
     with np.errstate(all="ignore"):  # an entry past the float range is refused by the caller
         omega = 2.0 * math.pi * np.abs(d) * big
         domega = 2.0 * math.pi * dd * big + 4.0 * u * omega
-        bad = np.flatnonzero(~(np.isfinite(omega) & np.isfinite(domega)))
-        if bad.size:
-            k = bad[0]
-            raise BadParameterError(
-                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
-                "Fourier-side pairing out of float range"
-            )
+        refuse_pairs(
+            np.isfinite(omega) & np.isfinite(domega), lp, bp, lq, bq,
+            "put the Fourier-side pairing out of float range",
+        )
         rates = np.stack([lp / big, lq / big], axis=1)
         kinks = np.sort(np.concatenate([rates, 1.5 * rates, 2.0 * rates], axis=1), axis=1)
         a, b = kinks[:, :-1], kinks[:, 1:]
@@ -908,7 +910,7 @@ class CatalogGenerator(GeneratorSpec):
         try:
             entry = _CATALOG[catalog_id]
         except KeyError:
-            raise ValueError(
+            raise BadParameterError(
                 f"unknown catalog id {catalog_id!r}; known: {', '.join(catalog_ids())}"
             ) from None
         self.catalog_id = catalog_id
@@ -937,13 +939,10 @@ class CatalogGenerator(GeneratorSpec):
         with np.errstate(all="ignore"):
             shift = bp / lp - bq / lq
             scale = 1.0 / (lp * lq)
-        bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
-        if bad.size:
-            k = bad[0]
-            raise BadParameterError(
-                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
-                "Fourier-side pairing out of float range"
-            )
+        refuse_pairs(
+            np.isfinite(shift) & np.isfinite(scale), lp, bp, lq, bq,
+            "put the Fourier-side pairing out of float range",
+        )
         # formed in Python's complex arithmetic, as for a single pair
         phase = np.array([-2.0j * np.pi * s for s in shift.tolist()], dtype=np.complex128)
         ft = self._entry.ft
@@ -969,13 +968,9 @@ class CatalogGenerator(GeneratorSpec):
             kinks = [k * lam for k in self.kinks for lam in (lp, lq)]
             # the largest phase 2 pi |shift| gamma the window reaches
             phase = 2.0 * np.pi * np.abs(bp / lp - bq / lq) * np.maximum(np.abs(lo), np.abs(hi))
-        bad = np.flatnonzero(~np.isfinite(phase))
-        if bad.size:
-            k = bad[0]
-            raise BadParameterError(
-                f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) put the "
-                "Fourier-side phase out of float range"
-            )
+        refuse_pairs(
+            np.isfinite(phase), lp, bp, lq, bq, "put the Fourier-side phase out of float range"
+        )
         edges = _breakpoints(kinks, (np.zeros(lp.size),), np.minimum(lp, lq), lo, hi)
         return integrand, lo, hi, edges, 0.0, tail
 

@@ -425,9 +425,9 @@ def cascade_solve(
     iterations, exceeds GRID_BUDGET raises BudgetExceededError.
     """
     if not (math.isfinite(grid_resolution) and grid_resolution > 0.0):
-        raise ValueError("grid resolution must be finite and positive")
+        raise BadParameterError("grid resolution must be finite and positive")
     if iterations < 0:
-        raise ValueError("iteration count must be nonnegative")
+        raise BadParameterError("iteration count must be nonnegative")
     total = eq.coefficient_sum()
     if abs(total - eq.lam) > _NORMALIZATION_TOL:
         raise NotNormalizedError(

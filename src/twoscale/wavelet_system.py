@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
-from .generators import GeneratorSpec, SampledGenerator
+from .generators import GeneratorSpec, SampledGenerator, refuse_pairs
 from .numerics import hermitian_eigen, integrate_adaptive
 from .refinement import GRID_BUDGET
 
@@ -48,9 +48,9 @@ class WaveletPoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.dilation) and math.isfinite(self.translation)):
-            raise ValueError("dilation and translation must be finite")
+            raise BadParameterError("dilation and translation must be finite")
         if not (self.dilation > 0.0):
-            raise ValueError("dilation must be positive")
+            raise BadParameterError("dilation must be positive")
 
 
 class WaveletSystem:
@@ -65,7 +65,7 @@ class WaveletSystem:
             p if isinstance(p, WaveletPoint) else WaveletPoint(*p) for p in points
         )
         if not pts:
-            raise ValueError("a wavelet system needs at least one point")
+            raise BadParameterError("a wavelet system needs at least one point")
         seen = set()
         for p in pts:
             key = (p.dilation, p.translation)
@@ -313,13 +313,11 @@ def _closed_form_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
     bound past the float range is a BadParameterError naming both points.
     """
     values, errors = gen.pair_closed_form(lp, bp, lq, bq)
-    bad = np.flatnonzero(~(np.isfinite(values) & np.isfinite(errors)))
-    if bad.size:
-        k = bad[0]
-        raise BadParameterError(
-            f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) give a Gram entry "
-            f"out of float range: {values[k]:g} with error bound {errors[k]:g}"
-        )
+    refuse_pairs(
+        np.isfinite(values) & np.isfinite(errors), lp, bp, lq, bq,
+        lambda k: f"give a Gram entry out of float range: {values[k]:g} "
+        f"with error bound {errors[k]:g}",
+    )
     return values, errors
 
 
@@ -378,7 +376,7 @@ def gram_report_from_matrix(
     sigma_min = max(0.0, float(eigenvalues[0]))
     sigma_max = float(eigenvalues[-1])
     if not (sigma_max > 0.0):
-        raise ValueError("gram matrix has no positive spectrum; zero generator?")
+        raise BadParameterError("gram matrix has no positive spectrum; zero generator?")
     relative_gap = sigma_min / sigma_max
     null_vector = None
     if relative_gap <= 10.0 * threshold:

@@ -1,9 +1,12 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,9 @@ from twoscale.generators import Gaussian, Hat, TwoSidedExp
 from twoscale.refinement import preset
 from twoscale.wavelet_system import WaveletPoint, WaveletSystem
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+HAT_EQUATION = ser.equation_to_dict(preset("hat"))
+
 
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
@@ -21,10 +27,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def at_origin(generator):
+    """A system document of the generator at the one point (1, 0)."""
+    return {"generator": generator, "points": [{"lambda": 1, "beta": 0}]}
+
+
 def write_system(tmp_path, name, system):
     path = tmp_path / name
     path.write_text(ser.dump_json(ser.system_to_dict(system)), encoding="utf-8")
     return str(path)
+
+
+# every flag of every command; each one but --threads is read by the handler
+COMMAND_FLAGS = {
+    "refine-solve": {"--output", "--threads", "--preset", "--input", "--alpha", "--tol", "--format",
+                     "--gamma-max", "--resolution"},
+    "refine-bound": {"--output", "--threads", "--preset", "--input", "--alpha"},
+    "refine-validate": {"--output", "--threads", "--preset", "--input", "--alpha"},
+    "refine-cascade": {"--output", "--threads", "--preset", "--input", "--alpha", "--format",
+                       "--resolution", "--iterations"},
+    "bernoulli-fourier": {"--output", "--threads", "--alpha", "--tol", "--format", "--gamma-max",
+                          "--resolution"},
+    "bernoulli-density": {"--output", "--threads", "--alpha", "--format", "--depth", "--bins"},
+    "bernoulli-threshold": {"--output", "--threads", "--n"},
+    "bernoulli-verdict": {"--output", "--threads", "--alpha", "--n"},
+    "gram": {"--output", "--threads", "--input", "--tol"},
+    "certify": {"--output", "--threads", "--input"},
+    "analyze": {"--output", "--threads", "--input", "--tol"},
+}
 
 
 class TestRefineCommands:
@@ -251,9 +281,77 @@ class TestProcessContract:
         code, _, _ = run_cli(capsys, "gram")
         assert code == 2
 
-    def test_bad_tol_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "refine-bound", "--preset", "hat", "--tol", "-1")
-        assert code == 2
+    def test_bad_tol_is_usage_error(self, capsys, tmp_path):
+        path = write_system(tmp_path, "sys.json", WaveletSystem(Hat(), [WaveletPoint(1, 0)]))
+        code, out, _ = run_cli(capsys, "gram", "--input", path, "--tol", "-1")
+        assert code == 2 and out == ""
+
+    def test_each_command_declares_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {flag for action in command._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, command in sub.choices.items()
+        }
+        assert declared == COMMAND_FLAGS and set(declared) == set(cli.COMMANDS)
+        assert sum(len(flags) for flags in declared.values()) == 58
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["gram", "--input", "{system}", "--format", "csv"],
+            ["certify", "--input", "{system}", "--tol", "1e-3"],
+            ["bernoulli-threshold", "--n", "1", "--input", "{system}"],
+            ["refine-bound", "--preset", "hat", "--input", "{equation}"],
+            ["refine-bound", "--alpha", "0.5"],
+            ["refine-solve", "--preset", "hat", "--resolution", "0"],
+            ["refine-cascade", "--preset", "hat", "--resolution", "0"],
+            ["refine-cascade", "--preset", "hat", "--resolution", "-1"],
+            ["bernoulli-fourier", "--alpha", "0.5", "--resolution", "0"],
+            ["bernoulli-fourier", "--alpha", "0.5", "--gamma-max", "nan"],
+            ["gram", "--input", "{system}", "--tol", "nan"],
+            ["gram", "--input", "{system}", "--threads", "0"],
+        ),
+        ids=("gram-format", "certify-tol", "threshold-input", "preset-and-input", "no-equation",
+             "solve-resolution-0", "cascade-resolution-0", "cascade-resolution-negative",
+             "fourier-resolution-0", "fourier-gamma-max-nan", "tol-nan", "threads-0"),
+    )
+    def test_undeclared_flag_or_bad_value_is_usage_error(self, capsys, tmp_path, argv):
+        system = WaveletSystem(Hat(), [WaveletPoint(1, 0)])
+        files = {"system": write_system(tmp_path, "sys.json", system), "equation": tmp_path / "eq"}
+        files["equation"].write_text(ser.dump_json(HAT_EQUATION))
+        code, out, err = run_cli(capsys, *(arg.format(**files) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("usage: twoscale ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([command, "--preset", "bernoulli", "--alpha", a], id=f"{command}-{a}")
+            for command in ("refine-solve", "refine-bound", "refine-validate", "refine-cascade")
+            for a in ("0", "-0.0", "1.5")
+        ]
+        + [pytest.param(["refine-cascade", "--preset", "hat", "--iterations", "-1"], id="cascade")],
+    )
+    def test_bad_parameter_is_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BadParameterError"
+
+    def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines()]
+        assert {argv[1] for argv in commands} == set(cli.COMMANDS)
+        system = WaveletSystem(Gaussian(), [WaveletPoint(1, 0), WaveletPoint(2, 1)])
+        write_system(tmp_path, "system.json", system)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert argv[0] == "twoscale"
+            code, out, err = run_cli(capsys, *argv[1:])
+            assert (code, err) == (0, ""), argv
+            assert out
 
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -307,9 +405,29 @@ class TestProcessContract:
                  "points": [{"lambda": 1.7e308, "beta": 1e308}, {"lambda": 1, "beta": -1e308}]},
                 "BadParameterError",
             ),
+            ("gram", {"generator": {"kind": "gaussian"}, "points": [{"lambda": -1, "beta": 0}]},
+             "BadParameterError"),
+            ("gram", {"generator": {"kind": "gaussian"},
+                      "points": [{"lambda": float("inf"), "beta": 0}]}, "BadParameterError"),
+            ("gram", at_origin({"kind": "rational", "numerator": [1], "denominator": [1, 0, -1]}),
+             "BadParameterError"),
+            ("gram", at_origin({"kind": "rational", "numerator": [0], "denominator": [1, 0, 1]}),
+             "BadParameterError"),
+            ("gram", at_origin({"kind": "two_sided_exp", "n": 0}), "BadParameterError"),
+            ("gram", at_origin({"kind": "le_catalog", "id": "nope"}), "BadParameterError"),
+            ("gram", at_origin({"kind": "sampled", "start": 0.0, "step": 1.0,
+                                "values": [0.0, 0.0, 0.0], "support": [0.0, 2.0]}),
+             "BadParameterError"),
+            ("gram", at_origin({"kind": "refinement", "equation": HAT_EQUATION,
+                                "resolution": 0, "iterations": 4}), "BadParameterError"),
+            ("gram", at_origin({"kind": "refinement", "equation": HAT_EQUATION,
+                                "resolution": 0.25, "iterations": -1}), "BadParameterError"),
         ),
         ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
-             "nan-beta", "nan-coefficient", "sech-phase-overflow"),
+             "nan-beta", "nan-coefficient", "sech-phase-overflow", "negative-dilation",
+             "infinite-dilation", "rational-real-poles", "rational-zero-numerator",
+             "exp-rate-0", "unknown-catalog-id", "zero-sampled", "refinement-resolution-0",
+             "refinement-negative-iterations"),
     )
     def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
         path = tmp_path / "doc.json"

@@ -174,7 +174,9 @@ def run_document(tmp_path, doc, command, *options):
 )
 @given(doc=documents(), command=st.sampled_from(["gram", "analyze"]))
 def test_documents_end_in_a_result_or_a_typed_error(tmp_path, doc, command):
-    run_document(tmp_path, doc, command)
+    code, err = run_document(tmp_path, doc, command)
+    if code == 1:
+        assert json.loads(err)["error"] in TYPED_ERRORS
 
 
 # grids kept small so that each example runs in milliseconds
