@@ -610,6 +610,8 @@ class SampledGenerator(GeneratorSpec):
         lo, hi = sampled.support
         if values.ndim != 1 or values.size < 2 or not np.all(np.isfinite(values)):
             raise InvalidEquationError("sampled generator needs at least 2 finite values")
+        if np.any(np.imag(values)):
+            raise InvalidEquationError("sampled generator needs real values")
         if not (math.isfinite(sampled.step) and sampled.step > 0.0):
             raise InvalidEquationError("sampled generator needs a finite positive step")
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
@@ -629,7 +631,10 @@ class SampledGenerator(GeneratorSpec):
         self._support = (max(float(lo), start), min(float(hi), end))
         # largest |value| and |slope|, for the rounding bound of the pairing
         self.peak = float(np.max(np.abs(self.values)))
-        self.lipschitz = float(np.max(np.abs(np.diff(self.values)))) / sampled.step
+        # a slope past the float range is inf: such values are refused when
+        # paired, since their squares overflow
+        with np.errstate(over="ignore"):
+            self.lipschitz = float(np.max(np.abs(np.diff(self.values)))) / sampled.step
         super().__init__({"compact_support"}, extra_tags)
 
     def __call__(self, x):

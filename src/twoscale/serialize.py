@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import DensityHistogram
-from .errors import TwoscaleError
+from .errors import BadParameterError, TwoscaleError
 from .generators import (
     CatalogGenerator,
     Gaussian,
@@ -154,7 +154,7 @@ def equation_from_dict(doc: dict) -> TwoScaleEquation:
 def _sampled_to_dict(sampled: SampledFunction) -> dict:
     values = np.asarray(sampled.values)
     if np.iscomplexobj(values):
-        raise ValueError("sampled generator serialization supports real values only")
+        raise BadParameterError("sampled generator serialization supports real values only")
     return {
         "start": sampled.start,
         "step": sampled.step,
@@ -286,11 +286,11 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     evidence = verdict.evidence
     return {
         "outcome": verdict.outcome,
-        "rule_id": None if cert is None else cert.rule_id,
-        "citation": None if cert is None else cert.citation,
-        "checklist": None
-        if cert is None
-        else [[name, bool(ok)] for name, ok in cert.hypothesis_checklist],
+        **(
+            dict.fromkeys(("rule_id", "citation", "checklist"))
+            if cert is None
+            else certificate_to_dict(cert)
+        ),
         "relative_gap": None if evidence is None else evidence.relative_gap,
         "quad_error": None if evidence is None else evidence.quad_error,
         "null_vector": None
@@ -328,7 +328,7 @@ def characteristic_to_dict(alpha: float, grid: Sequence[float], values: Sequence
 def sampled_to_csv(sampled: SampledFunction) -> str:
     values = np.asarray(sampled.values)
     if np.iscomplexobj(values):
-        raise ValueError("sampled-function CSV supports real values only")
+        raise BadParameterError("sampled-function CSV supports real values only")
     return _csv("x,value", sampled.grid, values)
 
 

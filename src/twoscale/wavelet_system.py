@@ -267,7 +267,9 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
         lo_p, lo_q = (s_lo + bp) / lp, (s_lo + bq) / lq
         hi_p, hi_q = (s_hi + bp) / lp, (s_hi + bq) / lq
     for window_lo, window_hi, lam, beta in ((lo_p, hi_p, lp, bp), (lo_q, hi_q, lq, bq)):
-        bad = np.flatnonzero(~(np.isfinite(window_lo) & np.isfinite(window_hi)))
+        # ends at or past 2^1023 would overflow the sum of two knots that
+        # gives a Simpson midpoint
+        bad = np.flatnonzero(~(np.maximum(np.abs(window_lo), np.abs(window_hi)) < 2.0**1023))
         if bad.size:
             raise BadParameterError(
                 f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
@@ -280,6 +282,14 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     live = np.flatnonzero(hi > lo)
     lams, betas = np.stack([lp, lq])[:, live], np.stack([bp, bq])[:, live]
     lo, hi = lo[live], hi[live]
+    # every product, Simpson sum, piece and partial sum of an entry is at
+    # most 6 peak^2 (hi - lo) in size
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = 6.0 * gen.peak * gen.peak * (hi - lo)
+    refuse_pairs(
+        np.isfinite(size), lams[0], betas[0], lams[1], betas[1],
+        "overlap where products of the sampled values leave the float range",
+    )
     first, count = _candidate_knots(gen, lams, betas, lo, hi)
     value = np.empty(live.size)
     end_values = np.empty(live.size)
@@ -364,11 +374,7 @@ def inner_product(
     return complex(values[0]), float(errors[0])
 
 
-def gram_report_from_matrix(
-    matrix: np.ndarray,
-    quad_error: float = 0.0,
-    threshold: float = DEPENDENCE_THRESHOLD,
-) -> GramReport:
+def gram_report_from_matrix(matrix: np.ndarray, quad_error: float = 0.0) -> GramReport:
     """Spectral report for a Hermitian Gram matrix from any source."""
     mat = np.asarray(matrix, dtype=np.complex128)
     spectrum = hermitian_eigen(mat)
@@ -379,7 +385,7 @@ def gram_report_from_matrix(
         raise BadParameterError("gram matrix has no positive spectrum; zero generator?")
     relative_gap = sigma_min / sigma_max
     null_vector = None
-    if relative_gap <= 10.0 * threshold:
+    if relative_gap <= 10.0 * DEPENDENCE_THRESHOLD:
         null_vector = spectrum.eigenvectors[:, 0].copy()
     return GramReport(
         matrix=mat,
@@ -392,13 +398,14 @@ def gram_report_from_matrix(
     )
 
 
-def _gram_matrix(system: WaveletSystem, tol: float) -> tuple:
-    """Hermitian Gram matrix of the system and its largest entry error bound.
+def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
+    """Gram matrix of the system.
 
-    The upper triangle is filled and mirrored, in batched passes of the
-    generator's pairing kernel (see _pairing).  A system with more than
-    GRID_BUDGET entries in its triangle is refused before anything is
-    allocated for it.
+    The upper triangle is filled in batched passes of the generator's
+    pairing kernel (see _pairing) and mirrored, so the matrix is Hermitian
+    by construction; quad_error records the largest entrywise error bound.
+    A system with more than GRID_BUDGET entries in its triangle is refused
+    before anything is allocated for it.
     """
     n = len(system)
     entries = n * (n + 1) // 2
@@ -421,121 +428,92 @@ def _gram_matrix(system: WaveletSystem, tol: float) -> tuple:
     matrix[rows, cols] = values
     matrix[cols, rows] = np.conjugate(values, out=values)
     # fmax skips a NaN bound, as a running max(worst, err) from 0 does
-    return matrix, float(np.fmax.reduce(errors, initial=0.0))
+    return gram_report_from_matrix(matrix, quad_error=float(np.fmax.reduce(errors, initial=0.0)))
 
 
-def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
-    """Gram matrix of the system.
-
-    The upper triangle is filled and mirrored, so the matrix is Hermitian by
-    construction; quad_error records the largest entrywise error bound.
-    """
-    matrix, worst = _gram_matrix(system, tol)
-    return gram_report_from_matrix(matrix, quad_error=worst)
-
-
-def numeric_verdict(report: GramReport, threshold: float = DEPENDENCE_THRESHOLD) -> Verdict:
+def numeric_verdict(report: GramReport) -> Verdict:
     """Classify a Gram report by its relative spectral gap.
 
-    Dependent requires both a gap at or below the threshold and a quadrature
-    budget small enough to trust it; a 100x hysteresis band separates
-    IndependentNumeric from Inconclusive.  These outcomes are numerical
-    evidence, not proof.
+    Dependent requires both a gap at or below DEPENDENCE_THRESHOLD and a
+    quadrature budget small enough to trust it; a 100x hysteresis band
+    separates IndependentNumeric from Inconclusive.  These outcomes are
+    numerical evidence, not proof.
     """
-    if not (threshold > 0.0):
-        raise ValueError("threshold must be positive")
     gap = report.relative_gap
-    budget_ok = report.quad_error <= 0.1 * report.sigma_max * threshold
-    if gap <= threshold and budget_ok:
+    budget_ok = report.quad_error <= 0.1 * report.sigma_max * DEPENDENCE_THRESHOLD
+    if gap <= DEPENDENCE_THRESHOLD and budget_ok:
         return Verdict(outcome="Dependent", null_vector=report.null_vector, evidence=report)
-    if gap >= 100.0 * threshold:
+    if gap >= 100.0 * DEPENDENCE_THRESHOLD:
         return Verdict(outcome="IndependentNumeric", evidence=report)
     return Verdict(outcome="Inconclusive", evidence=report)
 
 
-def _unique_strict_extremum(dilations: Sequence[float], largest: bool) -> bool:
-    target = max(dilations) if largest else min(dilations)
-    return sum(1 for d in dilations if d == target) == 1
+def _extreme_count(points: Sequence[WaveletPoint], pick) -> int:
+    """How many points have the dilation that pick (max or min) selects."""
+    dilations = [p.dilation for p in points]
+    return dilations.count(pick(dilations))
 
 
+# Each row: rule id, citation, the generator tags it needs, and its point
+# conditions as (checklist text, function of the points) pairs.
 _RULE_TABLE = (
     (
         "ExpDecay_L31a",
         "faster than exponential decay and the support of phi is not compact",
         ("faster_than_exponential_decay", "noncompact_support"),
-        None,
+        (),
     ),
     (
         "PolyDecayMaxDilation_L31b",
         "faster than polynomial decay, noncompact support, and a unique "
         "strictly maximal dilation",
         ("faster_than_polynomial_decay", "noncompact_support"),
-        "max",
+        (("unique strictly maximal dilation (ties disqualify)",
+          lambda points: _extreme_count(points, max) == 1),),
     ),
     (
         "SmoothMinDilation_L31c",
         "phi in C-infinity with every derivative integrable and nonzero, and "
         "a unique strictly minimal dilation",
         ("smooth_all_derivs_L1",),
-        "min",
+        (("unique strictly minimal dilation (ties disqualify)",
+          lambda points: _extreme_count(points, min) == 1),),
     ),
     (
         "ThreePointSchwartz_C32",
         "every three point system generated by a nonzero Schwartz function "
         "is linearly independent",
         ("schwartz",),
-        "card3",
+        (("system has exactly three points (or trivially one)",
+          lambda points: len(points) in (1, 3)),),
     ),
     (
         "FTVanishNearZero_L33i",
         "the Fourier transform vanishes on a neighborhood (-eps, eps) of zero",
         ("ft_vanishes_near_zero",),
-        None,
+        (),
     ),
     (
         "FTCompact_L33ii",
         "the Fourier transform is compactly supported",
         ("ft_compact_support",),
-        None,
+        (),
     ),
     (
         "UltimatelyDecreasingFT_T34",
         "nonzero Schwartz generator whose Fourier modulus is ultimately "
         "decreasing on both sides",
         ("schwartz", "ft_abs_ultimately_decreasing_both_sides"),
-        None,
+        (),
     ),
     (
         "LECombination_T42",
         "the Fourier transform is a complex linear combination of square "
         "integrable functions with logarithmico-exponential germs",
         ("ft_le_combination",),
-        None,
+        (),
     ),
 )
-
-
-def _structural_checks(condition: str | None, points: Sequence[WaveletPoint]) -> list:
-    if condition is None:
-        return []
-    dilations = [p.dilation for p in points]
-    if condition == "max":
-        return [
-            (
-                "unique strictly maximal dilation (ties disqualify)",
-                _unique_strict_extremum(dilations, largest=True),
-            )
-        ]
-    if condition == "min":
-        return [
-            (
-                "unique strictly minimal dilation (ties disqualify)",
-                _unique_strict_extremum(dilations, largest=False),
-            )
-        ]
-    if condition == "card3":
-        return [("system has exactly three points (or trivially one)", len(points) in (1, 3))]
-    raise AssertionError(condition)
 
 
 def certify(system: WaveletSystem) -> Certificate | None:
@@ -546,9 +524,9 @@ def certify(system: WaveletSystem) -> Certificate | None:
     means no rule applies and the caller should fall back to numerics.
     """
     tags = system.generator.tags
-    for rule_id, citation, needed, condition in _RULE_TABLE:
+    for rule_id, citation, needed, point_checks in _RULE_TABLE:
         checklist = [(f"tag declared: {tag}", tag in tags) for tag in needed]
-        checklist.extend(_structural_checks(condition, system.points))
+        checklist.extend((text, check(system.points)) for text, check in point_checks)
         if all(ok for _, ok in checklist):
             return Certificate(
                 rule_id=rule_id,

@@ -14,11 +14,16 @@ import pytest
 from twoscale import cli
 from twoscale import serialize as ser
 from twoscale.generators import Gaussian, Hat, TwoSidedExp
-from twoscale.refinement import preset
+from twoscale.refinement import cascade_solve, preset
 from twoscale.wavelet_system import WaveletPoint, WaveletSystem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HAT_EQUATION = ser.equation_to_dict(preset("hat"))
+# coefficients 0.5 + 0.3i, 1, 0.5 - 0.3i: a cascade with complex values
+COMPLEX_EQUATION = {
+    "lambda": 2,
+    "terms": [{"c": [0.5, 0.3], "beta": 0}, {"c": [1, 0], "beta": 1}, {"c": [0.5, -0.3], "beta": 2}],
+}
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +35,13 @@ def run_cli(capsys, *argv):
 def at_origin(generator):
     """A system document of the generator at the one point (1, 0)."""
     return {"generator": generator, "points": [{"lambda": 1, "beta": 0}]}
+
+
+def sampled_at(values, step, *points):
+    """A system document of the samples from 0 at the given step, at the points."""
+    generator = {"kind": "sampled", "start": 0.0, "step": step, "values": values,
+                 "support": [0.0, step * (len(values) - 1)]}
+    return {"generator": generator, "points": [{"lambda": lam, "beta": beta} for lam, beta in points]}
 
 
 def write_system(tmp_path, name, system):
@@ -112,6 +124,27 @@ class TestRefineCommands:
         )
         assert code == 0
         assert out.splitlines()[0] == "x,value"
+
+    def test_complex_cascade_json_pairs(self, capsys, tmp_path):
+        eq = ser.equation_from_dict(COMPLEX_EQUATION)
+        sampled, _ = cascade_solve(eq, 2.0**-6, 40)
+        values, grid = sampled.values, sampled.grid
+        assert values.dtype == np.complex128 and np.max(np.abs(values.imag)) > 0.4
+        # phi(x) = sum c phi(2x - beta), with phi interpolated part by part
+        image = sum(
+            c * (np.interp(2.0 * grid - beta, grid, values.real, left=0.0, right=0.0)
+                 + 1j * np.interp(2.0 * grid - beta, grid, values.imag, left=0.0, right=0.0))
+            for c, beta in eq.terms
+        )
+        assert np.max(np.abs(values - image)) <= 1e-9
+        path = tmp_path / "eq.json"
+        path.write_text(json.dumps(COMPLEX_EQUATION), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "refine-cascade", "--input", str(path),
+            "--resolution", "0.015625", "--iterations", "40",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["values"] == [[v.real, v.imag] for v in values.tolist()]
 
     def test_equation_file_input(self, capsys, tmp_path):
         path = tmp_path / "eq.json"
@@ -422,17 +455,32 @@ class TestProcessContract:
                                 "resolution": 0, "iterations": 4}), "BadParameterError"),
             ("gram", at_origin({"kind": "refinement", "equation": HAT_EQUATION,
                                 "resolution": 0.25, "iterations": -1}), "BadParameterError"),
+            # products of sampled values, their sums or their integrals past the float range
+            ("gram", sampled_at([0, 1e200, 0], 1.0, (1, 0), (2, 0)), "BadParameterError"),
+            ("gram", sampled_at([0, 1e200, -1e200, 0], 1.0, (1, 0), (1.5, 0)),
+             "BadParameterError"),
+            ("gram", sampled_at([0, 1e10, 0], 1e300, (1, 0), (2, 0)), "BadParameterError"),
+            ("gram", sampled_at([0, 5e153, 5e153, 5e153, 5e153, 0], 5.0, (1, 0), (1, 1)),
+             "BadParameterError"),
+            ("gram", sampled_at([0, 1.5e308, -1.5e308, 0], 1.0, (1, 0)), "BadParameterError"),
+            # a complex cascade is refused, not paired or written by its real part
+            ("gram", {"generator": {"kind": "refinement", "equation": COMPLEX_EQUATION},
+                      "points": [{"lambda": 1, "beta": 0}, {"lambda": 2, "beta": 0}]},
+             "InvalidEquationError"),
+            ("refine-cascade --format csv", COMPLEX_EQUATION, "BadParameterError"),
         ),
         ids=("point-list", "sampled-null-step", "null-coefficient", "infinite-lambda",
              "nan-beta", "nan-coefficient", "sech-phase-overflow", "negative-dilation",
              "infinite-dilation", "rational-real-poles", "rational-zero-numerator",
              "exp-rate-0", "unknown-catalog-id", "zero-sampled", "refinement-resolution-0",
-             "refinement-negative-iterations"),
+             "refinement-negative-iterations", "sampled-product-overflow",
+             "sampled-sum-overflow", "sampled-width-overflow", "sampled-fsum-overflow",
+             "sampled-slope-overflow", "complex-refinement-gram", "complex-cascade-csv"),
     )
     def test_bad_field_is_domain_error(self, capsys, tmp_path, command, doc, error):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run_cli(capsys, command, "--input", str(path))
+        code, out, err = run_cli(capsys, *command.split(), "--input", str(path))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
 

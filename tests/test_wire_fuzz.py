@@ -52,13 +52,17 @@ junk = st.one_of(
 def sampled_generators(draw):
     count = draw(st.integers(2, 40))
     start = draw(finite)
-    step = draw(st.sampled_from([1.0, 0.25, 0.1, 2.0**-5]))
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 2.0**-5, 5.0, 1e300]))
     end = start + step * (count - 1)
+    # values up to 5e153 or 1e200: products, their Simpson sums or their
+    # integrals over wide steps leave the float range
+    scale = draw(st.sampled_from([1.0, 1.0, 1e153, 2e199]))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=count, max_size=count))
     return {
         "kind": "sampled",
         "start": start,
         "step": step,
-        "values": draw(st.lists(st.floats(-5.0, 5.0), min_size=count, max_size=count)),
+        "values": [v * scale for v in values],
         "support": [start, end] if draw(st.booleans()) else [start + step, end],
     }
 
@@ -221,6 +225,9 @@ def _points(*pairs):
         ({"kind": "hat"}, _points((2.48, 1.34), (1.7e308, 2.83)), 0),
         ({"kind": "hat"}, _points((1.7e308, 0.0)), 0),
         ({"kind": "hat"}, _points((1e-300, 0.0), (1.0, 0.0)), 0),
+        # a finite window whose ends sum past the float range
+        ({"kind": "sampled", "start": 0.0, "step": 1.0, "values": [0.0, 1e-10, 0.0],
+          "support": [0.0, 2.0]}, _points((2.857e-308, 2.857)), 1),
     ],
 )
 def test_float_range_edges(tmp_path, generator, points, code):
