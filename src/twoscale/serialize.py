@@ -10,13 +10,17 @@ CSV formats (one record per grid point, %.17g):
   sampled function header ``x,value``
   density histogram header ``bin_left,bin_right,mass``
 
-Floats pass through ``repr`` in JSON, which round-trips exactly; CSV uses
-17 significant digits for the same reason.
+JSON comes from the indent-2 writer ``dump_json``: ASCII only, byte for byte
+what ``json.dumps(obj, indent=2)`` writes, with every float written by
+``float.__repr__``, which round-trips exactly; CSV uses 17 significant digits
+for the same reason.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +54,11 @@ __all__ = [
     "characteristic_to_dict",
     "sampled_to_csv",
     "histogram_to_csv",
+    "profile_to_dict",
+    "sampled_to_dict",
+    "histogram_to_dict",
     "dump_json",
+    "load_json",
 ]
 
 
@@ -78,12 +86,81 @@ def _csv(header: str, *columns) -> str:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for string-keyed documents.
+
+    Raises ``TypeError`` where ``json.dumps`` does, and for a non-string key.
+    """
+    return _encode(obj, 0) + "\n"
 
 
-def _complex_pair(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _spell_nonfinite(text: str) -> str:
+    """JSON spelling of joined float reprs; of these only nan and inf contain an n."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _layout(shape: list, level: int) -> str:
+    """Indent-2 text of a nested list of the given shape, one ``%s`` per leaf."""
+    inner = "\n" + "  " * (level + 1)
+    item = _layout(shape[1:], level + 1) if len(shape) > 1 else "%s"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _float_block(items: list, level: int) -> str | None:
+    """Text of a nonempty regular nested list of floats in one pass; None for any other list."""
+    shape = [len(items)]
+    while type(items[0]) is list:
+        width = len(items[0])
+        if not width or set(map(type, items)) != {list} or set(map(len, items)) != {width}:
+            return None
+        shape.append(width)
+        items = list(chain.from_iterable(items))
+    try:
+        reprs = tuple(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        return None
+    return _spell_nonfinite(_layout(shape, level) % reprs)
+
+
+def _encode(obj, level: int) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _spell_nonfinite(float.__repr__(obj))
+    inner, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _float_block(obj, level) or (
+            "[" + inner + ("," + inner).join([_encode(v, level + 1) for v in obj]) + close + "]"
+        )
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _encode(value, level + 1))
+        return "{" + inner + ("," + inner).join(items) + close + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _pairs(values) -> list:
+    """Complex values as nested ``[re, im]`` lists, every bit kept (-0.0 too)."""
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    return values.view(np.float64).reshape(values.shape + (2,)).tolist()
+
+
+def _floats(values) -> list:
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def _number(value, where: str) -> float:
@@ -131,7 +208,7 @@ def _require(mapping, key, where: str):
 def equation_to_dict(eq: TwoScaleEquation) -> dict:
     return {
         "lambda": eq.lam,
-        "terms": [{"c": _complex_pair(c), "beta": beta} for c, beta in eq.terms],
+        "terms": [{"c": [c.real, c.imag], "beta": beta} for c, beta in eq.terms],
     }
 
 
@@ -158,7 +235,7 @@ def _sampled_to_dict(sampled: SampledFunction) -> dict:
     return {
         "start": sampled.start,
         "step": sampled.step,
-        "values": [float(v) for v in values],
+        "values": _floats(values),
         "support": [sampled.support[0], sampled.support[1]],
     }
 
@@ -255,21 +332,17 @@ def load_json(text: str):
 # ------------------------------------------------------------------ reports
 
 
-def _vector_to_pairs(vec: np.ndarray) -> list:
-    return [_complex_pair(z) for z in np.asarray(vec, dtype=np.complex128)]
-
-
 def gram_report_to_dict(report: GramReport) -> dict:
     return {
-        "matrix": [_vector_to_pairs(row) for row in report.matrix],
-        "eigenvalues": [float(v) for v in report.eigenvalues],
+        "matrix": _pairs(report.matrix),
+        "eigenvalues": _floats(report.eigenvalues),
         "sigma_min": report.sigma_min,
         "sigma_max": report.sigma_max,
         "relative_gap": report.relative_gap,
         "quad_error": report.quad_error,
         "null_vector": None
         if report.null_vector is None
-        else _vector_to_pairs(report.null_vector),
+        else _pairs(report.null_vector),
     }
 
 
@@ -295,7 +368,7 @@ def verdict_to_dict(verdict: Verdict) -> dict:
         "quad_error": None if evidence is None else evidence.quad_error,
         "null_vector": None
         if verdict.null_vector is None
-        else _vector_to_pairs(verdict.null_vector),
+        else _pairs(verdict.null_vector),
     }
 
 
@@ -314,15 +387,15 @@ def profile_to_csv(profile: FourierProfile) -> str:
 
 def profile_to_dict(profile: FourierProfile) -> dict:
     return {
-        "grid": [float(g) for g in profile.grid],
-        "values": [_complex_pair(v) for v in profile.values],
+        "grid": _floats(profile.grid),
+        "values": _pairs(profile.values),
         "truncation_depth": profile.truncation_depth,
         "tail_bound": profile.tail_bound,
     }
 
 
 def characteristic_to_dict(alpha: float, grid: Sequence[float], values: Sequence[float]) -> dict:
-    return {"alpha": alpha, "grid": [float(g) for g in grid], "values": [float(v) for v in values]}
+    return {"alpha": alpha, "grid": _floats(grid), "values": _floats(values)}
 
 
 def sampled_to_csv(sampled: SampledFunction) -> str:
@@ -338,12 +411,10 @@ def sampled_to_dict(sampled: SampledFunction, residuals: Sequence[float] | None 
         "start": sampled.start,
         "step": sampled.step,
         "support": [sampled.support[0], sampled.support[1]],
-        "values": [_complex_pair(v) for v in values]
-        if np.iscomplexobj(values)
-        else [float(v) for v in values],
+        "values": _pairs(values) if np.iscomplexobj(values) else _floats(values),
     }
     if residuals is not None:
-        doc["residuals"] = [float(r) for r in residuals]
+        doc["residuals"] = _floats(residuals)
     return doc
 
 
@@ -353,8 +424,8 @@ def histogram_to_csv(hist: DensityHistogram) -> str:
 
 def histogram_to_dict(hist: DensityHistogram) -> dict:
     return {
-        "bin_edges": [float(e) for e in hist.bin_edges],
-        "masses": [float(m) for m in hist.masses],
+        "bin_edges": _floats(hist.bin_edges),
+        "masses": _floats(hist.masses),
         "depth": hist.depth,
         "positional_error": hist.positional_error,
     }

@@ -105,7 +105,7 @@ class TestRefineCommands:
     def test_solve_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "refine-solve", "--preset", "rham", "--gamma-max", "2", "--resolution", "0.25")
         assert code == 0
-        assert ser.dump_json(json.loads(out)) == out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
     def test_cascade_json_residuals(self, capsys):
         code, out, _ = run_cli(
@@ -595,12 +595,17 @@ class TestProcessContract:
     def test_emitted_json_reparses_identically(self, capsys, tmp_path):
         system = WaveletSystem(Gaussian(), [WaveletPoint(1, 0)])
         path = write_system(tmp_path, "sys.json", system)
+        # points (2^j, k) for j < 3 and k = 0 .. 2^(j+1) - 2: a dependent system
+        lattice = [WaveletPoint(2.0**j, k) for j in range(3) for k in range(2 ** (j + 1) - 1)]
+        lattice_path = write_system(tmp_path, "lattice.json", WaveletSystem(Hat(), lattice))
         for argv in (
             ["refine-bound", "--preset", "rham"],
             ["refine-validate", "--preset", "bernoulli", "--alpha", "0.4"],
             ["bernoulli-threshold", "--n", "3"],
             ["analyze", "--input", path],
+            ["gram", "--input", lattice_path],
+            ["bernoulli-fourier", "--alpha", "0.6", "--gamma-max", "4", "--resolution", "0.125"],
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
-            assert ser.dump_json(json.loads(out)) == out
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out

@@ -5,11 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale import serialize as ser
-from twoscale.bernoulli import BernoulliModel, density
+from twoscale.bernoulli import BernoulliModel, density, fourier
 from twoscale.generators import CatalogGenerator, Gaussian, Hat, RationalL2, TwoSidedExp
-from twoscale.refinement import SampledFunction, TwoScaleEquation, preset, solve_fourier
+from twoscale.refinement import (
+    SampledFunction,
+    TwoScaleEquation,
+    cascade_solve,
+    preset,
+    solve_fourier,
+)
 from twoscale.wavelet_system import (
     WaveletPoint,
     WaveletSystem,
@@ -149,6 +157,135 @@ class TestReportsJson:
         assert vdoc["outcome"] == "IndependentCertified"
         assert vdoc["rule_id"] == "ExpDecay_L31a"
         assert vdoc["null_vector"] is None
+
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def dyadic_hat_lattice(levels: int) -> WaveletSystem:
+    """The hat at (2^j, k) for j < levels and k = 0 .. 2^(j+1) - 2."""
+    points = [WaveletPoint(2.0**j, k) for j in range(levels) for k in range(2 ** (j + 1) - 1)]
+    return WaveletSystem(Hat(), points)
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+     1.7976931348623157e308, 1e16, 1e-07, 0.1, 123456789.0, 1.5e-300]
+)
+FLOATS = st.floats() | EDGE_FLOATS | EDGE_FLOATS.map(np.float64)
+STRINGS = st.text() | st.text(st.sampled_from('a"\\/\n\r\t\b\x00\x1f\x7fé€\u2028\ud800\U0001f600'))
+SCALARS = FLOATS | st.integers() | st.booleans() | st.none() | STRINGS
+
+
+@st.composite
+def float_blocks(draw):
+    """A regular nested list of floats of depth 1 to 3."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+    def nest(axis):
+        if axis == len(shape):
+            return draw(FLOATS)
+        return [nest(axis + 1) for _ in range(shape[axis])]
+
+    return nest(0)
+
+
+LEAVES = SCALARS | float_blocks() | st.lists(st.lists(FLOATS, max_size=3), max_size=3)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(DOCUMENTS)
+    def test_bytes_match_json_dumps(self, doc):
+        assert ser.dump_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            [[]],
+            [[], []],
+            [{}],
+            [1.0, 2],
+            [2, 1.0],
+            [[1.0, 2.0], [3.0]],
+            [[1.0, 2.0], 3.0],
+            [1.0, [2.0, 3.0]],
+            [[1.0, 2.0], (3.0, 4.0)],
+            [[[1.0, -0.0]], [[math.nan, math.inf]]],
+            [True, 1.0],
+            [None, 1.0],
+            [-math.inf, math.nan, 1e16, 1e-07, 5e-324],
+            {"nested": [[[0.5, -0.5], [1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]]]},
+            ("tuple", (1.0, 2.0)),
+            "é\"\\\x00",
+        ],
+    )
+    def test_fixed_documents(self, doc):
+        assert ser.dump_json(doc) == reference_json(doc)
+
+    def test_every_report_kind(self):
+        lattice = dyadic_hat_lattice(5)
+        assert len(lattice.points) == 57
+        gaussian = WaveletSystem(Gaussian(), [WaveletPoint(1, 0)])
+        dependent = ser.verdict_to_dict(analyze(dyadic_hat_lattice(3)))
+        certified = ser.verdict_to_dict(analyze(gaussian))
+        assert dependent["null_vector"] is not None and certified["null_vector"] is None
+        real, real_residuals = cascade_solve(preset("hat"), 2.0**-4, 6)
+        cplx, cplx_residuals = cascade_solve(
+            TwoScaleEquation(2.0, [(0.5 + 0.3j, 0.0), (1.0, 1.0), (0.5 - 0.3j, 2.0)]), 2.0**-4, 6
+        )
+        assert np.iscomplexobj(cplx.values)
+        grid = np.linspace(-4.0, 4.0, 33)
+        docs = [
+            ser.gram_report_to_dict(gram(lattice)),
+            dependent,
+            certified,
+            {"certificate": ser.certificate_to_dict(certify(gaussian))},
+            {"certificate": None},
+            ser.profile_to_dict(solve_fourier(preset("rham"), grid, 1e-10)),
+            ser.characteristic_to_dict(0.6, grid, fourier(BernoulliModel(0.6), grid, 1e-10)),
+            ser.histogram_to_dict(density(BernoulliModel(0.6), 8, 16)),
+            ser.sampled_to_dict(real, real_residuals),
+            ser.sampled_to_dict(cplx, cplx_residuals),
+            ser.sampled_to_dict(real),
+            ser.equation_to_dict(preset("rham")),
+            ser.system_to_dict(lattice),
+        ]
+        for doc in docs:
+            assert ser.dump_json(doc) == reference_json(doc)
+
+    def test_builders_keep_every_bit(self):
+        values = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, math.inf)])
+        sampled = SampledFunction(start=0.0, step=1.0, values=values, support=(0.0, 2.0))
+        pairs = ser.sampled_to_dict(sampled)["values"]
+        assert [[math.copysign(1.0, re), math.copysign(1.0, im)] for re, im in pairs[:2]] == [
+            [-1.0, 1.0], [1.0, -1.0]
+        ]
+        assert pairs[2] == [5e-324, math.inf]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [np.int64(1), {"a": [1.0, np.int64(2)]}, [[1.0, 2.0], [object()]], np.bool_(True), {1.0j}],
+    )
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            ser.dump_json(doc)
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            ser.dump_json({1: 2.0})
 
 
 class TestCsv:
