@@ -303,16 +303,59 @@ def normalized_support(eq: TwoScaleEquation) -> tuple:
     return (eq.offsets[0] / scale, eq.offsets[-1] / scale)
 
 
+class _FoldedMask:
+    """The mask with its terms at +d and -d folded into one cosine and one sine.
+
+    m(s) = a0 + sum_d [P_d cos(2 pi d s) + Q_d sin(2 pi d s)] over the
+    distinct |beta| = d > 0, with a0 = c(0)/lambda, P_d = (c(d) + c(-d))/lambda
+    and Q_d = i (c(-d) - c(d))/lambda.  ``rows`` holds (2 pi d, P_d, Q_d).
+    All of them are real exactly when c(-beta) = conj(c(beta)) for every
+    beta; they are then stored as floats and the mask evaluates in float64.
+    ``max_frequency`` is 2 pi max|beta|, the largest phase per unit s.
+    """
+
+    def __init__(self, eq: TwoScaleEquation):
+        pairs: dict[float, list] = {}
+        for c, beta in eq.terms:
+            pairs.setdefault(abs(beta), [0j, 0j])[beta < 0.0] += c / eq.lam
+        a0 = pairs.pop(0.0, [0j])[0]
+        rows = []
+        for d in sorted(pairs):
+            plus, minus = pairs[d]
+            diff = minus - plus
+            rows.append((2.0 * math.pi * d, plus + minus, complex(-diff.imag, diff.real)))
+        coeffs = [a0] + [x for _, p, q in rows for x in (p, q)]
+        if not all(cmath.isfinite(x) for x in coeffs):
+            raise BadParameterError(
+                "coefficients too large: a folded mask coefficient (c(d) +- c(-d))/lambda overflows"
+            )
+        self.real = all(x.imag == 0.0 for x in coeffs)
+        if self.real:
+            a0 = a0.real
+            rows = [(w, p.real, q.real) for w, p, q in rows]
+        self.a0, self.rows = a0, tuple(rows)
+        self.max_frequency = rows[-1][0] if rows else 0.0
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        total = np.full(s.shape, self.a0)
+        for w, p, q in self.rows:
+            phase = w * s
+            if p:
+                total += p * np.cos(phase)
+            if q:
+                total += q * np.sin(phase)
+        return total
+
+
 def mask(eq: TwoScaleEquation, gamma):
     """Trigonometric mask m(gamma) = (1/lambda) sum_k c_k exp(-2 pi i beta_k gamma).
 
-    Accepts a scalar or an ndarray of frequencies.
+    Accepts a scalar or an ndarray of frequencies and returns a complex or
+    a complex128 array.  The terms at +d and -d are summed as one cosine and
+    one sine (see :class:`_FoldedMask`).
     """
     g = np.asarray(gamma, dtype=np.float64)
-    total = np.zeros(g.shape, dtype=np.complex128)
-    for c, beta in eq.terms:
-        total += c * np.exp(-2.0j * np.pi * beta * g)
-    total /= eq.lam
+    total = _FoldedMask(eq)(g).astype(np.complex128)
     return complex(total) if np.isscalar(gamma) or g.ndim == 0 else total
 
 
@@ -350,10 +393,10 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
         raise ValueError("grid must be strictly increasing")
 
     lam = eq.lam
-    with np.errstate(over="ignore"):
-        first_level = np.abs(pts) / lam
-        if not all(np.isfinite(2.0 * np.pi * abs(b) * first_level).all() for _, b in eq.terms):
-            raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
+    folded = _FoldedMask(eq)
+    # the largest phase any level forms: 2 pi max|beta| max|gamma| / lambda
+    if not math.isfinite(folded.max_frequency * (float(np.max(np.abs(pts))) / lam)):
+        raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
     lipschitz = _mask_lipschitz(eq)
     log_lam = math.log(lam)
     target = 0.5 * tol
@@ -381,10 +424,11 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
 
     def level(active):
         scaled[active] /= lam
-        return mask(eq, scaled[active])
+        return folded(scaled[active])
 
-    values = truncated_product(depths, level, np.complex128)
-    values[pts == 0.0] = 1.0 + 0.0j
+    # a real mask gives a real product: its imaginary part is exactly 0
+    values = truncated_product(depths, level, np.float64 if folded.real else np.complex128)
+    values[pts == 0.0] = 1.0
 
     with np.errstate(invalid="ignore"):
         remainder = lead * lam ** (-depths)
@@ -394,7 +438,7 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     tails[pts == 0.0] = 0.0
     return FourierProfile(
         grid=pts.copy(),
-        values=values,
+        values=values.astype(np.complex128, copy=False),
         truncation_depth=int(np.max(depths)),
         tail_bound=float(np.max(tails)),
     )

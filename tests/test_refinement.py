@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoscale.bernoulli import BernoulliModel
+from twoscale.bernoulli import fourier as bernoulli_fourier
 from twoscale.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -34,6 +38,38 @@ RHAM_BOUND = 0.36907024642  # ln(3/2)/ln(3)
 
 def exact_hat(x):
     return np.maximum(0.0, 1.0 - np.abs(x - 1.0))
+
+
+def exp_per_term_mask(eq, gamma):
+    """Oracle: (1/lambda) sum_k c_k exp(-2 pi i beta_k gamma), one exp per term."""
+    total = np.zeros(np.shape(gamma), dtype=np.complex128)
+    for c, beta in eq.terms:
+        total += c * np.exp(-2.0j * np.pi * beta * gamma)
+    return total / eq.lam
+
+
+# nonzero reals, so no drawn term is dropped as a zero coefficient
+_REALS = st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)), st.floats(0.125, 2.0))
+
+
+@st.composite
+def mask_equations(draw):
+    """A kind of equation and one of that kind, with up to 6 terms."""
+    kind = draw(st.sampled_from(("real_symmetric", "real_asymmetric", "complex", "non_integer")))
+    lam = draw(st.floats(1.0625, 4.0))
+    if kind == "real_symmetric":
+        terms = []
+        for d in draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)):
+            c = draw(_REALS)
+            terms += [(c, float(d)), (c, -float(d))] if d else [(c, 0.0)]
+    elif kind == "non_integer":
+        offsets = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6, unique=True))
+        terms = [(complex(draw(_REALS), draw(st.floats(-2.0, 2.0))), b) for b in offsets]
+    else:
+        offsets = draw(st.sets(st.integers(-4, 4), min_size=1, max_size=6))
+        imag = st.just(0.0) if kind == "real_asymmetric" else _REALS
+        terms = [(complex(draw(_REALS), draw(imag)), float(b)) for b in offsets]
+    return kind, TwoScaleEquation(lam, terms)
 
 
 class TestConstruction:
@@ -198,6 +234,21 @@ class TestSupportAndMask:
         for g in rng.uniform(-20, 20, size=32):
             assert abs(mask(eq, float(g))) <= bound + 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mask_equations(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+    def test_folded_mask_matches_exp_per_term(self, drawn, gammas):
+        kind, eq = drawn
+        gamma = np.array(gammas)
+        folded = mask(eq, gamma)
+        assert folded.dtype == np.complex128
+        # the phases 2 pi beta gamma are rounded differently by the two forms
+        mass = sum(abs(c) for c in eq.coefficients) / eq.lam
+        phase = 2.0 * math.pi * max(abs(b) for b in eq.offsets) * np.abs(gamma)
+        bound = 8.0 * np.finfo(float).eps * mass * (1.0 + phase)
+        assert np.all(np.abs(folded - exp_per_term_mask(eq, gamma)) <= bound)
+        if kind == "real_symmetric":
+            assert np.all(folded.imag == 0.0)
+
     def test_mask_vectorized(self):
         eq = preset("hat")
         grid = np.array([0.0, 0.25, 0.5])
@@ -268,6 +319,29 @@ class TestSolveFourier:
         lead = (2.0 * math.pi * gammas[0]) ** 2 / (2.0 * (1.0 - 0.25))
         assert depths[1][0] == np.ceil(0.5 * np.log(lead / 1e-8) / -math.log(0.5))
         assert depths[1][1] - depths[1][0] in (6, 7)
+
+    @pytest.mark.parametrize("name", ("rham", "bernoulli(2)"))
+    def test_real_symmetric_equation_has_exactly_real_transform(self, name):
+        prof = solve_fourier(preset(name), np.linspace(-64.0, 64.0, 4097), 1e-8)
+        assert prof.values.dtype == np.complex128
+        assert np.all(prof.values.imag == 0.0)
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.6, 0.75))
+    def test_agrees_with_bernoulli_characteristic_function(self, alpha):
+        # the same product under two depth rules, each within tol of the limit
+        tol = 1e-8
+        grid = np.linspace(-16.0, 16.0, 2049)
+        model = BernoulliModel(alpha)
+        prof = solve_fourier(preset("bernoulli", model.lam), grid, tol)
+        assert np.max(np.abs(prof.values - bernoulli_fourier(model, grid, tol))) <= 2.0 * tol
+
+    def test_overflowing_folded_coefficient_is_refused(self):
+        # normalized, but i (c(-d) - c(d))/lambda passes the float range; the
+        # terms at +-0.01 nearly cancel, so the depth rule stays finite
+        big = 1.7e308
+        eq = TwoScaleEquation(1.0625, [(-big, -0.01), (big, 0.01), (1.0625, 3.0)])
+        with pytest.raises(BadParameterError):
+            solve_fourier(eq, np.linspace(-0.01, 0.01, 9), 1e-8)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
