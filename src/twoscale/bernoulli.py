@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameterError
-from .refinement import check_grid_budget, truncated_product
+from .refinement import _fourier_product, check_grid_budget, preset
 
 __all__ = [
     "BernoulliModel",
@@ -102,45 +102,15 @@ def smoothness_verdict(alpha: float, n: int) -> SmoothnessVerdict:
 def fourier(model: BernoulliModel, gamma, tol: float):
     """Characteristic function: truncated product of cos(2 pi alpha^j gamma).
 
-    The truncation depth J satisfies sum_{j>J} (2 pi alpha^j gamma)^2 / 2
-    <= tol, using 1 - cos(u) <= u^2/2 on each neglected factor.  The result
-    is real because the measure is symmetric.  Accepts a scalar or an
-    ndarray of frequencies; each point's value depends on that point alone.
-    Points times the deepest truncation beyond the grid budget raise
-    BudgetExceededError.
+    The Fourier product of ``refinement.preset("bernoulli", 1/alpha)``, whose
+    mask is cos(2 pi s), under ``solve_fourier``'s depth rule: the neglected
+    factors' product is within tol/2 of 1.  The result is real because the
+    measure is symmetric.  Accepts a scalar or an ndarray of frequencies;
+    each point's value depends on that point alone.  Points times the
+    deepest truncation beyond the grid budget raise BudgetExceededError.
     """
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
     g = np.asarray(gamma, dtype=np.float64)
-    points = g.ravel()
-    alpha = model.alpha
-    with np.errstate(over="ignore"):
-        if not np.isfinite(2.0 * math.pi * alpha * np.abs(points)).all():
-            raise BadParameterError("frequencies too large: the phase 2 pi alpha gamma overflows")
-    # tail bound: (2 pi |gamma|)^2 alpha^(2(J+1)) / (2 (1 - alpha^2)) <= tol
-    with np.errstate(over="ignore"):
-        lead = (2.0 * math.pi * np.abs(points)) ** 2 / (2.0 * (1.0 - alpha * alpha))
-        needs_more = lead > tol
-        log_quotient = np.log(np.where(needs_more, lead / tol, 1.0))
-    # where lead / tol passes the float range, its log comes from the
-    # factors' logs instead; every finite quotient keeps its depth
-    huge = np.isinf(log_quotient)
-    log_quotient[huge] = (
-        2.0 * (math.log(2.0 * math.pi) + np.log(np.abs(points[huge])))
-        - math.log(2.0 * (1.0 - alpha * alpha))
-        - math.log(tol)
-    )
-    required = np.ceil(0.5 * log_quotient / -math.log(alpha))
-    depths = np.where(needs_more, np.maximum(1.0, required), 1.0)
-
-    scale = 1.0
-
-    def level(active):
-        nonlocal scale
-        scale *= alpha
-        return np.cos(2.0 * math.pi * scale * points[active])
-
-    values = truncated_product(depths, level)
+    values = _fourier_product(preset("bernoulli", model.lam), g.ravel(), tol)[0]
     return float(values[0]) if g.ndim == 0 else values.reshape(g.shape)
 
 

@@ -52,14 +52,14 @@ def _read_text(path: str) -> str:
 
 
 def _equation(args) -> ref.TwoScaleEquation:
+    bernoulli = args.input_path is None and args.preset.strip().lower() == "bernoulli"
+    if bernoulli and args.alpha is None:
+        raise _UsageError("--preset bernoulli needs --alpha (dilation is 1/alpha)")
+    if not bernoulli and args.alpha is not None:
+        raise _UsageError("--alpha applies only to --preset bernoulli")
     if args.input_path is not None:
         return ser.equation_from_dict(ser.load_json(_read_text(args.input_path)))
-    lam = None
-    if args.preset.strip().lower() == "bernoulli":
-        if args.alpha is None:
-            raise _UsageError("--preset bernoulli needs --alpha (dilation is 1/alpha)")
-        lam = bern.BernoulliModel(args.alpha).lam
-    return ref.preset(args.preset, lam)
+    return ref.preset(args.preset, bern.BernoulliModel(args.alpha).lam if bernoulli else None)
 
 
 def _system(args) -> ws.WaveletSystem:

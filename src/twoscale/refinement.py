@@ -359,12 +359,69 @@ def mask(eq: TwoScaleEquation, gamma):
     return complex(total) if np.isscalar(gamma) or g.ndim == 0 else total
 
 
-def _mask_lipschitz(eq: TwoScaleEquation) -> float:
-    """Lipschitz constant of the mask at 0: |m(d) - m(0)| <= C |d|."""
-    total = sum(abs(c) * abs(b) for c, b in eq.terms)
-    if math.isinf(total):  # coefficients near the float limit: normalize them first
-        return 2.0 * math.pi * sum(abs(c) / eq.lam * abs(b) for c, b in eq.terms)
-    return 2.0 * math.pi * total / eq.lam
+def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tuple:
+    """Truncated products prod_{j<=J} m(gamma / lambda^j) of a normalized equation.
+
+    Returns (values, depths, tails) at the 1-d float64 ``points``; values are
+    float64 for a real folded mask.  From the folded rows (w_d, P_d, Q_d),
+    |m(s) - 1| <= a1 |s| + a2 s^2 with a1 = sum |Q_d| w_d and
+    a2 = sum |P_d| w_d^2 / 2, so past level J the deviations sum to at most
+    S = b1 u + b2 u^2, u = |gamma| lambda^-J, b1 = a1 / (lambda - 1),
+    b2 = a2 / (lambda^2 - 1), and the neglected product lies within
+    expm1(S) of 1; a point's tail is |value| expm1(S).  Each point takes the
+    least J >= 1 with S <= log1p(tol/2), formed from logarithms with u in
+    units of 1/W, W = 2 pi max|beta|, so nothing overflows.  Points times
+    the deepest J beyond GRID_BUDGET raise BudgetExceededError first.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tolerance must be positive")
+    lam = eq.lam
+    folded = _FoldedMask(eq)
+    width = folded.max_frequency
+    # the largest phase any level forms: W max|gamma| / lambda
+    if not math.isfinite(width * (float(np.max(np.abs(points), initial=0.0)) / lam)):
+        raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
+    b1 = b2 = 0.0
+    for w, p, q in folded.rows:
+        ratio = w / width
+        b1 += abs(q) * ratio
+        b2 += abs(p) * ratio * ratio / 2.0
+    b1 /= lam - 1.0
+    b2 /= (lam - 1.0) * (lam + 1.0)
+    reach = _largest_phase(b1, b2, math.log1p(0.5 * tol))
+    log_lam = math.log(lam)
+
+    nonzero = points != 0.0
+    depths = np.ones(points.size)
+    tails = np.zeros(points.size)  # expm1(S), times |value| below
+    if width:
+        log_phase = np.log(np.abs(points[nonzero])) + math.log(width)  # log(W |gamma|)
+        log_reach = math.log(reach) if reach else -math.inf
+        depths[nonzero] = np.maximum(1.0, np.ceil((log_phase - log_reach) / log_lam))
+        phase = np.exp(log_phase - depths[nonzero] * log_lam)  # W u at the depth
+        tails[nonzero] = np.expm1(phase * (b1 + b2 * phase))
+
+    scaled = points.copy()
+
+    def level(active):
+        scaled[active] /= lam
+        return folded(scaled[active])
+
+    # a real mask gives a real product: its imaginary part is exactly 0
+    values = truncated_product(depths, level, np.float64 if folded.real else np.complex128)
+    values[~nonzero] = 1.0
+    tails *= np.abs(values)
+    return values, depths, tails
+
+
+def _largest_phase(b1: float, b2: float, cap: float) -> float:
+    """Largest t >= 0 with b1 t + b2 t^2 <= cap, for b1, b2 >= 0."""
+    if math.isinf(cap) or not (b1 or b2):
+        return math.inf
+    if not b1:
+        return math.sqrt(cap / b2)
+    # the positive root of b2 t^2 + b1 t - cap, in a form without cancellation
+    return 2.0 * cap / (b1 + math.hypot(b1, 2.0 * math.sqrt(b2 * cap)))
 
 
 def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
@@ -372,13 +429,13 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
 
     The transform is the infinite product of dilated masks
     ``prod_{j>=1} m(gamma / lambda^j)`` with value exactly 1 at gamma = 0.
-    The truncation depth is chosen per point so the neglected tail factor
-    differs from 1 by at most tol; the largest bound actually incurred is
-    recorded in ``tail_bound``.  Grid points times the deepest truncation
-    beyond GRID_BUDGET raise BudgetExceededError before any factor is formed.
+    The truncation depth is chosen per point by a second-order rule on the
+    folded mask (see :func:`_fourier_product`), so that the neglected tail
+    factor differs from 1 by at most tol/2; the largest bound actually
+    incurred, times the point's value, is recorded in ``tail_bound``.  Grid
+    points times the deepest truncation beyond GRID_BUDGET raise
+    BudgetExceededError before any factor is formed.
     """
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
     total = eq.coefficient_sum()
     if abs(total - eq.lam) > _NORMALIZATION_TOL:
         raise NotNormalizedError(
@@ -392,50 +449,7 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     if np.any(np.diff(pts) <= 0.0):
         raise ValueError("grid must be strictly increasing")
 
-    lam = eq.lam
-    folded = _FoldedMask(eq)
-    # the largest phase any level forms: 2 pi max|beta| max|gamma| / lambda
-    if not math.isfinite(folded.max_frequency * (float(np.max(np.abs(pts))) / lam)):
-        raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
-    lipschitz = _mask_lipschitz(eq)
-    log_lam = math.log(lam)
-    target = 0.5 * tol
-
-    # tail sum S = C |gamma| lambda^-J / (lambda - 1) gives
-    # |prod_{j>J} m - 1| <= exp(S) - 1 <= target for S <= log1p(target)
-    s_cap = math.log1p(target)
-    with np.errstate(over="ignore"):
-        lead = lipschitz * np.abs(pts) / (lam - 1.0)
-    depths = np.ones(pts.size)
-    needs_more = lead > s_cap
-    with np.errstate(divide="ignore", over="ignore"):
-        quotient = np.where(needs_more, lead / s_cap, 1.0)
-        log_quotient = np.log(quotient)
-    # where lead / s_cap passes the float range, its log comes from the
-    # factors' logs instead; every finite quotient keeps its depth
-    huge = np.flatnonzero(np.isinf(quotient))
-    if huge.size:
-        log_lead = math.log(lipschitz) + np.log(np.abs(pts[huge])) - math.log(lam - 1.0)
-        log_quotient[huge] = log_lead - math.log(s_cap)
-    required = np.ceil(log_quotient / log_lam)
-    depths[needs_more] = np.maximum(1.0, required[needs_more])
-
-    scaled = pts.copy()
-
-    def level(active):
-        scaled[active] /= lam
-        return folded(scaled[active])
-
-    # a real mask gives a real product: its imaginary part is exactly 0
-    values = truncated_product(depths, level, np.float64 if folded.real else np.complex128)
-    values[pts == 0.0] = 1.0
-
-    with np.errstate(invalid="ignore"):
-        remainder = lead * lam ** (-depths)
-    if huge.size:
-        remainder[huge] = np.exp(log_lead - depths[huge] * log_lam)
-    tails = np.expm1(remainder) * np.abs(values)
-    tails[pts == 0.0] = 0.0
+    values, depths, tails = _fourier_product(eq, pts, tol)
     return FourierProfile(
         grid=pts.copy(),
         values=values.astype(np.complex128, copy=False),

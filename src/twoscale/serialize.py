@@ -283,12 +283,13 @@ def generator_from_dict(doc: dict) -> GeneratorSpec:
         return Hat(extra_tags=tags)
     if kind == "refinement":
         eq = equation_from_dict(_require(doc, "equation", "generator"))
-        return RefinementGenerator(
-            eq,
-            resolution=_number(doc.get("resolution", 2.0**-10), "generator resolution"),
-            iterations=_integer(doc.get("iterations", 40), "generator iterations"),
-            extra_tags=tags,
-        )
+        # the constructor's defaults stand for the keys the document leaves out
+        options = {
+            key: parse(doc[key], f"generator {key}")
+            for key, parse in (("resolution", _number), ("iterations", _integer))
+            if key in doc
+        }
+        return RefinementGenerator(eq, extra_tags=tags, **options)
     if kind == "sampled":
         return SampledGenerator(_sampled_from_dict(doc, "generator"), extra_tags=tags)
     if kind == "le_catalog":

@@ -43,18 +43,23 @@ def enumerated_masses(alpha, depth, edges):
 
 
 def scalar_fourier(alpha, gamma, tol):
-    """Reference: the characteristic function one point at a time, in libm."""
+    """Reference: the characteristic function one point at a time, in libm.
+
+    The depth is the least J >= 1 whose neglected levels have
+    sum_{j>J} (2 pi gamma lambda^-j)^2 / 2 <= log1p(tol/2), lambda = 1/alpha,
+    found by stepping J up; the levels divide gamma by lambda in turn.
+    """
     if gamma == 0.0:
         return 1.0
-    lead = (2.0 * math.pi * abs(gamma)) ** 2 / (2.0 * (1.0 - alpha * alpha))
+    lam = 1.0 / alpha
     depth = 1
-    if lead > tol:
-        depth = max(1, math.ceil(0.5 * math.log(lead / tol) / -math.log(alpha)))
+    while (2.0 * math.pi * abs(gamma) * lam**-depth) ** 2 / (2.0 * (lam * lam - 1.0)) > math.log1p(0.5 * tol):
+        depth += 1
     product = 1.0
-    scale = 1.0
+    scaled = gamma
     for _ in range(depth):
-        scale *= alpha
-        product *= math.cos(2.0 * math.pi * scale * gamma)
+        scaled /= lam
+        product *= math.cos(2.0 * math.pi * scaled)
     return product
 
 

@@ -372,6 +372,57 @@ class TestProcessContract:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BadParameterError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["refine-bound", "--preset", "rham", "--alpha", "7"],
+            ["refine-solve", "--input", "{equation}", "--alpha", "0.5"],
+            ["refine-validate", "--preset", "bernoulli(2)", "--alpha", "0.9"],
+        ),
+        ids=("other-preset", "input", "inline-bernoulli"),
+    )
+    def test_alpha_without_bernoulli_preset_is_usage_error(self, capsys, tmp_path, argv):
+        equation = tmp_path / "eq.json"
+        equation.write_text(ser.dump_json(HAT_EQUATION), encoding="utf-8")
+        code, out, err = run_cli(capsys, *(arg.format(equation=equation) for arg in argv))
+        assert code == 2 and out == ""
+        assert err == "usage error: --alpha applies only to --preset bernoulli\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["refine-solve", "--preset", "rham", "--tol", "inf"],
+            ["refine-solve", "--preset", "bernoulli", "--alpha", "0.6", "--tol", "inf"],
+            ["refine-solve", "--preset", "bernoulli", "--alpha", "1e-300"],
+            ["bernoulli-fourier", "--alpha", "0.6", "--tol", "inf"],
+            ["bernoulli-fourier", "--alpha", "1e-300"],
+        ),
+        ids=("solve-rham-tol-inf", "solve-bernoulli-tol-inf", "solve-alpha-1e-300",
+             "fourier-tol-inf", "fourier-alpha-1e-300"),
+    )
+    def test_fourier_product_takes_one_level_where_the_tail_is_negligible(self, capsys, argv):
+        # an infinite tolerance accepts any tail; at lambda = 1e300 the
+        # quadratic term's lambda^2 - 1 overflows and every later level rounds to 1
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        values = np.array(doc["values"], dtype=float)
+        assert values.shape[0] == 1025 and np.all(np.isfinite(values))
+        if argv[0] == "refine-solve":
+            assert doc["truncation_depth"] == 1 and math.isfinite(doc["tail_bound"])
+        else:
+            grid = np.array(doc["grid"])
+            assert np.array_equal(values, np.cos(2.0 * np.pi * (grid / (1.0 / doc["alpha"]))))
+
+    @pytest.mark.parametrize("command", ("refine-solve", "bernoulli-fourier"))
+    def test_alpha_whose_reciprocal_overflows_is_invalid_equation(self, capsys, command):
+        argv = [command, "--alpha", "1e-320"]
+        if command == "refine-solve":
+            argv += ["--preset", "bernoulli"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidEquationError"
+
     def test_readme_commands_run(self, capsys, tmp_path, monkeypatch):
         text = README.read_text(encoding="utf-8")
         block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
@@ -493,6 +544,9 @@ class TestProcessContract:
             (["bernoulli-fourier", "--alpha", "0.9999999", "--gamma-max", "1", "--resolution", "0.5"], None),
             (["refine-solve", "--preset", "bernoulli", "--alpha", "0.9999999", "--gamma-max", "1",
               "--resolution", "0.5"], None),
+            # tol/2 rounds to 0, so no finite depth meets it
+            (["refine-solve", "--preset", "rham", "--tol", "5e-324"], None),
+            (["bernoulli-fourier", "--alpha", "0.6", "--tol", "5e-324"], None),
             (["bernoulli-density", "--alpha", "0.5", "--depth", "4", "--bins", "1099511627776"], None),
             (["bernoulli-density", "--alpha", "0.5", "--depth", "1000000000000", "--bins", "4"], None),
             (
@@ -505,7 +559,8 @@ class TestProcessContract:
             ),
         ),
         ids=("solve-grid", "fourier-infinite-grid", "cascade-grid", "fourier-depth", "solve-depth",
-             "density-bins", "density-depth", "cascade-iterations"),
+             "solve-tol-subnormal", "fourier-tol-subnormal", "density-bins", "density-depth",
+             "cascade-iterations"),
     )
     def test_grid_budget_is_domain_error(self, capsys, tmp_path, argv, doc):
         if doc is not None:

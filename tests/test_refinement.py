@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoscale.bernoulli import BernoulliModel
@@ -21,7 +21,7 @@ from twoscale.refinement import (
     GRID_BUDGET,
     FourierProfile,
     TwoScaleEquation,
-    _mask_lipschitz,
+    _fourier_product,
     cascade_solve,
     check_grid_budget,
     estimate_regularity,
@@ -294,31 +294,83 @@ class TestSolveFourier:
         assert np.max(np.abs(prof.values)) <= 1.0 + 1e-9
 
     def test_depth_rule_continues_past_float_range(self):
-        # lead / cap is finite at 1e298 and overflows at 1e300; the depth
-        # grows by log2(100) across the switch to logarithms
+        # W |gamma| is formed as a logarithm, so the depth keeps growing by
+        # log2(100) from 1e298 to 1e300
         eq = preset("hat")
         below = solve_fourier(eq, [1e298], 1e-8).truncation_depth
         above = solve_fourier(eq, [1e300], 1e-8).truncation_depth
         assert above - below in (6, 7)
         assert solve_fourier(eq, [1e300], 1e-8).tail_bound <= 0.5e-8
 
-    def test_depth_rule_unchanged_below_float_range(self, monkeypatch):
-        from twoscale import bernoulli, refinement
+    @pytest.mark.parametrize("name", ("rham", "hat", "bernoulli(2)", "bernoulli(1.6)"))
+    @pytest.mark.parametrize("tol", (1e-4, 1e-8, 1e-12))
+    def test_depth_is_least_level_meeting_the_second_order_bound(self, name, tol):
+        # past level J the deviations |m - 1| sum to at most b1 u + b2 u^2,
+        # u = |gamma| lambda^-J, from the folded rows (2 pi d, P_d, Q_d)
+        eq = preset(name)
+        lam = eq.lam
+        coefficient = {beta: c for c, beta in eq.terms}
+        a1 = a2 = 0.0
+        for d in {abs(beta) for beta in eq.offsets if beta}:
+            plus, minus = coefficient.get(d, 0.0), coefficient.get(-d, 0.0)
+            w = 2.0 * math.pi * d
+            a1 += abs(minus - plus) / lam * w
+            a2 += abs(plus + minus) / lam * w * w / 2.0
 
-        depths = []
-        real = refinement.truncated_product
-        spy = lambda d, *a: depths.append(d.copy()) or real(d, *a)
-        monkeypatch.setattr(refinement, "truncated_product", spy)
-        monkeypatch.setattr(bernoulli, "truncated_product", spy)
-        gammas = np.array([1e149, 1e151, 1e298, 1e300])
-        solve_fourier(preset("hat"), gammas[2:], 1e-8)
-        bernoulli.fourier(bernoulli.BernoulliModel(0.5), gammas[:2], 1e-8)
-        lam = 2.0
-        lead = _mask_lipschitz(preset("hat")) * gammas[2] / (lam - 1.0)
-        assert depths[0][0] == np.ceil(np.log(lead / math.log1p(0.5e-8)) / math.log(lam))
-        lead = (2.0 * math.pi * gammas[0]) ** 2 / (2.0 * (1.0 - 0.25))
-        assert depths[1][0] == np.ceil(0.5 * np.log(lead / 1e-8) / -math.log(0.5))
-        assert depths[1][1] - depths[1][0] in (6, 7)
+        def tail_sum(gamma, depth):
+            u = abs(gamma) * lam**-depth
+            return a1 * u / (lam - 1.0) + a2 * u * u / (lam * lam - 1.0)
+
+        cap = math.log1p(0.5 * tol)
+        gammas = np.concatenate([-np.geomspace(1e-6, 1e6, 40), [0.0], np.geomspace(1e-6, 1e6, 40)])
+        values, depths, tails = _fourier_product(eq, gammas, tol)
+        for gamma, depth in zip(gammas, depths):
+            assert depth >= 1 and depth == int(depth)
+            assert gamma == 0.0 or tail_sum(gamma, depth) <= cap * (1.0 + 1e-12)
+            assert depth == 1 or tail_sum(gamma, depth - 1) > cap * (1.0 - 1e-12)
+        assert np.all(tails <= 0.5 * tol * np.abs(values) * (1.0 + 1e-9))
+        assert values[40] == 1.0 and depths[40] == 1.0 and tails[40] == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mask_equations(),
+        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12, unique=True),
+        st.sampled_from((1e-3, 1e-6, 1e-9)),
+    )
+    def test_tail_bound_holds_forty_levels_deeper(self, drawn, gammas, tol):
+        eq = drawn[1]
+        total = eq.coefficient_sum()
+        assume(abs(total) >= sum(abs(c) for c in eq.coefficients) / 8.0)
+        eq = TwoScaleEquation(eq.lam, [(c * (eq.lam / total), beta) for c, beta in eq.terms])
+        mass = sum(abs(c) for c in eq.coefficients) / eq.lam
+        grid = np.sort(gammas)
+        prof = solve_fourier(eq, grid, tol)
+        depths = _fourier_product(eq, grid, tol)[1]
+        deeper = np.ones(grid.size, dtype=np.complex128)
+        scaled = grid.copy()
+        for j in range(1, int(np.max(depths)) + 41):
+            scaled /= eq.lam
+            deeper *= np.where(j <= depths + 40, mask(eq, scaled), 1.0)
+        deeper[grid == 0.0] = 1.0
+        # 40 more factors, each within a few eps times the mass of its exact value
+        rounding = 256.0 * np.finfo(float).eps * mass * np.abs(deeper)
+        assert np.all(np.abs(prof.values - deeper) <= prof.tail_bound + rounding)
+        assert prof.tail_bound <= 0.5 * tol * max(1.0, float(np.max(np.abs(prof.values))))
+
+    def test_real_symmetric_masks_get_second_order_depths(self):
+        # a first-order rule needs 23 levels for rham on this grid
+        prof = solve_fourier(preset("rham"), np.linspace(-64.0, 64.0, 4097), 1e-8)
+        assert prof.truncation_depth == 14
+
+    @pytest.mark.parametrize("name", ("rham", "hat", "bernoulli(2)"))
+    def test_infinite_tolerance_takes_one_level(self, name):
+        eq = preset(name)
+        grid = np.linspace(-8.0, 8.0, 33)
+        prof = solve_fourier(eq, grid, math.inf)
+        assert prof.truncation_depth == 1
+        expected = mask(eq, grid / eq.lam)
+        expected[16] = 1.0
+        assert np.array_equal(prof.values, expected)
 
     @pytest.mark.parametrize("name", ("rham", "bernoulli(2)"))
     def test_real_symmetric_equation_has_exactly_real_transform(self, name):
@@ -328,12 +380,11 @@ class TestSolveFourier:
 
     @pytest.mark.parametrize("alpha", (0.5, 0.6, 0.75))
     def test_agrees_with_bernoulli_characteristic_function(self, alpha):
-        # the same product under two depth rules, each within tol of the limit
-        tol = 1e-8
+        # one product under one depth rule
         grid = np.linspace(-16.0, 16.0, 2049)
         model = BernoulliModel(alpha)
-        prof = solve_fourier(preset("bernoulli", model.lam), grid, tol)
-        assert np.max(np.abs(prof.values - bernoulli_fourier(model, grid, tol))) <= 2.0 * tol
+        prof = solve_fourier(preset("bernoulli", model.lam), grid, 1e-8)
+        assert np.array_equal(bernoulli_fourier(model, grid, 1e-8), prof.values.real)
 
     def test_overflowing_folded_coefficient_is_refused(self):
         # normalized, but i (c(-d) - c(d))/lambda passes the float range; the
