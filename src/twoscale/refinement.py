@@ -368,10 +368,12 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
     a2 = sum |P_d| w_d^2 / 2, so past level J the deviations sum to at most
     S = b1 u + b2 u^2, u = |gamma| lambda^-J, b1 = a1 / (lambda - 1),
     b2 = a2 / (lambda^2 - 1), and the neglected product lies within
-    expm1(S) of 1; a point's tail is |value| expm1(S).  Each point takes the
-    least J >= 1 with S <= log1p(tol/2), formed from logarithms with u in
-    units of 1/W, W = 2 pi max|beta|, so nothing overflows.  Points times
-    the deepest J beyond GRID_BUDGET raise BudgetExceededError first.
+    expm1(S) of 1; a point's tail is |value| expm1(S).  Each point takes
+    the least J >= 1 with S <= log1p(tol/2), formed from logarithms with u
+    in units of 1/W, W = 2 pi max|beta|, so nothing overflows.  Points
+    times the deepest J beyond GRID_BUDGET raise BudgetExceededError first.
+    tails() forms the tails, at an exp and an expm1 per point, for the
+    callers that report them.
     """
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
@@ -393,13 +395,18 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
 
     nonzero = points != 0.0
     depths = np.ones(points.size)
-    tails = np.zeros(points.size)  # expm1(S), times |value| below
     if width:
         log_phase = np.log(np.abs(points[nonzero])) + math.log(width)  # log(W |gamma|)
         log_reach = math.log(reach) if reach else -math.inf
         depths[nonzero] = np.maximum(1.0, np.ceil((log_phase - log_reach) / log_lam))
-        phase = np.exp(log_phase - depths[nonzero] * log_lam)  # W u at the depth
-        tails[nonzero] = np.expm1(phase * (b1 + b2 * phase))
+
+    def tails() -> np.ndarray:
+        bound = np.zeros(points.size)  # expm1(S), times |value| below
+        if width:
+            phase = np.exp(log_phase - depths[nonzero] * log_lam)  # W u at the depth
+            bound[nonzero] = np.expm1(phase * (b1 + b2 * phase))
+        bound *= np.abs(values)
+        return bound
 
     scaled = points.copy()
 
@@ -410,7 +417,6 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
     # a real mask gives a real product: its imaginary part is exactly 0
     values = truncated_product(depths, level, np.float64 if folded.real else np.complex128)
     values[~nonzero] = 1.0
-    tails *= np.abs(values)
     return values, depths, tails
 
 
@@ -454,7 +460,7 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
         grid=pts.copy(),
         values=values.astype(np.complex128, copy=False),
         truncation_depth=int(np.max(depths)),
-        tail_bound=float(np.max(tails)),
+        tail_bound=float(np.max(tails())),
     )
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
-from .generators import GeneratorSpec, SampledGenerator, refuse_pairs
+from .generators import _TINY, GeneratorSpec, SampledGenerator, refuse_pairs
 from .numerics import hermitian_eigen, integrate_adaptive
 from .refinement import GRID_BUDGET
 
@@ -166,77 +166,80 @@ def _segment_fsums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(h + tails[i:j]) for h, i, j in zip(heads, bounds, bounds[1:])])
 
 
-def _candidate_knots(gen: SampledGenerator, lams, betas, lo, hi) -> tuple:
-    """First index and count of the candidate knots (t_k + beta) / lam of each window.
+def _candidate_knots(gen: SampledGenerator, r, s, lo, hi) -> tuple:
+    """First index and count of the candidate knots of each window, in two rows.
 
-    lams and betas hold one row per factor; first and count come back in the
-    same shape.  The candidates are the grid indices between the clipped
-    preimages of the window ends: every knot strictly inside the window,
-    and a few on or past its ends, which _pair_block clips onto those ends.
+    Row 0 holds the grid knots t_k of the factor phi(y), row 1 the knots
+    (t_k + s) / r of phi(r y - s).  The candidates are the grid indices
+    between the clipped preimages of the window ends: every knot strictly
+    inside the window, and a few on or past its ends, which _pair_block
+    clips onto those ends.
     """
     start, step = gen.sampled.start, gen.sampled.step
     last = gen.values.size - 1
-    first = np.floor(np.clip((lams * lo - betas - start) / step, 0, last)).astype(np.int64)
-    final = np.ceil(np.clip((lams * hi - betas - start) / step, 0, last)).astype(np.int64)
-    return first, final - first + 1
+    # the preimages of lo and hi under each factor's argument y and r y - s
+    index = np.clip((np.stack([lo, r * lo - s, hi, r * hi - s]) - start) / step, 0, last)
+    first = np.floor(index[:2]).astype(np.int64)
+    return first, np.ceil(index[2:]).astype(np.int64) - first + 1
 
 
-def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tuple:
-    """Values of one block of overlapping pairs, and |product| at lo plus at hi.
+def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
+    """J(r, s) on [lo, hi] for one block of distinct keys, and |product| at lo plus at hi.
 
-    Row 0 of lams, betas, first, count holds the p factors, row 1 the q ones.
+    Rows 0 and 1 of first and count hold the candidate knots of phi(y) and
+    of phi(r y - s) (see _candidate_knots).
     """
     m = lo.size
-    # merged knots keyed by (pair, position): complex numbers sort
+    # merged knots tagged (key index, position): complex numbers sort
     # lexicographically, and the four runs below (window starts, candidate knots
-    # of p, of q, window ends) are each sorted already, so a stable
-    # (run-merging) sort puts every pair's knots in order at once
+    # of phi(y), of phi(r y - s), window ends) are each sorted already, so a
+    # stable (run-merging) sort puts every key's knots in order at once
     inner = m + int(count.sum())
-    keys = np.empty(inner + m, dtype=np.complex128)
-    pairs = np.arange(m)
-    keys.real[:m] = keys.real[inner:] = pairs
-    keys.imag[:m] = lo
-    keys.imag[inner:] = hi
-    # the candidate knots (t_k + beta) / lam, pair by pair, p factors then q,
-    # clipped into the window: one on or past an end becomes that end and is
-    # dropped below as a repeat of the end's key
+    tagged = np.empty(inner + m, dtype=np.complex128)
+    ids = np.arange(m)
+    tagged.real[:m] = tagged.real[inner:] = ids
+    tagged.imag[:m] = lo
+    tagged.imag[inner:] = hi
+    # the candidate knots, key by key, t_k then (t_k + s) / r, clipped into
+    # the window: one on or past an end becomes that end and is dropped
+    # below as a repeat of the end's tag
     counts = count.ravel()
-    keys.real[m:inner] = np.repeat(np.tile(pairs, 2), counts)
+    tagged.real[m:inner] = np.repeat(np.tile(ids, 2), counts)
     k = np.arange(inner - m) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
-    x = keys.imag[m:inner]
-    np.add(gen.grid[k], np.repeat(betas.ravel(), counts), out=x)
-    np.divide(x, np.repeat(lams.ravel(), counts), out=x)
+    x = tagged.imag[m:inner]
+    own = int(counts[:m].sum())
+    x[:own] = gen.grid[k[:own]]
+    np.add(gen.grid[k[own:]], np.repeat(s, count[1]), out=x[own:])
+    np.divide(x[own:], np.repeat(r, count[1]), out=x[own:])
     np.maximum(x, np.repeat(np.tile(lo, 2), counts), out=x)
     np.minimum(x, np.repeat(np.tile(hi, 2), counts), out=x)
-    keys.sort(kind="stable")
-    repeated = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    knots = 2 + count.sum(axis=0) - np.bincount(keys.real[repeated].astype(np.intp), minlength=m)
-    xs = np.delete(keys.imag, repeated)
+    tagged.sort(kind="stable")
+    repeated = np.flatnonzero(tagged[1:] == tagged[:-1]) + 1
+    knots = 2 + count.sum(axis=0) - np.bincount(tagged.real[repeated].astype(np.intp), minlength=m)
+    ys = np.delete(tagged.imag, repeated)
     # pieces between consecutive knots; the piece that would straddle two
-    # pairs is made empty (its right end moved onto its left end) and left
+    # keys is made empty (its right end moved onto its left end) and left
     # out of the sums
     first = np.cumsum(knots) - knots
     last = first + knots - 1
-    left = xs[:-1]
-    width = xs[1:].copy()
+    left = ys[:-1]
+    width = ys[1:].copy()
     width[last[:-1]] = left[last[:-1]]
     mid = left + width
     mid *= 0.5
     width -= left
-    at = [np.repeat(v, knots) for v in (lams[0], betas[0], lams[1], betas[1])]
+    at = [np.repeat(v, knots) for v in (r, s)]
 
-    def product(x: np.ndarray, lam_p, beta_p, lam_q, beta_q) -> np.ndarray:
-        # x lies inside both supports up to rounding, so np.interp clamps to
+    def product(y: np.ndarray, r, s) -> np.ndarray:
+        # y lies inside both supports up to rounding, so np.interp clamps to
         # the end samples instead of dropping to zero just past a grid end
-        u = lam_p * x
-        u -= beta_p
-        g = np.interp(u, gen.grid, gen.values)
-        np.multiply(lam_q, x, out=u)
-        u -= beta_q
+        g = np.interp(y, gen.grid, gen.values)
+        u = r * y
+        u -= s
         g *= np.interp(u, gen.grid, gen.values)
         return g
 
-    g_knot = product(xs, *at)
+    g_knot = product(ys, *at)
     g = product(mid, *(v[:-1] for v in at))
     # Simpson: width / 6 * (g(left) + 4 g(mid) + g(right)), in that order
     g *= 4.0
@@ -251,68 +254,110 @@ def _pair_block(gen: SampledGenerator, lams, betas, lo, hi, first, count) -> tup
 def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     """Exact pairings of many pairs of dilated translates of a linear interpolant.
 
-    Between consecutive knots of the merged set {(t_i + beta) / lambda} of
-    both factors the product is quadratic, so Simpson's rule on each piece
-    is exact and the only error is rounding.  The bound charges every factor
-    evaluation with its value rounding and with the slope times the rounding
-    of its argument lambda x - beta (and of the knots and midpoints).
+    Each entry is (1/lambda_p) J(r, s), J(r, s) = int phi(y) phi(r y - s) dy,
+    with p the point of smaller dilation (of the two of equal dilation, the
+    one of smaller translation), r = lambda_q / lambda_p >= 1 and
+    s = beta_q - r beta_p: the substitution y = lambda_p x - beta_p.  The
+    entries with overlapping supports are keyed by (r, s), and J is formed
+    once per distinct key (one np.unique), in blocks of at most _KNOT_BLOCK
+    merged knots.  Between consecutive knots of the merged set
+    {t_i} U {(t_i + s) / r} the product is quadratic, so Simpson's rule on
+    each piece is exact, and J is the correctly rounded sum (math.fsum) of
+    its pieces.  Every entry is, bit for bit, what pairing its own key
+    alone and dividing by lambda_p gives.
 
-    One array test finds the pairs whose supports overlap; only those are
-    paired, in blocks of at most _KNOT_BLOCK merged knots, and each value is
-    the correctly rounded sum (math.fsum) of its pieces.  Returns (values,
-    error bounds) as float arrays, 0 for disjoint pairs; tol is not used.
+    The error bound charges J's rounding by the one-pair formula at the
+    points (1, 0) and (r, s): value rounding, and the slope times the
+    rounding of the argument r y - s and of the knots and midpoints.  It
+    adds the rounding of r and s, which moves r y - s by at most
+    drift = reach dr + ds on the window and each window end by at most
+    drift / r (slope times drift over the window, peak^2 times drift / r at
+    the two ends; dr = 0 and r beta_p is exact when the dilations are a
+    power of two apart), and the rounding of the division by lambda_p.
+    Returns (values, error bounds) as float arrays, 0 for disjoint pairs;
+    tol is not used.  A pair whose key, windows, products or entry leave
+    the float range is a BadParameterError naming both points.
     """
     s_lo, s_hi = gen.time_support()
     with np.errstate(over="ignore"):
-        lo_p, lo_q = (s_lo + bp) / lp, (s_lo + bq) / lq
-        hi_p, hi_q = (s_hi + bp) / lp, (s_hi + bq) / lq
-    for window_lo, window_hi, lam, beta in ((lo_p, hi_p, lp, bp), (lo_q, hi_q, lq, bq)):
-        # ends at or past 2^1023 would overflow the sum of two knots that
-        # gives a Simpson midpoint
-        bad = np.flatnonzero(~(np.maximum(np.abs(window_lo), np.abs(window_hi)) < 2.0**1023))
-        if bad.size:
-            raise BadParameterError(
-                f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
-            )
-    # the window, with Python's max and min: the first argument wins ties
-    lo = np.where(lo_q > lo_p, lo_q, lo_p)
-    hi = np.where(hi_q < hi_p, hi_q, hi_p)
+        for lam, beta in ((lp, bp), (lq, bq)):
+            # an element whose support in x reaches 2^1023 is out of float range
+            far = np.maximum(np.abs(s_lo + beta), np.abs(s_hi + beta)) / lam
+            bad = np.flatnonzero(~(far < 2.0**1023))
+            if bad.size:
+                raise BadParameterError(
+                    f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
+                )
+    swap = (lq < lp) | ((lq == lp) & (bq < bp))
+    lp, lq = np.where(swap, lq, lp), np.where(swap, lp, lq)
+    bp, bq = np.where(swap, bq, bp), np.where(swap, bp, bq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = lq / lp
+        shift = r * bp
+        s = bq - shift
+        lo_q, hi_q = (s_lo + s) / r, (s_hi + s) / r
+    refuse_pairs(
+        np.isfinite(lo_q) & np.isfinite(hi_q), lp, bp, lq, bq,
+        "normalize to a key r = lambda_q / lambda_p, s = beta_q - r beta_p out of float range",
+    )
+    # the window in y, with Python's max and min: the first argument wins ties
+    lo = np.where(lo_q > s_lo, lo_q, s_lo)
+    hi = np.where(hi_q < s_hi, hi_q, s_hi)
     values = np.zeros(lo.size)
     errors = np.zeros(lo.size)
     live = np.flatnonzero(hi > lo)
-    lams, betas = np.stack([lp, lq])[:, live], np.stack([bp, bq])[:, live]
-    lo, hi = lo[live], hi[live]
-    # every product, Simpson sum, piece and partial sum of an entry is at
-    # most 6 peak^2 (hi - lo) in size
+    lp, bp, lq, bq, r, shift, s, lo, hi = (v[live] for v in (lp, bp, lq, bq, r, shift, s, lo, hi))
+    key = np.empty(live.size, dtype=np.complex128)
+    key.real, key.imag = r, s
+    _, first_of, inverse = np.unique(key, return_index=True, return_inverse=True)
+    kr, ks, klo, khi = r[first_of], s[first_of], lo[first_of], hi[first_of]
+    # every product, Simpson sum, piece and partial sum of J is at most
+    # 6 peak^2 (hi - lo) in size
     with np.errstate(over="ignore", invalid="ignore"):
-        size = 6.0 * gen.peak * gen.peak * (hi - lo)
+        size = 6.0 * gen.peak * gen.peak * (khi - klo)
     refuse_pairs(
-        np.isfinite(size), lams[0], betas[0], lams[1], betas[1],
+        np.isfinite(size)[inverse], lp, bp, lq, bq,
         "overlap where products of the sampled values leave the float range",
     )
-    first, count = _candidate_knots(gen, lams, betas, lo, hi)
-    value = np.empty(live.size)
-    end_values = np.empty(live.size)
+    first, count = _candidate_knots(gen, kr, ks, klo, khi)
+    pairing = np.empty(kr.size)
+    end_values = np.empty(kr.size)
     merged = np.cumsum(2 + count.sum(axis=0))
     a = 0
-    while a < live.size:
+    while a < kr.size:
         cap = merged[a - 1] + _KNOT_BLOCK if a else _KNOT_BLOCK
         b = max(a + 1, int(np.searchsorted(merged, cap, side="right")))
-        value[a:b], end_values[a:b] = _pair_block(
-            gen, lams[:, a:b], betas[:, a:b], lo[a:b], hi[a:b], first[:, a:b], count[:, a:b]
+        pairing[a:b], end_values[a:b] = _pair_block(
+            gen, kr[a:b], ks[a:b], klo[a:b], khi[a:b], first[:, a:b], count[:, a:b]
         )
         a = b
-    lp, lq = lams
-    reach = np.maximum(np.abs(lo), np.abs(hi))
+    reach = np.maximum(np.abs(klo), np.abs(khi))
     radius = max(abs(s_lo), abs(s_hi))
-    values[live] = value
-    # a bound past the float range is an infinite bound, as in scalar arithmetic
+    # |r - r*| and |s - s*| against the exact key; r and r beta_p are exact
+    # when the dilations differ by a power of two (equal mantissas)
+    exact = np.frexp(lp)[0] == np.frexp(lq)[0]
+    dr = np.where(exact, 0.0, _UNIT_ROUNDOFF * r)
+    ds = np.where(exact, 0.0, _UNIT_ROUNDOFF * np.abs(shift) + dr * np.abs(bp))
+    ds += _UNIT_ROUNDOFF * np.abs(s)
+    # a bound past the float range is refused below with its entry
     with np.errstate(over="ignore", invalid="ignore"):
-        slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
+        slope_term = gen.lipschitz * (3.0 * (1.0 + kr) * reach + 2.0 * radius)
         edges = 2.0 * reach * end_values
-        errors[live] = _UNIT_ROUNDOFF * (
-            (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + np.abs(value)
+        rounding = _UNIT_ROUNDOFF * (
+            (khi - klo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + np.abs(pairing)
         )
+        # on the window r y - s moves by at most drift = reach dr + ds, and
+        # each of its two ends by at most drift / r
+        drift = reach[inverse] * dr + ds
+        moved = drift * gen.peak * (gen.lipschitz * (hi - lo) + 2.0 * gen.peak / r)
+        value = pairing[inverse] / lp
+        error = (rounding[inverse] + moved) / lp + _UNIT_ROUNDOFF * np.abs(value) + _TINY
+    refuse_pairs(
+        np.isfinite(value) & np.isfinite(error), lp, bp, lq, bq,
+        lambda k: f"give a Gram entry out of float range: {value[k]:g} "
+        f"with error bound {error[k]:g}",
+    )
+    values[live], errors[live] = value, error
     return values, errors
 
 
@@ -360,8 +405,10 @@ def inner_product(
     """L2 pairing of the dilated translates of gen at points p and q.
 
     Returns (value, error bound).  Sampled (piecewise-linear) generators pair
-    exactly on the intersection of supports, and generators with a closed
-    form by it; both report a rounding bound as the error.  The others are
+    exactly on the intersection of supports, as (1/lambda_p) J(r, s) of the
+    normalized key (see _sampled_pairs), with a bound on J's rounding, on
+    the rounding of r and s and on the division by lambda_p; generators with
+    a closed form pair by it, with a rounding bound.  The others are
     integrated adaptively on a truncation window, with the tail bound and,
     in time, the rounding of lambda x - beta folded into the error (see
     GeneratorSpec.pair_quadrature); catalog generators defined through
@@ -404,6 +451,10 @@ def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
     The upper triangle is filled in batched passes of the generator's
     pairing kernel (see _pairing) and mirrored, so the matrix is Hermitian
     by construction; quad_error records the largest entrywise error bound.
+    A sampled generator's pass pairs each distinct normalized key (r, s)
+    once and scales it by each entry's 1/lambda_p, so its entries and
+    bounds are bit for bit those of pairing the normalized pairs one at a
+    time (inner_product).
     A system with more than GRID_BUDGET entries in its triangle is refused
     before anything is allocated for it.
     """

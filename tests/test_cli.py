@@ -535,6 +535,32 @@ class TestProcessContract:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == error
 
+    @pytest.mark.parametrize("command", ("gram", "analyze"))
+    @pytest.mark.parametrize(
+        "doc,named",
+        (
+            # r = lambda_q / lambda_p overflows
+            (sampled_at([0, 1, 0], 1.0, (1e-300, 0), (1e10, 0)), "(1e-300, 0) and (1e+10, 0)"),
+            # r beta_p overflows
+            (sampled_at([0, 1, 0], 1.0, (1, 1e300), (1e10, 0)), "(1, 1e+300) and (1e+10, 0)"),
+            # s = beta_q - r beta_p overflows
+            (sampled_at([0, 1, 0], 1.0, (1, -8e307), (1.5, 8e307)),
+             "(1, -8e+307) and (1.5, 8e+307)"),
+            # J / lambda_p overflows
+            (sampled_at([0, 1e3, 0], 1.0, (1e-303, 0)), "(1e-303, 0) and (1e-303, 0)"),
+        ),
+        ids=("ratio", "scaled-translation", "shift", "scaled-entry"),
+    )
+    def test_overflowing_normalization_is_domain_error(self, capsys, tmp_path, command, doc, named):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        report = json.loads(err)
+        assert report["error"] == "BadParameterError"
+        assert f"points {named}" in report["message"]
+
     @pytest.mark.parametrize(
         "argv,doc",
         (

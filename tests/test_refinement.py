@@ -324,6 +324,7 @@ class TestSolveFourier:
         cap = math.log1p(0.5 * tol)
         gammas = np.concatenate([-np.geomspace(1e-6, 1e6, 40), [0.0], np.geomspace(1e-6, 1e6, 40)])
         values, depths, tails = _fourier_product(eq, gammas, tol)
+        tails = tails()
         for gamma, depth in zip(gammas, depths):
             assert depth >= 1 and depth == int(depth)
             assert gamma == 0.0 or tail_sum(gamma, depth) <= cap * (1.0 + 1e-12)

@@ -14,13 +14,22 @@ from twoscale.wavelet_system import WaveletPoint as P
 from twoscale.wavelet_system import WaveletSystem, gram, inner_product
 
 _UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1073
 
 
-def reference_knots(gen, p, q):
-    """Merged knots of one pair, or None for disjoint supports (one pair at a time)."""
+def normalized(p, q):
+    """(lambda_p, beta_p, r, r beta_p, s) of one pair: p the point of smaller
+    dilation (of equal dilations, the one of smaller translation)."""
+    if (q.dilation, q.translation) < (p.dilation, p.translation):
+        p, q = q, p
+    r = q.dilation / p.dilation
+    shift = r * p.translation
+    return p.dilation, p.translation, r, shift, q.translation - shift
+
+
+def window_knots(gen, lp, bp, lq, bq):
+    """Merged knots of phi(lp x - bp) phi(lq x - bq), or None for disjoint supports."""
     s_lo, s_hi = gen.time_support()
-    lp, bp = p.dilation, p.translation
-    lq, bq = q.dilation, q.translation
     lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
     hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
     if not (hi > lo):
@@ -36,32 +45,46 @@ def reference_knots(gen, p, q):
     return np.unique(np.concatenate(knots))
 
 
+def reference_knots(gen, p, q):
+    """Merged knots in y of the normalized pair phi(y) phi(r y - s), or None (one pair
+    at a time)."""
+    _, _, r, _, s = normalized(p, q)
+    return window_knots(gen, 1.0, 0.0, r, s)
+
+
 def reference_pair(gen, p, q):
-    """Exact pairing of two dilated translates of a linear interpolant, one pair at a time."""
+    """Exact pairing of two dilated translates of a linear interpolant, one pair at a time:
+    J(r, s) = int phi(y) phi(r y - s) dy on the normalized pair's knots, over lambda_p."""
     xs = reference_knots(gen, p, q)
     if xs is None:
         return 0.0 + 0.0j, 0.0
     s_lo, s_hi = gen.time_support()
-    lp, bp = p.dilation, p.translation
-    lq, bq = q.dilation, q.translation
+    lp, bp, r, shift, s = normalized(p, q)
     lo, hi = xs[0], xs[-1]
     mid = 0.5 * (xs[:-1] + xs[1:])
 
-    def product(x):
-        return np.interp(lp * x - bp, gen.grid, gen.values) * np.interp(
-            lq * x - bq, gen.grid, gen.values
-        )
+    def product(y):
+        return np.interp(y, gen.grid, gen.values) * np.interp(r * y - s, gen.grid, gen.values)
 
     g_knot = product(xs)
     g_mid = product(mid)
-    value = math.fsum(np.diff(xs) / 6.0 * (g_knot[:-1] + 4.0 * g_mid + g_knot[1:]))
+    pairing = math.fsum(np.diff(xs) / 6.0 * (g_knot[:-1] + 4.0 * g_mid + g_knot[1:]))
+    # the one-pair rounding bound at the points (1, 0) and (r, s)
     reach = max(abs(lo), abs(hi))
     radius = max(abs(s_lo), abs(s_hi))
-    slope_term = gen.lipschitz * (3.0 * (lp + lq) * reach + 2.0 * radius)
+    slope_term = gen.lipschitz * (3.0 * (1.0 + r) * reach + 2.0 * radius)
     edges = 2.0 * reach * float(abs(g_knot[0]) + abs(g_knot[-1]))
-    error = _UNIT_ROUNDOFF * (
-        (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(value)
+    rounding = _UNIT_ROUNDOFF * (
+        (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(pairing)
     )
+    # the rounding of r and s, exact for dilations a power of two apart
+    exact = math.frexp(p.dilation)[0] == math.frexp(q.dilation)[0]
+    dr = 0.0 if exact else _UNIT_ROUNDOFF * r
+    ds = _UNIT_ROUNDOFF * abs(s) + (0.0 if exact else _UNIT_ROUNDOFF * abs(shift) + dr * abs(bp))
+    drift = reach * dr + ds
+    moved = drift * gen.peak * (gen.lipschitz * (hi - lo) + 2.0 * gen.peak / r)
+    value = pairing / lp
+    error = (rounding + moved) / lp + _UNIT_ROUNDOFF * abs(value) + _TINY
     return complex(value, 0.0), error
 
 
@@ -143,12 +166,15 @@ def test_gram_matches_reference_bitwise(case):
 
 EPS_AT_2 = math.ulp(2.0)
 HAT_LATTICE_57 = [P(2.0**j, float(k)) for j in range(5) for k in range(2 ** (j + 1) - 1)]
-# knots closer together than the float spacing, with both ends of the
-# window between the first two points inside runs of them; the third
+# x-space knots closer together than the float spacing, with both ends of
+# the window between the first two points inside runs of them; the third
 # point's knots are far apart, so some lie strictly past those ends, where
 # the product does not vanish
 COLLAPSED_ENDS = sampled(np.cos(np.arange(2000) * 0.01), start=0.0, step=1e-14)
 COLLAPSED_PAIR = [P(1.0, 1.0e4), P(1.0, 1.0e4 + 5.0e-12)]
+# the same in y: the knots (t_k + s) / r of the key r = 2^50, s = 2^50 1e-11
+# collapse into runs of about 180, each end of the window inside one
+COLLAPSED_KEY = [P(1.0, 0.0), P(2.0**50, 2.0**50 * 1.0e-11)]
 
 
 @pytest.mark.parametrize(
@@ -168,6 +194,9 @@ COLLAPSED_PAIR = [P(1.0, 1.0e4), P(1.0, 1.0e4 + 5.0e-12)]
         ),
         pytest.param(
             COLLAPSED_ENDS, [*COLLAPSED_PAIR, P(1.0e-3, 10.0)], id="collapsed-window-ends"
+        ),
+        pytest.param(
+            COLLAPSED_ENDS, [*COLLAPSED_KEY, P(2.0**40, 2.0**40 * 1.2e-11)], id="collapsed-key"
         ),
     ],
 )
@@ -205,6 +234,17 @@ def test_inner_product_is_the_one_pair_gram():
 REFINEMENT_LATTICE = [P(2.0**j, float(k)) for j in range(3) for k in range(2 ** (j + 1) - 1)]
 
 
+def distinct_keys(gen, points):
+    """Merged knots of each distinct key (r, s) among the overlapping pairs of a triangle."""
+    keys = {}
+    for i, p in enumerate(points):
+        for q in points[i:]:
+            xs = reference_knots(gen, p, q)
+            if xs is not None:
+                keys[normalized(p, q)[2::2]] = xs
+    return keys
+
+
 @pytest.mark.parametrize("block", [1, 5, 64, 2**10])
 @pytest.mark.parametrize(
     "gen,points",
@@ -213,9 +253,7 @@ REFINEMENT_LATTICE = [P(2.0**j, float(k)) for j in range(3) for k in range(2 ** 
 )
 def test_blocks_leave_bits_unchanged(monkeypatch, block, gen, points):
     expected = gram(WaveletSystem(gen, points))
-    overlapping = sum(
-        reference_knots(gen, p, q) is not None for i, p in enumerate(points) for q in points[i:]
-    )
+    distinct = len(distinct_keys(gen, points))
     monkeypatch.setattr(wavelet_system, "_KNOT_BLOCK", block)
     calls = []
     interp = np.interp
@@ -224,11 +262,11 @@ def test_blocks_leave_bits_unchanged(monkeypatch, block, gen, points):
     assert report.matrix.tobytes() == expected.matrix.tobytes()
     assert report.quad_error == expected.quad_error
     blocks = len(calls) // 4
-    # a block of one knot holds a single pair; a pair with more knots than
+    # a block of one knot holds a single key; a key with more knots than
     # the block holds is a block of its own
-    assert blocks == overlapping if block == 1 else 1 <= blocks <= overlapping
+    assert blocks == distinct if block == 1 else 1 <= blocks <= distinct
     if block == 64 and gen.kind == "hat":
-        assert 1 < blocks < overlapping
+        assert 1 < blocks < distinct
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -247,29 +285,63 @@ def test_disjoint_pairs_never_reach_interp(monkeypatch):
         for i, p in enumerate(HAT_LATTICE_57)
         for q in HAT_LATTICE_57[i:]
     ]
-    knots = sum(xs.size for xs in overlapping if xs is not None)
     assert sum(xs is not None for xs in overlapping) < len(overlapping) // 3
+    knots = sum(xs.size for xs in distinct_keys(gen, HAT_LATTICE_57).values())
     calls = []
     interp = np.interp
     monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
     gram(WaveletSystem(gen, HAT_LATTICE_57))
-    # one block: each factor at every merged knot and at every midpoint
-    # between consecutive knots (the one straddling two pairs included)
+    # one block: each factor at every merged knot of each distinct key and
+    # at every midpoint between consecutive knots (the one straddling two
+    # keys included)
     assert len(calls) == 4
     assert sum(calls) == 2 * knots + 2 * (knots - 1)
 
 
+def test_each_distinct_key_is_paired_once(monkeypatch):
+    # (1, k) and (3, 3k): r = 3 with s = 3(l - k), and r = 1 with s = l - k,
+    # repeat along the lattice
+    points = [P(1.0, float(k)) for k in range(8)] + [P(3.0, 3.0 * k) for k in range(8)]
+    keys = distinct_keys(DYADIC, points)
+    overlapping = sum(
+        reference_knots(DYADIC, p, q) is not None for i, p in enumerate(points) for q in points[i:]
+    )
+    assert len(keys) < overlapping // 3
+    knots = sum(xs.size for xs in keys.values())
+    assert_same_bits(DYADIC, points)
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
+    gram(WaveletSystem(DYADIC, points))
+    # one block: each factor at every merged knot of each distinct key and
+    # at every midpoint between consecutive knots
+    assert len(calls) == 4
+    assert sum(calls) == 2 * knots + 2 * (knots - 1)
+
+
+def test_lattice_entries_scale_the_entries_at_the_origin():
+    report = gram(WaveletSystem(Hat(), HAT_LATTICE_57))
+    for a, p in enumerate(HAT_LATTICE_57):
+        for b, q in enumerate(HAT_LATTICE_57[a:], a):
+            # p = (2^i, k), q = (2^j, l) with i <= j
+            i, j = (int(math.log2(x.dilation)) for x in (p, q))
+            k, l = p.translation, q.translation
+            unit, _ = inner_product(Hat(), P(1.0, 0.0), P(2.0 ** (j - i), l - 2.0 ** (j - i) * k))
+            assert report.matrix[a, b].real.tobytes() == np.float64(2.0**-i * unit.real).tobytes()
+
+
 def test_candidates_past_the_window_ends_reach_interp_once(monkeypatch):
-    p, q = COLLAPSED_PAIR
+    p, q = COLLAPSED_KEY
     xs = reference_knots(COLLAPSED_ENDS, p, q)
     expected = reference_pair(COLLAPSED_ENDS, p, q)
-    lams = np.array([[p.dilation], [q.dilation]])
-    betas = np.array([[p.translation], [q.translation]])
-    first, count = wavelet_system._candidate_knots(COLLAPSED_ENDS, lams, betas, xs[:1], xs[-1:])
-    for lam, beta, a, n in zip(lams.ravel(), betas.ravel(), first.ravel(), count.ravel()):
-        x = (COLLAPSED_ENDS.grid[a : a + n] + beta) / lam
-        # long runs of candidates on or past both ends of the window
-        assert (x <= xs[0]).sum() > 50 and (x >= xs[-1]).sum() > 50
+    _, _, r, _, s = normalized(p, q)
+    first, count = wavelet_system._candidate_knots(
+        COLLAPSED_ENDS, np.array([r]), np.array([s]), xs[:1], xs[-1:]
+    )
+    a, n = first[1, 0], count[1, 0]
+    x = (COLLAPSED_ENDS.grid[a : a + n] + s) / r
+    # long runs of candidates of phi(r y - s) on or past both ends of the window
+    assert (x <= xs[0]).sum() > 50 and (x >= xs[-1]).sum() > 50
     calls = []
     interp = np.interp
     monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))

@@ -375,6 +375,43 @@ class TestExactPairing:
             assert report.quad_error <= 1e-13 * report.sigma_max
 
 
+NON_DYADIC_DILATIONS = (3.0, 1.5, 0.1, 1.0 / 3.0)
+TENTHS_SAMPLED = SampledGenerator(
+    SampledFunction(
+        start=-0.3, step=0.1, values=np.array([0.0, 0.7, -1.3, 2.2, 0.9, 0.4, 0.0]),
+        support=(-0.3, 0.3),
+    )
+)
+
+
+@st.composite
+def non_dyadic_systems(draw):
+    gen = draw(st.sampled_from([Hat(), DYADIC_SAMPLED, TENTHS_SAMPLED]))
+    s_lo, s_hi = gen.time_support()
+    # supports through one anchor far from the origin: most pairs overlap,
+    # and r beta_p is large, so the rounding of the key shows
+    anchor = draw(st.floats(-2.0e3, 2.0e3))
+    points = {}
+    for _ in range(draw(st.integers(2, 4))):
+        lam = draw(st.sampled_from(NON_DYADIC_DILATIONS))
+        beta = lam * anchor - draw(st.floats(s_lo, s_hi))
+        points[(lam, beta)] = P(lam, beta)
+    return gen, list(points.values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=non_dyadic_systems())
+def test_sampled_entries_lie_within_their_bound_of_the_exact_value(case):
+    gen, points = case
+    report = gram(WaveletSystem(gen, points))
+    for i, p in enumerate(points):
+        for j, q in enumerate(points[i:], i):
+            exact = exact_sampled_pair(gen, p, q)
+            value, err = inner_product(gen, p, q)
+            assert abs(Fraction(value.real) - exact) <= Fraction(err)
+            assert abs(Fraction(report.matrix[i, j].real) - exact) <= Fraction(report.quad_error)
+
+
 class TestGram:
     def test_matches_gaussian_oracle(self):
         pts = [P(1, 0), P(1, 1), P(2, 0), P(2, 1), P(3, -1)]
