@@ -115,11 +115,19 @@ def fourier(model: BernoulliModel, gamma, tol: float):
 
 
 def _sign_sums(alpha: float, exponents: range) -> np.ndarray:
-    """All 2^len(exponents) values of sum_j (+-1) alpha^j, ordered by sign bits."""
-    sums = np.zeros(1)
+    """All 2^len(exponents) values of sum_j (+-1) alpha^j, ordered by sign bits.
+
+    Formed in place in one array: after the sums over the first k exponents
+    fill sums[:n], n = 2^k, the next term makes sums[n:2n] = sums[:n] + term
+    and then sums[:n] -= term.
+    """
+    sums = np.zeros(2 ** len(exponents))
+    n = 1
     for j in exponents:
         term = alpha**j
-        sums = np.concatenate([sums - term, sums + term])
+        np.add(sums[:n], term, out=sums[n : 2 * n])
+        sums[:n] -= term
+        n *= 2
     return sums
 
 

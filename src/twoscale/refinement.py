@@ -337,14 +337,27 @@ class _FoldedMask:
         self.max_frequency = rows[-1][0] if rows else 0.0
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        total = np.full(s.shape, self.a0)
+        """a0 plus the terms, added one by one in row order.
+
+        A zero a0 is not filled in and a unit coefficient is not multiplied
+        by, with the bits of the full sum: 1 * x is x, and 0 + x is x except
+        for x = -0.0.  So the first term is still added to a zero a0 unless
+        it is a bare cosine of a real mask, never zero and already real.
+        """
+        total = np.full(s.shape, self.a0) if self.a0 else None
         for w, p, q in self.rows:
             phase = w * s
-            if p:
-                total += p * np.cos(phase)
-            if q:
-                total += q * np.sin(phase)
-        return total
+            for coef, wave in ((p, np.cos), (q, np.sin)):
+                if not coef:
+                    continue
+                term = wave(phase) if coef == 1.0 else coef * wave(phase)
+                if total is not None:
+                    total += term
+                elif coef == 1.0 and wave is np.cos and self.real:
+                    total = term
+                else:
+                    total = term + self.a0
+        return np.full(s.shape, self.a0) if total is None else total
 
 
 def mask(eq: TwoScaleEquation, gamma):
@@ -464,12 +477,40 @@ def solve_fourier(eq: TwoScaleEquation, grid, tol: float) -> FourierProfile:
     )
 
 
-def _interp_complex(x: np.ndarray, grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(values):
-        real = np.interp(x, grid, values.real, left=0.0, right=0.0)
-        imag = np.interp(x, grid, values.imag, left=0.0, right=0.0)
-        return real + 1.0j * imag
-    return np.interp(x, grid, values, left=0.0, right=0.0)
+class _Stencil:
+    """Where np.interp(x, grid, fp, left=0.0, right=0.0) reads fp, for one nondecreasing x.
+
+    ``grid`` is nondecreasing too.  The points of x inside [grid[0],
+    grid[-1]] are x[start:stop].  Each is an exact hit, read as fp[j], when
+    it equals grid[j] or is the last node; any other lies strictly between
+    grid[j] and grid[j + 1] and is read as slope[j] * (x - grid[j]) +
+    fp[j], with slope = diff(fp) / diff(grid): np.interp's search result
+    and formula, in its order of operations.  The points outside read 0.
+    """
+
+    @staticmethod
+    def inside(grid: np.ndarray, x: np.ndarray) -> tuple:
+        """(start, stop) of the points of x in [grid[0], grid[-1]]."""
+        return int(x.searchsorted(grid[0])), int(x.searchsorted(grid[-1], side="right"))
+
+    def __init__(self, grid: np.ndarray, x: np.ndarray):
+        self.start, self.stop = self.inside(grid, x)
+        x = x[self.start : self.stop]
+        j = grid.searchsorted(x, side="right") - 1
+        hit = (j == grid.size - 1) | (grid[j] == x)
+        line = np.flatnonzero(~hit)
+        self.hit_at, self.hit_j = np.flatnonzero(hit), j[hit]
+        self.line_at, self.line_j = line, j[line]
+        self.line_dx = x[line] - grid[self.line_j]
+
+    def __call__(self, fp: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        """The values at x[start:stop]."""
+        if self.line_j.size == 0:  # every point an exact hit
+            return fp[self.hit_j]
+        out = np.empty(self.stop - self.start)
+        out[self.hit_at] = fp[self.hit_j]
+        out[self.line_at] = slope[self.line_j] * self.line_dx + fp[self.line_j]
+        return out
 
 
 def cascade_solve(
@@ -480,7 +521,14 @@ def cascade_solve(
     """Fixed-point cascade iteration phi_{n+1}(x) = sum_k c_k phi_n(lambda x - beta_k).
 
     Iterates on a uniform grid over the normalized support, evaluating the
-    dilated iterate by linear interpolation.  Residuals are sup-norm
+    dilated iterate by linear interpolation, with np.interp's values bit for
+    bit (zero outside the grid).  Where each term's points lambda x - beta_k
+    fall on the grid does not change between iterations, so it is searched
+    once per term, into a :class:`_Stencil`; an iteration forms the slopes
+    once for all terms and replays np.interp's formula.  The stencils are
+    kept while their points, summed over the terms, fit GRID_BUDGET, and
+    are otherwise built anew for each term in each iteration, so that what
+    they hold at once stays bounded.  Residuals are sup-norm
     differences between consecutive iterates; growth by 10x over five
     consecutive iterations raises DivergingError (the signature of equations
     with no continuous fixed point).  For nonnegative real coefficients
@@ -526,14 +574,37 @@ def cascade_solve(
             [],
         )
 
+    def argument(beta: float) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow to +-inf lies outside the grid
+            return eq.lam * grid - beta
+
+    # one stencil per term, kept across the iterations when their points
+    # fit the grid budget, else built anew in each iteration
+    inside = 0
+    for _, beta in iter_terms:
+        start, stop = _Stencil.inside(grid, argument(beta))
+        inside += stop - start
+    kept = None
+    if inside <= GRID_BUDGET:
+        kept = [_Stencil(grid, argument(beta)) for _, beta in iter_terms]
+    step = np.diff(grid)
+
     residuals: list[float] = []
     for _ in range(iterations):
+        # np.interp reads the real and imaginary parts of complex values apart
+        parts = (values,) if real_coeffs else (values.real, values.imag)
         new_values = np.zeros_like(values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c, beta in iter_terms:
-                new_values = new_values + c * _interp_complex(
-                    eq.lam * grid - beta, grid, values
-                )
+        # silent like np.interp: repeated nodes give slopes x / 0, which are
+        # never read, and values past the float range are refused below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slopes = [np.diff(fp) / step for fp in parts]
+            for k, (c, beta) in enumerate(iter_terms):
+                stencil = kept[k] if kept is not None else _Stencil(grid, argument(beta))
+                read = [stencil(fp, slope) for fp, slope in zip(parts, slopes)]
+                term = read[0] if real_coeffs else read[0] + 1.0j * read[1]
+                # outside the stencil the term adds c * 0, which changes
+                # nothing: sums that start at +0.0 never reach -0.0
+                new_values[stencil.start : stencil.stop] += c * term
         if not np.isfinite(new_values).all():
             raise BadParameterError(
                 "cascade values leave the float range (coefficients times the "

@@ -76,13 +76,20 @@ _CSV_ROWS = 4096
 
 
 def _csv(header: str, *columns) -> str:
-    """One ``%.17g`` row per element of the columns, up to the shortest column."""
-    row = ",".join(["{:.17g}"] * len(columns)).format
+    """One ``%.17g`` row per element of the columns, up to the shortest column.
+
+    Each block of up to _CSV_ROWS rows is one ``%`` of a block layout over
+    the floats of its rows, interleaved row by row.
+    """
     arrays = [np.asarray(column, dtype=np.float64) for column in columns]
-    lines = [header]
-    for lo in range(0, min(a.size for a in arrays), _CSV_ROWS):
-        lines.extend(map(row, *(a[lo : lo + _CSV_ROWS].tolist() for a in arrays)))
-    return "\n".join(lines) + "\n"
+    rows = min(a.size for a in arrays)
+    table = np.column_stack([a[:rows] for a in arrays])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    blocks = [header + "\n"]
+    for lo in range(0, rows, _CSV_ROWS):
+        block = table[lo : lo + _CSV_ROWS]
+        blocks.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
 
 
 def dump_json(obj) -> str:

@@ -184,7 +184,8 @@ def _candidate_knots(gen: SampledGenerator, r, s, lo, hi) -> tuple:
 
 
 def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
-    """J(r, s) on [lo, hi] for one block of distinct keys, and |product| at lo plus at hi.
+    """J(r, s) on [lo, hi] for one block of distinct keys, |product| at lo plus at hi,
+    and the number of Simpson pieces.
 
     Rows 0 and 1 of first and count hold the candidate knots of phi(y) and
     of phi(r y - s) (see _candidate_knots).
@@ -248,7 +249,7 @@ def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
     width /= 6.0
     width *= g
     width[last[:-1]] = 0.0
-    return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last])
+    return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last]), knots - 1
 
 
 def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
@@ -273,7 +274,8 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     drift = reach dr + ds on the window and each window end by at most
     drift / r (slope times drift over the window, peak^2 times drift / r at
     the two ends; dr = 0 and r beta_p is exact when the dilations are a
-    power of two apart), and the rounding of the division by lambda_p.
+    power of two apart), underflow, at _TINY per Simpson piece and per unit
+    of window width, and the rounding of the division by lambda_p.
     Returns (values, error bounds) as float arrays, 0 for disjoint pairs;
     tol is not used.  A pair whose key, windows, products or entry leave
     the float range is a BadParameterError naming both points.
@@ -322,12 +324,13 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     first, count = _candidate_knots(gen, kr, ks, klo, khi)
     pairing = np.empty(kr.size)
     end_values = np.empty(kr.size)
+    pieces = np.empty(kr.size)
     merged = np.cumsum(2 + count.sum(axis=0))
     a = 0
     while a < kr.size:
         cap = merged[a - 1] + _KNOT_BLOCK if a else _KNOT_BLOCK
         b = max(a + 1, int(np.searchsorted(merged, cap, side="right")))
-        pairing[a:b], end_values[a:b] = _pair_block(
+        pairing[a:b], end_values[a:b], pieces[a:b] = _pair_block(
             gen, kr[a:b], ks[a:b], klo[a:b], khi[a:b], first[:, a:b], count[:, a:b]
         )
         a = b
@@ -346,6 +349,9 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
         rounding = _UNIT_ROUNDOFF * (
             (khi - klo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + np.abs(pairing)
         )
+        # a subnormal product or piece rounds by up to 2^-1075, which costs
+        # a piece of width w at most (w + 1) 2^-1075, a quarter of the charge
+        rounding += _TINY * (pieces + (khi - klo))
         # on the window r y - s moves by at most drift = reach dr + ds, and
         # each of its two ends by at most drift / r
         drift = reach[inverse] * dr + ds

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twoscale.bernoulli import (
     BernoulliModel,
     SmoothnessVerdict,
     _count_below,
+    _sign_sums,
     density,
     fourier,
     smoothness_verdict,
@@ -152,7 +154,35 @@ class TestFourier:
             fourier(BernoulliModel(0.5), 1e308, 1e-8)
 
 
+def concatenated_sign_sums(alpha, exponents):
+    """_sign_sums as a new array per exponent: [sums - term, sums + term]."""
+    sums = np.zeros(1)
+    for j in exponents:
+        term = alpha**j
+        sums = np.concatenate([sums - term, sums + term])
+    return sums
+
+
 class TestDensity:
+    @pytest.mark.parametrize(
+        "alpha,exponents",
+        [(0.6, range(5, 25)), (0.5, range(1, 12)), (2.0**-0.5, range(3, 3)), (0.99, range(1, 2)),
+         (1e-3, range(100, 110)), (0.3, range(1, 16))],
+    )
+    def test_sign_sums_in_place_match_concatenation(self, alpha, exponents):
+        expected = concatenated_sign_sums(alpha, exponents)
+        assert _sign_sums(alpha, exponents).tobytes() == expected.tobytes()
+
+    def test_density_peak_memory(self):
+        # the 2^20 tail sums in one array (8 MiB) and little else
+        tracemalloc.start()
+        try:
+            density(BernoulliModel(0.6), 24, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
     def test_single_flip(self):
         hist = density(BernoulliModel(0.3), 1, 2)
         assert np.array_equal(hist.masses, [0.5, 0.5])

@@ -1,6 +1,7 @@
 """Two-scale equation validation, solvers and regularity estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from twoscale.refinement import (
     GRID_BUDGET,
     FourierProfile,
     TwoScaleEquation,
+    _FoldedMask,
     _fourier_product,
+    _Stencil,
     cascade_solve,
     check_grid_budget,
     estimate_regularity,
@@ -249,6 +252,31 @@ class TestSupportAndMask:
         if kind == "real_symmetric":
             assert np.all(folded.imag == 0.0)
 
+    @pytest.mark.parametrize(
+        "eq",
+        [
+            preset("bernoulli(2)"),  # a0 = 0, one unit cosine
+            preset("rham"),
+            preset("hat"),
+            TwoScaleEquation(2.0, [(1j, 1.0), (-1j, -1.0)]),  # a bare unit sine
+            TwoScaleEquation(2.0, [(1.0, -1.0), (1.0, 1.0), (1j, 2.0)]),  # complex, unit cosine
+            TwoScaleEquation(2.0, [(-1e-320, -1.0), (-1e-320, 1.0)]),  # products underflow to -0
+            TwoScaleEquation(3.0, [(0.5, -2.0), (-1.5, 0.0), (0.5, 2.0), (1.0, 1.0)]),
+        ],
+    )
+    def test_folded_mask_skips_zero_and_unit_terms_bit_for_bit(self, eq):
+        folded = _FoldedMask(eq)
+        s = np.array([-0.0, 0.0, 0.25, -0.25, 5e-324, -5e-324, 0.1, 1.7, -3.3, 1e5])
+        expected = np.full(s.shape, folded.a0)
+        for w, p, q in folded.rows:
+            if p:
+                expected += p * np.cos(w * s)
+            if q:
+                expected += q * np.sin(w * s)
+        got = folded(s)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     def test_mask_vectorized(self):
         eq = preset("hat")
         grid = np.array([0.0, 0.25, 0.5])
@@ -464,6 +492,128 @@ class TestCascade:
             [sampled.step * np.sum(sampled.values * np.exp(-2j * np.pi * g * xs)) for g in grid]
         )
         assert np.max(np.abs(dft - prof.values)) <= 1e-2
+
+
+def interp_cascade(eq, resolution, iterations):
+    """(values, residuals) of the cascade with one np.interp per term and part: the oracle."""
+    lo, hi = normalized_support(eq)
+    count = int(math.ceil((hi - lo) / resolution - 1.0e-12)) + 1
+    grid = lo + resolution * np.arange(count)
+    real = all(c.imag == 0.0 for c in eq.coefficients)
+    values = np.full(grid.shape, 1.0 / (hi - lo))
+    values[0] = values[-1] = 0.5 / (hi - lo)
+    if not real:
+        values = values.astype(np.complex128)
+    residuals = []
+    for _ in range(iterations):
+        new_values = np.zeros_like(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, beta in eq.terms:
+                x = eq.lam * grid - beta
+                if real:
+                    c, read = c.real, np.interp(x, grid, values, left=0.0, right=0.0)
+                else:
+                    real_part = np.interp(x, grid, values.real, left=0.0, right=0.0)
+                    imag_part = np.interp(x, grid, values.imag, left=0.0, right=0.0)
+                    read = real_part + 1.0j * imag_part
+                new_values = new_values + c * read
+        residuals.append(float(np.max(np.abs(new_values - values))))
+        values = new_values
+    if real and all(c.real >= 0.0 for c in eq.coefficients):
+        integral = float(
+            resolution * (values.real.sum() - 0.5 * (values.real[0] + values.real[-1]))
+        )
+        if integral > 0.0:
+            values = values / integral
+    return values, residuals
+
+
+# lambda = 2.5 with offsets 0, 0.7, 1.3: most dilated points fall between nodes
+NON_LATTICE = TwoScaleEquation(2.5, [(0.6, 0.0), (1.2, 0.7), (0.7, 1.3)])
+COMPLEX_HAT = TwoScaleEquation(2.0, [(0.5 + 0.25j, 0.0), (1.0 - 0.5j, 1.0), (0.5 + 0.25j, 2.0)])
+# a support 1e-6 wide at 1e6: the grid step 1e-11 is below the spacing of
+# floats there, so the grid repeats its nodes
+COMPLEX_NON_LATTICE = TwoScaleEquation(
+    2.5, [(0.6 + 0.3j, 0.0), (1.2 - 0.6j, 0.7), (0.7 + 0.3j, 1.3)]
+)
+REPEATED_NODES = TwoScaleEquation(2.0, [(0.7, 1e6), (0.6, 1e6 + 3e-7), (0.7, 1e6 + 1e-6)])
+
+
+def stencils(eq, resolution):
+    lo, hi = normalized_support(eq)
+    grid = lo + resolution * np.arange(int(math.ceil((hi - lo) / resolution - 1.0e-12)) + 1)
+    return [_Stencil(grid, eq.lam * grid - beta) for beta in eq.offsets]
+
+
+class TestCascadeStencil:
+    @pytest.mark.parametrize(
+        "eq,resolution,iterations",
+        [
+            (preset("rham"), 2.0**-10, 40),
+            (preset("hat"), 2.0**-8, 30),
+            (preset("bernoulli(1.6666666666666667)"), 2.0**-9, 30),
+            (NON_LATTICE, 0.003, 30),
+            (COMPLEX_HAT, 2.0**-7, 20),
+            (COMPLEX_NON_LATTICE, 0.01, 12),
+            (REPEATED_NODES, 1e-11, 4),
+        ],
+    )
+    def test_matches_np_interp_bit_for_bit(self, eq, resolution, iterations):
+        sampled, residuals = cascade_solve(eq, resolution, iterations)
+        values, expected = interp_cascade(eq, resolution, iterations)
+        assert sampled.values.dtype == values.dtype
+        assert sampled.values.tobytes() == values.tobytes()  # signbits included
+        assert np.array(residuals).tobytes() == np.array(expected).tobytes()
+
+    def test_lattice_and_non_lattice_branches(self):
+        # rham on a dyadic grid hits nodes only; the non-lattice equation
+        # mostly interpolates, with a few exact hits
+        assert all(st.line_j.size == 0 for st in stencils(preset("rham"), 2.0**-10))
+        drawn = stencils(NON_LATTICE, 0.003)
+        assert all(st.line_j.size > 0 for st in drawn)
+        assert any(st.line_j.size < st.stop - st.start for st in drawn)
+
+    def test_divergence_keeps_its_message(self):
+        eq = TwoScaleEquation(2.0, [(3.0, 0.0), (-1.0, 1.0)])
+        with pytest.raises(DivergingError) as raised:
+            cascade_solve(eq, 2.0**-8, 40)
+        assert str(raised.value) == (
+            "cascade residuals grew 10x over five consecutive iterations; "
+            "no continuous fixed point"
+        )
+
+    def test_float_range_keeps_its_message(self):
+        # a support 1e-310 wide: the initial indicator 1 / width overflows
+        eq = TwoScaleEquation(2.0, [(1.0, 0.0), (1.0, 1e-310)])
+        with pytest.raises(BadParameterError) as raised:
+            cascade_solve(eq, 1e-311, 3)
+        assert str(raised.value) == (
+            "cascade values leave the float range (coefficients times the "
+            "support's reciprocal width overflow)"
+        )
+
+    def test_stencils_past_the_budget_are_not_kept(self):
+        # 100 terms, each reading about 2/3 of 65,537 points: 4.4 million
+        # stencil points, past the grid budget, are built term by term in
+        # each iteration and dropped; kept, they would take over 67 MiB
+        terms = 100
+        eq = TwoScaleEquation(1.5, [(1.5 / terms, float(k)) for k in range(terms)])
+        resolution = 198.0 / 2**16
+        lo, hi = normalized_support(eq)
+        grid = lo + resolution * np.arange(2**16 + 1)
+        bounds = [_Stencil.inside(grid, eq.lam * grid - beta) for beta in eq.offsets]
+        inside = sum(stop - start for start, stop in bounds)
+        assert GRID_BUDGET < inside < 1.1 * GRID_BUDGET
+        tracemalloc.start()
+        try:
+            sampled, residuals = cascade_solve(eq, resolution, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        values, expected = interp_cascade(eq, resolution, 2)
+        assert sampled.values.tobytes() == values.tobytes()
+        assert residuals == expected
 
 
 class TestEstimateRegularity:

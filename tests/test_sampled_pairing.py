@@ -77,6 +77,7 @@ def reference_pair(gen, p, q):
     rounding = _UNIT_ROUNDOFF * (
         (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(pairing)
     )
+    rounding += _TINY * ((xs.size - 1) + (hi - lo))  # underflow
     # the rounding of r and s, exact for dilations a power of two apart
     exact = math.frexp(p.dilation)[0] == math.frexp(q.dilation)[0]
     dr = 0.0 if exact else _UNIT_ROUNDOFF * r

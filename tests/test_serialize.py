@@ -288,7 +288,38 @@ class TestJsonWriter:
             ser.dump_json({1: 2.0})
 
 
+def row_writer(header, *columns):
+    """CSV as one ``"{:.17g}"`` format call per row, up to the shortest column: the oracle."""
+    row = ",".join(["{:.17g}"] * len(columns)).format
+    arrays = [np.asarray(column, dtype=np.float64) for column in columns]
+    rows = min(a.size for a in arrays)
+    return "\n".join([header] + [row(*x) for x in zip(*(a[:rows].tolist() for a in arrays))]) + "\n"
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, 0.1, 1.0 / 3.0, -1e-300, 123456789012345678.0, 1.0, 2.5,
+]
+
+
 class TestCsv:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_block_writer_matches_row_writer(self, width):
+        rng = np.random.default_rng(width)
+        # past two whole blocks of rows, specials in every block
+        size = 2 * ser._CSV_ROWS + 7
+        big = rng.standard_normal(size) * 10.0 ** rng.integers(-310, 300, size)
+        big[:: ser._CSV_ROWS // 3] = SPECIAL_FLOATS[0]
+        for columns in (
+            [SPECIAL_FLOATS] * width,
+            [SPECIAL_FLOATS[k:] for k in range(width)],  # unequal lengths
+            [big[k:] for k in range(width)],
+            [[]] + [SPECIAL_FLOATS] * (width - 1),  # an empty column
+            [np.array(SPECIAL_FLOATS[::-1])[k:] for k in range(width)],
+        ):
+            header = ",".join(f"c{k}" for k in range(width))
+            assert ser._csv(header, *columns) == row_writer(header, *columns)
+
     def test_profile_csv(self):
         prof = solve_fourier(preset("hat"), [-0.5, 0.0, 0.5], 1e-10)
         text = ser.profile_to_csv(prof)

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,26 @@ def test_sampled_entries_lie_within_their_bound_of_the_exact_value(case):
             value, err = inner_product(gen, p, q)
             assert abs(Fraction(value.real) - exact) <= Fraction(err)
             assert abs(Fraction(report.matrix[i, j].real) - exact) <= Fraction(report.quad_error)
+
+
+def test_sampled_bounds_charge_underflow():
+    # samples near 1e-160: products and Simpson pieces are subnormal and
+    # round by up to 2^-1075 each, far above u times the values
+    values = np.sin(np.arange(40) * 0.9) * 1e-160
+    gen = SampledGenerator(
+        SampledFunction(start=-1.0, step=2.0 / 39.0, values=values, support=(-1.0, 1.0))
+    )
+    rng = random.Random(3)
+    checked = 0
+    while checked < 120:
+        p = P(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+        q = P(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+        exact = exact_sampled_pair(gen, p, q)
+        if exact == 0:
+            continue
+        checked += 1
+        value, err = inner_product(gen, p, q)
+        assert abs(Fraction(value.real) - exact) <= Fraction(err), (p, q)
 
 
 class TestGram:
