@@ -192,6 +192,22 @@ def _relative_shift(lp, bp, lq, bq) -> tuple:
     return d, bound
 
 
+def _fourier_phase(lp, bp, lq, bq) -> tuple:
+    """(omega, scale) of each pair's folded Fourier-side product (see
+    CatalogGenerator.ft_pair_integrand): omega = 2 pi (bp / lp - bq / lq),
+    which may be inf (the phase check refuses it), and scale = 2 / (lp lq)."""
+    with np.errstate(all="ignore"):
+        shift = bp / lp - bq / lq
+        scale = 2.0 / (lp * lq)
+    refuse_pairs(
+        np.isfinite(shift) & np.isfinite(scale), lp, bp, lq, bq,
+        "put the Fourier-side pairing out of float range",
+    )
+    with np.errstate(over="ignore"):
+        omega = 2.0 * np.pi * shift
+    return omega, scale
+
+
 def _tail_window(lo, hi, radius, tail: Callable, tol: float) -> tuple:
     """Widen each [lo, hi] by the first radius * 2^k whose tail bound is within tol/4.
 
@@ -725,6 +741,12 @@ def _ft_annulus_tent(g: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - 2.0 * np.abs(np.abs(g) - 1.5))
 
 
+def _sech(x: np.ndarray) -> np.ndarray:
+    """sech(pi x); cosh overflows past |x| = 226, where the quotient is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(np.pi * np.asarray(x, dtype=np.float64))
+
+
 def _sinc(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return np.sinc(x)  # sin(pi x)/(pi x)
@@ -891,10 +913,10 @@ _CATALOG = {
                 "smooth_all_derivs_L1",
             }
         ),
-        ft=lambda g: 1.0 / np.cosh(np.pi * np.asarray(g, dtype=np.float64)),
+        ft=_sech,
         ft_support=None,
         ft_envelope=(2.0, math.pi, 0.0),
-        time_fn=lambda x: 1.0 / np.cosh(np.pi * np.asarray(x, dtype=np.float64)),
+        time_fn=_sech,
     ),
 }
 
@@ -940,44 +962,51 @@ class CatalogGenerator(GeneratorSpec):
         return self._entry.pair_closed_form(lp, bp, lq, bq)
 
     def ft_pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Fourier-side products at pairs of points, as GeneratorSpec.pair_integrand."""
-        with np.errstate(all="ignore"):
-            shift = bp / lp - bq / lq
-            scale = 1.0 / (lp * lq)
-        refuse_pairs(
-            np.isfinite(shift) & np.isfinite(scale), lp, bp, lq, bq,
-            "put the Fourier-side pairing out of float range",
-        )
-        # formed in Python's complex arithmetic, as for a single pair
-        phase = np.array([-2.0j * np.pi * s for s in shift.tolist()], dtype=np.complex128)
+        """Fourier-side products at pairs of points, folded onto gamma >= 0.
+
+        Every catalog transform is real and even or odd, so the product
+        ft(g / lp) ft(g / lq) is even, and its integral against
+        exp(-2 pi i d g) over the line is twice its integral against
+        cos(omega g) over g >= 0, with d = bp / lp - bq / lq and
+        omega = 2 pi d.  Maps nodes g >= 0, and the index of each node's
+        pair, to 2 / (lp lq) ft(g / lp) ft(g / lq) cos(omega g), in float64.
+        """
+        omega, scale = _fourier_phase(lp, bp, lq, bq)
         ft = self._entry.ft
 
         def integrand(g: np.ndarray, pair: np.ndarray) -> np.ndarray:
             g = np.asarray(g, dtype=np.float64)
-            return (
-                scale[pair]
-                * ft(g / lp[pair])
-                * np.conj(ft(g / lq[pair]))
-                * np.exp(phase[pair] * g)
-            )
+            return scale[pair] * ft(g / lp[pair]) * ft(g / lq[pair]) * np.cos(omega[pair] * g)
 
         return integrand
 
     def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
-        """As GeneratorSpec.pair_quadrature, in frequency: no rounding term,
-        and the geometric edges widen around 0 from the narrower factor's
-        bandwidth."""
+        """As GeneratorSpec.pair_quadrature, in frequency and on the half line
+        (see ft_pair_integrand): each window [-R, R] becomes [0, R] with the
+        same tail bound, which counts both tails.  The edges are the positive
+        kinks and the geometric edges right of 0, widening from the narrower
+        factor's bandwidth.  The rounding factor covers the phase omega g: the
+        rounding of d (delta_d, see _relative_shift), of omega and of omega g,
+        and of the cosine, (2 pi delta_d + 4 u |omega|) R + 2 u with u the
+        unit roundoff.
+        """
         lo, hi, tail = _checked_window(self.ft_pair_window(lp, bp, lq, bq, tol), lp, bp, lq, bq)
         integrand = self.ft_pair_integrand(lp, bp, lq, bq)  # checks shift and scale first
+        omega, _ = _fourier_phase(lp, bp, lq, bq)
         with np.errstate(over="ignore"):  # to inf, as in scalar arithmetic
             kinks = [k * lam for k in self.kinks for lam in (lp, lq)]
-            # the largest phase 2 pi |shift| gamma the window reaches
-            phase = 2.0 * np.pi * np.abs(bp / lp - bq / lq) * np.maximum(np.abs(lo), np.abs(hi))
+            # the largest phase |omega| R the window reaches
+            phase = np.abs(omega) * hi
         refuse_pairs(
             np.isfinite(phase), lp, bp, lq, bq, "put the Fourier-side phase out of float range"
         )
-        edges = _breakpoints(kinks, (np.zeros(lp.size),), np.minimum(lp, lq), lo, hi)
-        return integrand, lo, hi, edges, 0.0, tail
+        _, shift_rounding = _relative_shift(lp, bp, lq, bq)
+        u = _UNIT_ROUNDOFF
+        rounding = (2.0 * np.pi * shift_rounding + 4.0 * u * np.abs(omega)) * hi + 2.0 * u
+        zero = np.zeros(lp.size)
+        points, owners = _breakpoints(kinks, (zero,), np.minimum(lp, lq), zero, hi)
+        right = points > 0.0
+        return integrand, zero, hi, (points[right], owners[right]), rounding, tail
 
     def ft_pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
         with np.errstate(all="ignore"):

@@ -32,8 +32,9 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 # Quadrature evaluates at most this many panels per integrand call: 3,840
-# nodes, whose complex temporaries (60 KiB each) stay below glibc's 128 KiB
-# mmap threshold and so reuse heap pages instead of faulting in fresh ones.
+# nodes, whose real temporaries (30 KiB each; 60 KiB for a complex
+# integrand) stay below glibc's 128 KiB mmap threshold and so reuse heap
+# pages instead of faulting in fresh ones.
 _PANEL_BLOCK = 256
 
 # 7/15-point Gauss-Kronrod pair on [-1, 1].  Positive abscissae listed
@@ -77,11 +78,12 @@ for _i, _w in zip((1, 3, 5, 7), _WG_HALF):
 class QuadratureResult:
     """Value, rigorous-ish error estimate, integral of |f|, and cost of one integration.
 
-    For a batch, value, error_estimate and abs_integral are arrays with one
+    value is real for a real integrand and complex for a complex one.  For
+    a batch, value, error_estimate and abs_integral are arrays with one
     entry per integral, and evaluations counts the nodes of all of them.
     """
 
-    value: complex
+    value: float | complex
     error_estimate: float
     abs_integral: float
     evaluations: int
@@ -115,12 +117,14 @@ def _kronrod_panels(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarr
 
     Also returns, for each integral with a non-finite value on these panels,
     the first node (in panel order) where one occurs; those values are taken
-    as 0 so that the others compute without warnings.  ``sum(axis=1)`` fixes
+    as 0 so that the others compute without warnings.  A real integrand is
+    summed in float64, a complex one in complex128.  ``sum(axis=1)`` fixes
     the summation order, which a BLAS dot would not.
     """
     h = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
-    fx = np.asarray(f(x.ravel(), np.repeat(owner, _NODES.size)), dtype=np.complex128)
+    fx = np.asarray(f(x.ravel(), np.repeat(owner, _NODES.size)))
+    fx = fx.astype(np.complex128 if np.iscomplexobj(fx) else np.float64, copy=False)
     fx = fx.reshape(x.shape)
     finite = np.isfinite(fx)
     bad = {}
@@ -143,16 +147,18 @@ def _evaluate(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, fa
     """Kronrod panels in blocks of at most _PANEL_BLOCK, one call of f each.
 
     An integral with a non-finite integrand value is entered in ``failed``
-    with the error it raises alone.
+    with the error it raises alone.  The values take the dtype of the first
+    block, complex128 as soon as a block is complex.
     """
-    value = np.empty(lo.size, dtype=np.complex128)
+    value = np.empty(lo.size)
     err = np.empty(lo.size)
     resabs = np.empty(lo.size)
     for start in range(0, lo.size, _PANEL_BLOCK):
         part = slice(start, start + _PANEL_BLOCK)
-        value[part], err[part], resabs[part], bad = _kronrod_panels(
-            f, lo[part], hi[part], owner[part]
-        )
+        block, err[part], resabs[part], bad = _kronrod_panels(f, lo[part], hi[part], owner[part])
+        if np.iscomplexobj(block) and not np.iscomplexobj(value):
+            value = value.astype(np.complex128)
+        value[part] = block
         for k, x in bad.items():
             failed.setdefault(k, ValueError(f"non-finite integrand value near x={x!r}"))
     return value, err, resabs
@@ -240,7 +246,7 @@ def _integrate_many(
     lo, hi, owner = _seed_panels(a[:limit], b[:limit], points, point_owner)
     value, err, resabs = _evaluate(f, lo, hi, owner, failed)
     evaluations = _NODES.size * np.bincount(owner, minlength=m)
-    out_value = np.zeros(m, dtype=np.complex128)
+    out_value = np.zeros(m, dtype=value.dtype)
     out_error = np.zeros(m)
     out_abs = np.zeros(m)
     running = np.zeros(m, dtype=bool)
@@ -261,15 +267,19 @@ def _integrate_many(
         count = np.bincount(owner, minlength=m)
         rough = np.bincount(owner, weights=err, minlength=m)
         above = (rough * (1.0 - 2.0 * _EPS * count) > tol) & (rough > 1e-290) & (rough < 1e290)
+        if np.iscomplexobj(value) and not np.iscomplexobj(out_value):
+            out_value = out_value.astype(np.complex128)
         for k in np.flatnonzero(running & ~above).tolist():
             mine = owner == k
             total = _fsum(err[mine], k, failed)
             if not (total > tol[k]) and k not in failed:
                 # the sums an integral takes alone, in its order
                 real = _fsum(value.real[mine], k, failed)
-                imag = _fsum(value.imag[mine], k, failed) if k not in failed else 0.0
+                if np.iscomplexobj(value) and k not in failed:
+                    out_value[k] = complex(real, _fsum(value.imag[mine], k, failed))
+                else:
+                    out_value[k] = real
                 out_abs[k] = _fsum(resabs[mine], k, failed) if k not in failed else 0.0
-                out_value[k] = complex(real, imag)
                 out_error[k] = total
                 running[k] = False
         running[min(failed, default=m) :] = False
@@ -350,7 +360,8 @@ def integrate_adaptive(
     of flat arrays (points, index of each point's integral).  The result
     holds arrays of m values, error estimates and integrals of |f|, each bit
     for bit what the integral gives alone, and the total evaluations.  One
-    integral (scalar a, b, tol and f(x)) is the batch of one.
+    integral (scalar a, b, tol and f(x)) is the batch of one.  A real f is
+    integrated in float64 and gives real values; a complex f, complex ones.
 
     Raises NonConvergenceError if the next round would exceed max_evals
     evaluations, or if no panel that could lower the estimate can be split;
@@ -368,7 +379,7 @@ def integrate_adaptive(
             np.zeros(points.size, dtype=np.intp),
         )
         return QuadratureResult(
-            value=complex(batch.value[0]),
+            value=batch.value[0].item(),
             error_estimate=float(batch.error_estimate[0]),
             abs_integral=float(batch.abs_integral[0]),
             evaluations=batch.evaluations,

@@ -418,7 +418,9 @@ def inner_product(
     integrated adaptively on a truncation window, with the tail bound and,
     in time, the rounding of lambda x - beta folded into the error (see
     GeneratorSpec.pair_quadrature); catalog generators defined through
-    their Fourier transform pair in the Fourier domain.  This is the
+    their Fourier transform pair in the Fourier domain, as a real cosine
+    integral on the half line with the rounding of the phase folded into
+    the error (see CatalogGenerator.pair_quadrature).  This is the
     one-pair call of the kernel that gram runs on the whole matrix.
     """
     params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))

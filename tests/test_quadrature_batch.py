@@ -3,6 +3,12 @@
 gram pairs most of these generators in closed form now; the quadrature
 kernel (wavelet_system._quadrature_pairs) still pairs sech, log_exp_ratio
 and rationals with clustered poles, and it is tested here on every family.
+The reference keeps the integrand's dtype: time-side products of real
+generators are integrated in float64, and catalog generators as the real
+cosine integral 2 / (lp lq) int_0^R ft(g / lp) ft(g / lq) cos(omega g) dg
+on the half line, with the rounding of the phase in the error bound.  The
+old full-line complex integral stays as an oracle for the fold, which rests
+on every catalog transform being real and even or odd.
 """
 
 import math
@@ -29,7 +35,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 def reference_panels(f, lo, hi):
     h = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + h[:, None] * numerics._NODES
-    fx = np.asarray(f(x.ravel()), dtype=np.complex128).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()))
+    fx = fx.astype(np.complex128 if np.iscomplexobj(fx) else np.float64).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
         raise ValueError(f"non-finite integrand value near x={x[~np.isfinite(fx)][0]!r}")
     value = h * (fx * numerics._WK).sum(axis=1)
@@ -75,7 +82,10 @@ def reference_integrate(f, a, b, tol, max_evals=10**6, breakpoints=()):
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
         resabs = np.concatenate([resabs[keep], new_resabs])
-    value = complex(math.fsum(value.real), math.fsum(value.imag))
+    if np.iscomplexobj(value):
+        value = complex(math.fsum(value.real), math.fsum(value.imag))
+    else:
+        value = math.fsum(value)
     return value, total, math.fsum(resabs), evaluations
 
 
@@ -145,14 +155,24 @@ def reference_pair(gen, p, q, tol, calls=None):
     lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
     lo, hi, tail = reference_window(gen, p, q, tol)
     if isinstance(gen, CatalogGenerator):
-        shift, scale, ft = bp / lp - bq / lq, 1.0 / (lp * lq), gen.ft
+        # the even product against cos(omega g) on [0, R], twice
+        ap, aq = bp / lp, bq / lq
+        shift, scale, ft = ap - aq, 2.0 / (lp * lq), gen.ft
+        omega = 2.0 * math.pi * shift
 
         def integrand(g):
-            return scale * ft(g / lp) * np.conj(ft(g / lq)) * np.exp(-2.0j * np.pi * shift * g)
+            return scale * ft(g / lp) * ft(g / lq) * np.cos(omega * g)
 
         edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
         edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
-        rounding = 0.0
+        edges = [x for x in edges if x > 0.0]
+        lo = 0.0
+        shift_rounding = 0.0
+        if (lp, bp) != (lq, bq):
+            shift_rounding = 2.0 * _UNIT_ROUNDOFF * (abs(ap) + abs(aq) + abs(shift)) + 2.0**-1073
+        rounding = (
+            2.0 * math.pi * shift_rounding + 4.0 * _UNIT_ROUNDOFF * abs(omega)
+        ) * hi + 2.0 * _UNIT_ROUNDOFF
     else:
 
         def integrand(x):
@@ -181,6 +201,7 @@ def reference_gram(gen, points, tol):
     for i in range(n):
         for j in range(i, n):
             value, err = reference_pair(gen, points[i], points[j], tol)
+            value = complex(value)  # as inner_product returns it
             matrix[i, j] = value
             matrix[j, i] = np.conj(value)
             worst = max(worst, err)
@@ -199,6 +220,7 @@ def quadrature_triangle(gen, points, tol=1e-10):
 def triangle_matrix(values, n):
     """The Hermitian matrix whose upper triangle is values, as gram mirrors it."""
     rows, cols = np.triu_indices(n)
+    values = np.asarray(values, dtype=np.complex128)
     matrix = np.zeros((n, n), dtype=np.complex128)
     matrix[rows, cols] = values
     matrix[cols, rows] = np.conjugate(values)
@@ -303,6 +325,77 @@ def test_gram_pairs_generators_without_closed_form_by_quadrature(gen):
     assert report.quad_error == np.fmax.reduce(errors, initial=0.0)
 
 
+# The parity of each catalog transform, which the Fourier-side fold rests on.
+FT_PARITY = {"ft_annulus_tent": 1.0, "ft_box": 1.0, "log_exp_ratio": -1.0, "sech": 1.0}
+
+
+@pytest.mark.parametrize("catalog_id", catalog_ids())
+def test_catalog_transforms_are_real_and_even_or_odd(catalog_id):
+    ft = generators._CATALOG[catalog_id].ft
+    half = np.concatenate(
+        [[0.0], np.linspace(1e-3, 40.0, 4001), [226.5, 708.9, 709.8, 710.0, 750.0, 1e3, 1e5]]
+    )
+    grid = np.concatenate([-half[::-1], half])
+    values = ft(grid)
+    assert values.dtype == np.float64
+    # equal value for value (a zero may change its sign)
+    assert np.array_equal(ft(-grid), FT_PARITY[catalog_id] * values)
+
+
+def full_line_pair(gen, p, q, tol):
+    """The Fourier-side pairing as it was integrated before the fold: the
+    complex product over the whole window [-R, R], with no rounding term.
+    Returns the value, its error bound and the evaluations."""
+    lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
+    lo, hi, tail = reference_window(gen, p, q, tol)
+    shift, scale, ft = bp / lp - bq / lq, 1.0 / (lp * lq), gen.ft
+
+    def integrand(g):
+        return scale * ft(g / lp) * np.conj(ft(g / lq)) * np.exp(-2.0j * np.pi * shift * g)
+
+    edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
+    edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
+    value, err, _, count = reference_integrate(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
+    return value, err + tail, count
+
+
+@pytest.mark.parametrize("catalog_id", catalog_ids())
+def test_folded_pairings_agree_with_the_full_line_integral(catalog_id):
+    gen = CatalogGenerator(catalog_id)
+    points = list(DECAY_POINTS_8)
+    values, errors = quadrature_triangle(gen, points)
+    assert values.dtype == np.float64
+    rows, cols = np.triu_indices(len(points))
+    for value, error, i, j in zip(values, errors, rows, cols):
+        oracle, oracle_error, _ = full_line_pair(gen, points[i], points[j], 1e-10)
+        assert abs(value - oracle) <= error + oracle_error
+        assert abs(oracle.imag) <= oracle_error
+
+
+@pytest.mark.parametrize(
+    "catalog_id,full_line_evaluations", (("sech", 16_440), ("log_exp_ratio", 66_360))
+)
+def test_folded_gram_is_real_at_half_the_evaluations(
+    monkeypatch, catalog_id, full_line_evaluations
+):
+    gen, points = CatalogGenerator(catalog_id), list(DECAY_POINTS_8)
+    rows, cols = np.triu_indices(len(points))
+    oracle = sum(full_line_pair(gen, points[i], points[j], 1e-10)[2] for i, j in zip(rows, cols))
+    assert oracle == full_line_evaluations
+    counts = []
+    integrate = wavelet_system.integrate_adaptive
+
+    def counting(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        counts.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(wavelet_system, "integrate_adaptive", counting)
+    report = gram(WaveletSystem(gen, points))
+    assert np.all(report.matrix.imag == 0.0)
+    assert 0 < sum(counts) <= full_line_evaluations // 2
+
+
 def record_quadrature_calls(monkeypatch):
     """Node counts of the integrand calls made by quadrature (windows make none here)."""
     sizes = []
@@ -350,11 +443,12 @@ def test_one_integrand_call_per_round(monkeypatch):
     assert max(per_round) > block and sizes == expected
 
 
-def batch_of(fs, a, b, tol, max_evals=10**6):
-    """integrate_adaptive on the integrals fs[k] over [a[k], b[k]] as one batch."""
+def batch_of(fs, a, b, tol, max_evals=10**6, dtype=np.complex128):
+    """integrate_adaptive on the integrals fs[k] over [a[k], b[k]] as one batch
+    whose integrand has the given dtype."""
 
     def f(x, owner):
-        out = np.empty(x.size, dtype=np.complex128)
+        out = np.empty(x.size, dtype=dtype)
         for k, fk in enumerate(fs):
             mine = owner == k
             out[mine] = fk(x[mine])
@@ -416,19 +510,30 @@ def test_lowest_failing_integral_is_reported():
 
 
 def test_batch_values_are_those_of_each_integral_alone():
-    fs = [np.cos, lambda x: np.abs(x - 0.3), lambda x: np.exp(1j * x)]
+    # a batch with a complex integral is complex throughout, and its real
+    # integrals are those taken alone in complex arithmetic; a real batch
+    # is real throughout
     a, b, tol = [0.0, -1.0, 0.0], [2.0, 1.0, 3.0], [1e-12, 1e-9, 1e-11]
-    batch = batch_of(fs, a, b, tol)
-    evaluations = 0
-    for k, f in enumerate(fs):
-        alone = integrate_adaptive(f, a[k], b[k], tol[k])
-        value, error, abs_integral, count = reference_integrate(f, a[k], b[k], tol[k])
-        assert batch.value[k] == alone.value == value
-        assert batch.error_estimate[k] == alone.error_estimate == error
-        assert batch.abs_integral[k] == alone.abs_integral == abs_integral
-        assert alone.evaluations == count
-        evaluations += count
-    assert batch.evaluations == evaluations
+    for dtype, fs in (
+        (np.complex128, [np.cos, lambda x: np.abs(x - 0.3), lambda x: np.exp(1j * x)]),
+        (np.float64, [np.cos, lambda x: np.abs(x - 0.3), lambda x: np.exp(-x)]),
+    ):
+        batch = batch_of(fs, a, b, tol, dtype=dtype)
+        assert batch.value.dtype == dtype
+        evaluations = 0
+        for k, f in enumerate(fs):
+
+            def typed(x, f=f):
+                return np.asarray(f(x), dtype=dtype)
+
+            alone = integrate_adaptive(typed, a[k], b[k], tol[k])
+            value, error, abs_integral, count = reference_integrate(typed, a[k], b[k], tol[k])
+            assert batch.value[k] == alone.value == value
+            assert batch.error_estimate[k] == alone.error_estimate == error
+            assert batch.abs_integral[k] == alone.abs_integral == abs_integral
+            assert alone.evaluations == count
+            evaluations += count
+        assert batch.evaluations == evaluations
 
 
 def test_gaussian_window_collapse_names_both_points():
@@ -457,3 +562,20 @@ def test_breakpoints_within_the_floor_seed_as_alone():
         assert (batch.value[k], batch.error_estimate[k]) == (value, error)
     first = reference_integrate(fs[0], 0.0, 1.0, 1e-12, breakpoints=cluster)[3]
     assert batch.evaluations == first + count
+
+
+@pytest.mark.parametrize("block", (1, 256))
+def test_integrand_that_turns_complex_keeps_its_imaginary_part(monkeypatch, block):
+    # every node of the first rounds lies right of 0.001, where the root is
+    # real; the later rounds reach left of it, in some of their blocks
+    monkeypatch.setattr(numerics, "_PANEL_BLOCK", block)
+
+    def root(x):
+        return np.emath.sqrt(x - 0.001)
+
+    result = integrate_adaptive(root, 0.0, 1.0, 1e-9)
+    assert isinstance(result.value, complex)
+    assert abs(result.value - (0.999**1.5 + 0.001**1.5 * 1j) * 2.0 / 3.0) <= result.error_estimate
+    if block == 256:  # one call per round, as the reference makes
+        value, error, _, count = reference_integrate(root, 0.0, 1.0, 1e-9)
+        assert (result.value, result.error_estimate, result.evaluations) == (value, error, count)
