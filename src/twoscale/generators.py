@@ -8,9 +8,11 @@ are provable for them) rather than inferred numerically.
 
 Generators whose ``closed_form`` is true (the Gaussian, the two-sided
 exponentials, rationals with separated poles, and the band-limited catalog
-entries) pair exactly through ``pair_closed_form``.  The others pair by
-quadrature: catalog generators, defined through a closed-form Fourier
-transform, in the Fourier domain; the rest in the time domain.
+entries) pair exactly through ``pair_closed_form``.  The other catalog
+entries, sech and log_exp_ratio, pair in the Fourier domain by fixed-step
+rules whose step and truncation come from a priori error bounds
+(``CatalogGenerator.pair_fixed_rule``); rationals with clustered poles pair
+by adaptive quadrature in the time domain (``GeneratorSpec.pair_quadrature``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadParameterError, InconsistentTagsError, InvalidEquationError
+from .errors import (
+    BadParameterError,
+    BudgetExceededError,
+    InconsistentTagsError,
+    InvalidEquationError,
+)
 from .refinement import SampledFunction, TwoScaleEquation, cascade_solve
 
 __all__ = [
@@ -58,6 +65,7 @@ _IMPLICATIONS = {
 }
 
 _UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
 # twice the smallest subnormal: the absolute rounding of a result that underflows
 _TINY = 2.0**-1073
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -94,8 +102,8 @@ class GeneratorSpec:
     kind: str = "abstract"
     # whether pair_closed_form gives every pairing of this generator
     closed_form: bool = False
-    # points where the generator (or, on the Fourier side, its transform) is
-    # not smooth, in unit coordinates; quadrature panels break there
+    # points where the generator is not smooth, in unit coordinates;
+    # quadrature panels break there
     kinks: tuple = ()
 
     def __init__(self, base_tags: Iterable[str], extra_tags: Iterable[str] | None = None):
@@ -164,15 +172,15 @@ class GeneratorSpec:
         return {}
 
 
-def refuse_pairs(ok, lp, bp, lq, bq, what) -> None:
-    """Raise a BadParameterError naming the first pair of points where ``ok``
-    is false; ``what`` ends the message, or ``what(k)`` when it quotes values
-    of that pair k."""
+def refuse_pairs(ok, lp, bp, lq, bq, what, error=BadParameterError) -> None:
+    """Raise ``error`` naming the first pair of points where ``ok`` is false;
+    ``what`` ends the message, or ``what(k)`` when it quotes values of that
+    pair k."""
     bad = np.flatnonzero(~ok)
     if bad.size:
         k = bad[0]
         detail = what(k) if callable(what) else what
-        raise BadParameterError(
+        raise error(
             f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) {detail}"
         )
 
@@ -708,27 +716,32 @@ class _CatalogEntry:
         ft_support: tuple | None,
         ft_envelope: tuple | None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
         time_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        ft_kinks: tuple = (),
         pair_closed_form: Callable | None = None,  # as GeneratorSpec.pair_closed_form
+        fixed_rule: Callable | None = None,  # as _sech_rule, for the entries without one
     ):
         self.tags = tags
         self.ft = ft
         self.ft_support = ft_support
         self.ft_envelope = ft_envelope
         self.time_fn = time_fn
-        self.ft_kinks = ft_kinks
         self.pair_closed_form = pair_closed_form
+        self.fixed_rule = fixed_rule
+
+
+# e^-|gamma| is 0 in floats past this |gamma|, and so is log_exp_ratio's transform
+_EXP_UNDERFLOW = 746.0
 
 
 def _ft_log_exp_ratio(g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
-    out = np.zeros_like(g)
-    nz = g != 0.0
-    gn = g[nz]
-    with np.errstate(over="ignore"):  # inf past |gamma| = 709, where the quotient is 0
-        denominator = np.exp(gn) + np.exp(-gn)
-    out[nz] = gn * np.log(np.abs(gn)) / denominator
-    return out
+    """gamma ln|gamma| / (e^gamma + e^-gamma), formed as sign(gamma) |gamma|
+    ln|gamma| e^-|gamma| / (1 + e^-2|gamma|): one exp, finite for every float,
+    and exactly 0 at 0 and wherever e^-|gamma| underflows.  Clipping gamma to
+    the underflow point keeps inf * 0 out; the log of the smallest subnormal
+    stands in for ln 0, which is multiplied by 0."""
+    g = np.clip(np.asarray(g, dtype=np.float64), -_EXP_UNDERFLOW, _EXP_UNDERFLOW)
+    a = np.abs(g)
+    e = np.exp(-a)
+    return g * e * np.log(np.maximum(a, _SUBNORMAL)) / (1.0 + e * e)
 
 
 def _ft_box(g: np.ndarray) -> np.ndarray:
@@ -870,6 +883,159 @@ def _annulus_tent_pairs(lp, bp, lq, bq) -> tuple:
         return value, error + 2.0 * u * np.abs(value) + _TINY
 
 
+# The fixed-step rules try, for each pair, these fractions 1 - 2^-j of the
+# widest strip or sector in which the folded product is analytic: each gives
+# a valid bound, and the one that allows the longest step is kept.
+_WIDTH_FRACTIONS = 1.0 - 2.0 ** -np.arange(1.0, 9.0)
+# a pair whose fixed-step rule needs more nodes than this is refused
+NODE_BUDGET = 10**6
+_LN2 = math.log(2.0)
+# digamma and trigamma at 1, 2 and 3
+_PSI = np.array([0.0, 1.0, 1.5]) - 0.5772156649015329
+_TRIGAMMA = math.pi**2 / 6.0 - np.array([0.0, 1.0, 1.25])
+_LOG_FACTORIAL = np.log([1.0, 1.0, 2.0])
+
+
+def _strip_step(width, log_m, log_target, factor: float) -> tuple:
+    """Steps of the trapezoidal rule from strip bounds, and the strip kept.
+
+    A function analytic in the strip |Im t| < a, with integral at most M
+    along every line Im t = b, |b| < a, misses its integral by at most
+    2 M / (e^(2 pi a / h) - 1) with the infinite trapezoidal sum of step h
+    (Trefethen and Weideman, SIAM Rev. 56 (2014), Thm 5.1).  Given the
+    candidate half-widths ``width`` and log M of each pair (one row per
+    pair), the step that makes factor M / (e^(2 pi a / h) - 1) equal to
+    e^log_target is h = 2 pi a / log(1 + factor M / target); returns, per
+    pair, the longest of those steps, its half-width and its log M.
+    """
+    step = 2.0 * math.pi * width / np.logaddexp(0.0, math.log(factor) + log_m - log_target)
+    rows = np.arange(step.shape[0])
+    best = np.argmax(step, axis=1)
+    return step[rows, best], width[rows, best], log_m[rows, best]
+
+
+def _strip_bound(width, log_m, h, factor: float) -> np.ndarray:
+    """factor M / (e^(2 pi a / h) - 1), formed from log M and the log of expm1."""
+    y = 2.0 * math.pi * (width / h)
+    return np.exp(math.log(factor) + log_m - y - np.log(-np.expm1(-y)))
+
+
+def _sech_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
+    """The trapezoidal rule on the folded half line for ft(g) = sech(pi g).
+
+    The folded product F(g) = scale sech(pi g / lp) sech(pi g / lq)
+    cos(omega g) (see CatalogGenerator.ft_pair_integrand) is even and
+    analytic in the strip |Im g| < min(lp, lq) / 2.  On the line Im g = b,
+    |sech(u + iv)| <= sech(u) / cos(v) and |cos(omega (x + ib))| <=
+    cosh(omega b), and sech(pi x / l) integrates to l, so for |b| <= a
+    F integrates in modulus to at most M = scale cosh(omega a) min(lp, lq) /
+    (cos(pi a / lp) cos(pi a / lq)).  The sum h (F(0) / 2 + F(h) + F(2h) +
+    ...) is half the full-line trapezoidal sum, so it misses the entry by at
+    most M / (e^(2 pi a / h) - 1) (see _strip_step).  The step makes that
+    the target, but is at most the truncation radius R; the nodes kh run
+    from k = 0 to the first multiple of h at or past R, and the terms past
+    it, under the decreasing envelope, add up to at most the envelope's
+    integral past R, the window's tail.  Returns (h, first k, last k,
+    discretization bound, whether the nodes are e^(kh)).
+    """
+    small = np.minimum(lp, lq)[:, None]
+    width = 0.5 * small * _WIDTH_FRACTIONS
+    # a scale that underflows to 0 gives M = 0; a step of 0 is refused by its node count
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        wa = np.abs(omega)[:, None] * width
+        log_cosh = wa + np.log1p(np.exp(-2.0 * wa)) - _LN2
+        log_m = (
+            np.log(scale)[:, None] + np.log(small) + log_cosh
+            - np.log(np.cos(0.5 * math.pi * _WIDTH_FRACTIONS * (small / lp[:, None])))
+            - np.log(np.cos(0.5 * math.pi * _WIDTH_FRACTIONS * (small / lq[:, None])))
+        )
+        step, a, log_m = _strip_step(width, log_m, log_target, 1.0)
+        h = np.minimum(step, radius)
+        last = np.ceil(radius / h)
+        bound = _strip_bound(a, log_m, h, 1.0)
+    return h, np.zeros_like(h), last, bound, False
+
+
+def _log_exp_ratio_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
+    """The SE-Sinc rule after g = e^t for ft(g) = g ln|g| / (e^g + e^-g).
+
+    The factor g ln g is not analytic at 0; after g = e^t (the single
+    exponential transformation; Okayama, Matsuo and Sugihara, Numer. Math.
+    124 (2013)) the entry is the integral over the line of u(t) = e^t F(e^t),
+    taken by the trapezoidal rule in t.  F is analytic in the sector
+    |arg z| < pi / 2, so u is analytic in the strip |Im t| < d for every
+    d < pi / 2 with tan d < sigma / |omega|, sigma = 1 / lp + 1 / lq.  On
+    the ray z = r e^(is), |s| <= d, with c = cos d: |ft(w)| <= |w| |ln w| /
+    (2 sinh(Re w)), |ln w|^2 <= ln^2 |w| + d^2, x / sinh x <= 2 (1 + x) e^-x
+    and |cos(omega z)| <= e^(|omega| r sin d) give
+        |F(z)| <= scale / c^2 [(ln^2(r / lp) + ln^2(r / lq)) / 2 + d^2]
+                  (1 + c r / lp) (1 + c r / lq) e^(-kappa r),
+    with kappa = c sigma - |omega| sin d > 0.  u integrates along Im t = s
+    as |F| does along the ray, so by the moments of r^k ln^2 r e^(-kappa r)
+        M = scale / c^2 sum_k e_k k! / kappa^(k + 1)
+            [((psi_k - ln(kappa lp))^2 + (psi_k - ln(kappa lq))^2) / 2
+             + psi'_k + d^2],
+    e = (1, c sigma, c^2 / (lp lq)), with psi_k and psi'_k the digamma and
+    trigamma functions at k + 1; the infinite sum misses the entry by at
+    most 2 M / (e^(2 pi d / h) - 1) (see _strip_step).  The step makes that
+    the target, and is at most ln 2.
+
+    Truncation below: for g <= delta <= min(lp, lq) / e, |ft(x)| <=
+    |x ln|x|| / 2 gives |F(g)| <= scale g^2 ln^2(sqrt(lp lq) / g) /
+    (4 lp lq), e^t times which increases in t, so the terms at nodes below
+    delta add up to at most its integral over [0, delta], scale delta^3
+    (L^2 + 2 L / 3 + 2 / 9) / (12 lp lq) with L = ln(sqrt(lp lq) / delta);
+    delta halves from min(lp, lq) / e until that is within the target.
+    Truncation above: past the radius R, e^t times the envelope decreases
+    (R >= 1 / the pair rate), so the terms at nodes past R add up to at most
+    the window's tail.  The nodes e^(kh) run from the last at or below delta
+    to the first at or past R.  Returns (h, first k, last k, discretization
+    plus lower truncation bound, whether the nodes are e^(kh)).
+    """
+    sigma = 1.0 / lp + 1.0 / lq
+    w = np.abs(omega)
+    d = np.arctan2(sigma, w)[:, None] * _WIDTH_FRACTIONS
+    c = np.cos(d)
+    log_lp, log_lq = np.log(lp)[:, None], np.log(lq)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_kappa = np.log(c * sigma[:, None] - w[:, None] * np.sin(d))
+        log_c = np.log(c)
+        log_moment = [
+            log_e + _LOG_FACTORIAL[k] - (k + 1) * log_kappa + np.log(
+                0.5 * ((_PSI[k] - log_kappa - log_lp) ** 2 + (_PSI[k] - log_kappa - log_lq) ** 2)
+                + _TRIGAMMA[k] + d * d
+            )
+            for k, log_e in enumerate(
+                (0.0, log_c + np.log(sigma)[:, None], 2.0 * log_c - log_lp - log_lq)
+            )
+        ]
+        log_m = np.log(scale)[:, None] - 2.0 * log_c + np.logaddexp.reduce(log_moment)
+        step, width, log_m = _strip_step(d, log_m, log_target, 2.0)
+        h = np.minimum(step, _LN2)
+        disc = _strip_bound(width, log_m, h, 2.0)
+
+        log_lp, log_lq = log_lp[:, 0], log_lq[:, 0]
+        delta = np.minimum(lp, lq) / math.e
+        log_lower = np.empty(lp.size)
+
+        def lower(i):
+            log_delta = np.log(delta[i])
+            root = 0.5 * (log_lp[i] + log_lq[i]) - log_delta
+            return (
+                np.log(scale[i] / 12.0) - log_lp[i] - log_lq[i] + 3.0 * log_delta
+                + np.log(root * root + 2.0 * root / 3.0 + 2.0 / 9.0)
+            )
+
+        i = np.arange(lp.size)
+        while i.size:
+            log_lower[i] = lower(i)
+            i = i[log_lower[i] > log_target]
+            delta[i] *= 0.5
+        first = np.floor(np.log(delta) / h)
+        last = np.ceil(np.log(radius) / h)
+    return h, first, last, disc + np.exp(log_lower), True
+
+
 _CATALOG = {
     # gamma ln|gamma| / (e^gamma + e^-gamma): square integrable with a
     # logarithmico-exponential germ at infinity; no closed time-domain form
@@ -878,7 +1044,7 @@ _CATALOG = {
         ft=_ft_log_exp_ratio,
         ft_support=None,
         ft_envelope=(1.0, 0.5, 12.0),
-        ft_kinks=(0.0,),
+        fixed_rule=_log_exp_ratio_rule,
     ),
     # indicator of [-1/2, 1/2] in frequency; sinc in time
     "ft_box": _CatalogEntry(
@@ -887,7 +1053,6 @@ _CATALOG = {
         ft_support=(-0.5, 0.5),
         ft_envelope=None,
         time_fn=_sinc,
-        ft_kinks=(-0.5, 0.5),
         pair_closed_form=_box_pairs,
     ),
     # tent on 1 <= |gamma| <= 2: compact frequency support vanishing near 0
@@ -898,7 +1063,6 @@ _CATALOG = {
         ft=_ft_annulus_tent,
         ft_support=(-2.0, 2.0),
         ft_envelope=None,
-        ft_kinks=(-2.0, -1.5, -1.0, 1.0, 1.5, 2.0),
         pair_closed_form=_annulus_tent_pairs,
     ),
     # sech(pi x) is its own Fourier transform and is monotone on each side
@@ -917,6 +1081,7 @@ _CATALOG = {
         ft_support=None,
         ft_envelope=(2.0, math.pi, 0.0),
         time_fn=_sech,
+        fixed_rule=_sech_rule,
     ),
 }
 
@@ -928,7 +1093,7 @@ def catalog_ids() -> tuple:
 class CatalogGenerator(GeneratorSpec):
     """Closed-form catalog generator, keyed by id and defined via its
     Fourier transform.  The band-limited entries pair in closed form; the
-    others by quadrature in the Fourier domain, which avoids slowly
+    others by a fixed-step rule in the Fourier domain, which avoids slowly
     decaying time tails."""
 
     kind = "le_catalog"
@@ -942,7 +1107,6 @@ class CatalogGenerator(GeneratorSpec):
             ) from None
         self.catalog_id = catalog_id
         self._entry = entry
-        self.kinks = entry.ft_kinks
         self.closed_form = entry.pair_closed_form is not None
         super().__init__(entry.tags, extra_tags)
 
@@ -980,33 +1144,65 @@ class CatalogGenerator(GeneratorSpec):
 
         return integrand
 
-    def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
-        """As GeneratorSpec.pair_quadrature, in frequency and on the half line
-        (see ft_pair_integrand): each window [-R, R] becomes [0, R] with the
-        same tail bound, which counts both tails.  The edges are the positive
-        kinks and the geometric edges right of 0, widening from the narrower
-        factor's bandwidth.  The rounding factor covers the phase omega g: the
-        rounding of d (delta_d, see _relative_shift), of omega and of omega g,
-        and of the cosine, (2 pi delta_d + 4 u |omega|) R + 2 u with u the
-        unit roundoff.
+    def pair_fixed_rule(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """What the fixed-step rule of a catalog entry without a closed form
+        needs to pair its dilated translates at pairs of points.
+
+        Returns (integrand, h, first, count, exponential, bound, rounding):
+        the folded products (ft_pair_integrand); per pair the step h and the
+        nodes t_k = k h for k = first .. first + count - 1, each at
+        g = e^(t_k) with weight h g when ``exponential`` is true (the SE-Sinc
+        rule of log_exp_ratio), else at g = t_k with weight h, h / 2 at
+        k = 0 (the trapezoidal rule of sech on the half line); the bound on
+        the rule's discretization and truncation errors; and the factor on
+        the sum of |weighted terms| that covers their rounding.  The step and
+        truncation come from the entry's rule (_sech_rule,
+        _log_exp_ratio_rule), with a target of tol / 8 for the
+        discretization and for a truncation below, and the window's tail,
+        at most tol / 4, above: the bound is at most tol / 2.  The rounding
+        factor covers the phase omega g as the closed forms do: the rounding
+        of d (delta_d, see _relative_shift), of omega and of omega g, and of
+        the cosine, (2 pi delta_d + 4 u |omega|) G + 2 u with G the largest
+        node and u the unit roundoff, plus u for the product with each
+        weight; the kernel that sums the terms adds its own.  The bound also
+        takes 2^-1073 per term for products that underflow, scale included,
+        times the sum of the weights, which is at most 2 G.  The node counts
+        are checked before any node is formed: a pair that needs more than
+        NODE_BUDGET nodes is a BudgetExceededError naming both points.
         """
-        lo, hi, tail = _checked_window(self.ft_pair_window(lp, bp, lq, bq, tol), lp, bp, lq, bq)
+        _, radius, tail = _checked_window(self.ft_pair_window(lp, bp, lq, bq, tol), lp, bp, lq, bq)
         integrand = self.ft_pair_integrand(lp, bp, lq, bq)  # checks shift and scale first
-        omega, _ = _fourier_phase(lp, bp, lq, bq)
+        omega, scale = _fourier_phase(lp, bp, lq, bq)
+        # before the rule, which would count an infinite omega as infinitely many nodes
         with np.errstate(over="ignore"):  # to inf, as in scalar arithmetic
-            kinks = [k * lam for k in self.kinks for lam in (lp, lq)]
-            # the largest phase |omega| R the window reaches
-            phase = np.abs(omega) * hi
+            phase = np.abs(omega) * radius
+        refuse_pairs(
+            np.isfinite(phase), lp, bp, lq, bq, "put the Fourier-side phase out of float range"
+        )
+        h, first, last, bound, exponential = self._entry.fixed_rule(
+            lp, lq, omega, scale, radius, math.log(0.125 * tol)
+        )
+        count = last - first + 1.0
+        refuse_pairs(
+            count <= NODE_BUDGET, lp, bp, lq, bq,
+            lambda k: f"need {count[k]:.3g} nodes of the fixed-step rule, "
+            f"beyond the budget of {NODE_BUDGET}",
+            error=BudgetExceededError,
+        )
+        with np.errstate(over="ignore"):
+            top = last * h
+            largest = np.exp(top) if exponential else top
+            phase = np.abs(omega) * largest
         refuse_pairs(
             np.isfinite(phase), lp, bp, lq, bq, "put the Fourier-side phase out of float range"
         )
         _, shift_rounding = _relative_shift(lp, bp, lq, bq)
         u = _UNIT_ROUNDOFF
-        rounding = (2.0 * np.pi * shift_rounding + 4.0 * u * np.abs(omega)) * hi + 2.0 * u
-        zero = np.zeros(lp.size)
-        points, owners = _breakpoints(kinks, (zero,), np.minimum(lp, lq), zero, hi)
-        right = points > 0.0
-        return integrand, zero, hi, (points[right], owners[right]), rounding, tail
+        rounding = (2.0 * np.pi * shift_rounding + 4.0 * u * np.abs(omega)) * largest + 3.0 * u
+        return (
+            integrand, h, first.astype(np.int64), count.astype(np.int64), exponential,
+            bound + tail + 2.0 * _TINY * largest, rounding,
+        )
 
     def ft_pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
         with np.errstate(all="ignore"):
@@ -1017,7 +1213,8 @@ class CatalogGenerator(GeneratorSpec):
             k, rate, start = self._entry.ft_envelope
             pair_rate = rate * (1.0 / lp + 1.0 / lq)
             prefactor = 2.0 * k * k / (lp * lq)
-            radius = np.maximum(1.0, start * np.maximum(lp, lq))
+            # from the envelope's own scale, and no nearer than where it holds
+            radius = np.maximum(1.0 / pair_rate, start * np.maximum(lp, lq))
 
             def tail(r, i):
                 return prefactor[i] * _exp(-pair_rate[i] * r) / pair_rate[i]

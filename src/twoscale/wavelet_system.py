@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
-from .generators import _TINY, GeneratorSpec, SampledGenerator, refuse_pairs
+from .generators import _TINY, CatalogGenerator, GeneratorSpec, SampledGenerator, refuse_pairs
 from .numerics import hermitian_eigen, integrate_adaptive
 from .refinement import GRID_BUDGET
 
@@ -124,8 +124,13 @@ _KNOT_BLOCK = 2**13
 # a time, which bounds the per-entry arrays of the window test as well
 _PAIR_CHUNK = 2**16
 # and an unbounded generator's this many, which bounds the panels that one
-# batch of quadratures holds at once
+# batch of quadratures holds at once, and a fixed-step rule's arrays per entry
 _QUADRATURE_CHUNK = 2**6
+# The fixed-step rules sum each entry's nodes in runs of at most this many,
+# and evaluate the runs in blocks of at most this many nodes, which bounds
+# their temporaries however many nodes an entry needs
+_SUM_RUN = 2**10
+_NODE_BLOCK = 2**14
 # exact splitting passes before the per-entry fsum; for segments of a few
 # thousand pieces, three leave no remainder on pieces within a factor of
 # about 2^60 of the segment's largest
@@ -389,19 +394,88 @@ def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
     return result.value, result.error_estimate + rounding * result.abs_integral + tail
 
 
+def _fixed_rule_pairs(gen: CatalogGenerator, lp, bp, lq, bq, tol: float) -> tuple:
+    """Pairings of a catalog generator without a closed form, by its fixed-step rule.
+
+    The nodes of all entries (see CatalogGenerator.pair_fixed_rule) form one
+    flat grid, cut into runs of at most _SUM_RUN consecutive nodes of one
+    entry, and the runs go through the folded products in blocks of at most
+    _NODE_BLOCK nodes (a longer run forms a block of its own).  Each run is
+    summed alone (np.add.reduceat, whose sum of a run depends only on the
+    run), and each entry is the math.fsum of its runs' sums.  So an entry
+    depends neither on the blocks nor on the other entries of the batch,
+    and gram and inner_product give the same bits.  The error bound is the
+    rule's discretization and truncation bound plus its rounding factor
+    times the sum of |terms|, summed the same way, with (_SUM_RUN + 1) u
+    more for the sums: a run's plain sum is off by at most (_SUM_RUN - 1) u
+    times the sum of its moduli, to first order, and fsum by u times the
+    entry.  A non-finite term, entry or bound is a BadParameterError naming
+    both points.
+    """
+    integrand, h, first, count, exponential, bound, rounding = gen.pair_fixed_rule(
+        lp, bp, lq, bq, tol
+    )
+    runs = -(-count // _SUM_RUN)
+    entry = np.repeat(np.arange(lp.size), runs)
+    offset = (np.arange(entry.size) - np.repeat(np.cumsum(runs) - runs, runs)) * _SUM_RUN
+    run_first = first[entry] + offset
+    run_count = np.minimum(count[entry] - offset, _SUM_RUN)
+    run_end = np.cumsum(run_count)
+    sums = np.empty(entry.size)
+    moduli = np.empty(entry.size)
+    a = 0
+    while a < entry.size:
+        cap = (run_end[a - 1] if a else 0) + _NODE_BLOCK
+        b = max(a + 1, int(np.searchsorted(run_end, cap, side="right")))
+        size = run_count[a:b]
+        local = np.cumsum(size) - size
+        pair = np.repeat(entry[a:b], size)
+        k = np.arange(int(local[-1] + size[-1])) + np.repeat(run_first[a:b] - local, size)
+        weight = h[pair]
+        nodes = k * weight
+        if exponential:
+            nodes = np.exp(nodes)
+            weight *= nodes
+        else:
+            weight[k == 0] *= 0.5
+        terms = weight * integrand(nodes, pair)
+        finite = np.ones(lp.size, dtype=bool)
+        finite[pair[~np.isfinite(terms)]] = False
+        refuse_pairs(finite, lp, bp, lq, bq, "give a non-finite term of the fixed-step rule")
+        sums[a:b] = np.add.reduceat(terms, local)
+        moduli[a:b] = np.add.reduceat(np.abs(terms), local)
+        a = b
+    cuts = np.append(0, np.cumsum(runs)).tolist()
+    sums, moduli = sums.tolist(), moduli.tolist()
+    values = np.array([math.fsum(sums[i:j]) for i, j in zip(cuts, cuts[1:])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.array([math.fsum(moduli[i:j]) for i, j in zip(cuts, cuts[1:])])
+        errors = bound + (rounding + (_SUM_RUN + 1) * _UNIT_ROUNDOFF) * total
+    refuse_pairs(
+        np.isfinite(values) & np.isfinite(errors), lp, bp, lq, bq,
+        lambda k: f"give a Gram entry out of float range: {values[k]:g} "
+        f"with error bound {errors[k]:g}",
+    )
+    return values, errors
+
+
 def _pairing(gen: GeneratorSpec) -> tuple:
     """The kernel that pairs gen's dilated translates, and how many entries it takes at once.
 
     Every kernel maps (gen, lp, bp, lq, bq, tol), with arrays of the two
     points of each entry, to (values, error bounds).  Sampled generators
     pair exactly on merged knots; generators with a closed form
-    (``gen.closed_form``) pair by it; the others (sech, log_exp_ratio and
-    rationals with clustered poles) by batched adaptive quadrature.
+    (``gen.closed_form``) pair by it; the other catalog generators (sech and
+    log_exp_ratio) by their fixed-step rules in the Fourier domain, with a
+    priori error bounds; rationals with clustered poles by batched adaptive
+    quadrature.
     """
     if isinstance(gen, SampledGenerator):
         return _sampled_pairs, _PAIR_CHUNK
     if gen.closed_form:
         return _closed_form_pairs, _PAIR_CHUNK
+    if isinstance(gen, CatalogGenerator):
+        return _fixed_rule_pairs, _QUADRATURE_CHUNK
     return _quadrature_pairs, _QUADRATURE_CHUNK
 
 
@@ -414,13 +488,15 @@ def inner_product(
     exactly on the intersection of supports, as (1/lambda_p) J(r, s) of the
     normalized key (see _sampled_pairs), with a bound on J's rounding, on
     the rounding of r and s and on the division by lambda_p; generators with
-    a closed form pair by it, with a rounding bound.  The others are
-    integrated adaptively on a truncation window, with the tail bound and,
-    in time, the rounding of lambda x - beta folded into the error (see
-    GeneratorSpec.pair_quadrature); catalog generators defined through
-    their Fourier transform pair in the Fourier domain, as a real cosine
-    integral on the half line with the rounding of the phase folded into
-    the error (see CatalogGenerator.pair_quadrature).  This is the
+    a closed form pair by it, with a rounding bound.  The other catalog
+    generators (sech and log_exp_ratio) pair in the Fourier domain, as a real
+    cosine integral on the half line, by a fixed-step rule whose step and
+    truncation come from a priori bounds: the error is the bound on the
+    rule's discretization and truncation plus the rounding of the phase and
+    of the sum (see CatalogGenerator.pair_fixed_rule).  Rationals with
+    clustered poles are integrated adaptively in time on a truncation
+    window, with the tail bound and the rounding of lambda x - beta folded
+    into the error (see GeneratorSpec.pair_quadrature).  This is the
     one-pair call of the kernel that gram runs on the whole matrix.
     """
     params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))

@@ -1,17 +1,25 @@
-"""Batched quadrature of unbounded generators against the entry-by-entry reference, bit for bit.
+"""Batched pairings of unbounded generators without a closed form, against references.
 
-gram pairs most of these generators in closed form now; the quadrature
-kernel (wavelet_system._quadrature_pairs) still pairs sech, log_exp_ratio
-and rationals with clustered poles, and it is tested here on every family.
-The reference keeps the integrand's dtype: time-side products of real
-generators are integrated in float64, and catalog generators as the real
-cosine integral 2 / (lp lq) int_0^R ft(g / lp) ft(g / lq) cos(omega g) dg
-on the half line, with the rounding of the phase in the error bound.  The
-old full-line complex integral stays as an oracle for the fold, which rests
-on every catalog transform being real and even or odd.
+gram pairs most of these generators in closed form now.  The adaptive
+quadrature kernel (wavelet_system._quadrature_pairs) still pairs rationals
+with clustered poles, and it is tested here, bit for bit against the
+entry-by-entry reference, on every family with a time-domain form; the
+reference integrates time-side products of real generators in float64.
+
+sech and log_exp_ratio pair by fixed-step rules (wavelet_system.
+_fixed_rule_pairs): the trapezoidal rule and the SE-Sinc rule on the real
+cosine integral 2 / (lp lq) int_0^inf ft(g / lp) ft(g / lq) cos(omega g) dg,
+with steps and truncations from a priori bounds.  Their oracles: the same
+rule at half the step over twice the range of nodes lies within each
+entry's bound; gram gives the bits of the entries paired one at a time,
+whatever the blocks; and the old full-line complex integral, by adaptive
+quadrature, agrees within both bounds (this oracle also checks the fold,
+which rests on every catalog transform being real and even or odd, and the
+closed forms of the band-limited entries).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoscale import generators, numerics, wavelet_system
-from twoscale.errors import BadParameterError, NonConvergenceError
+from twoscale.errors import BadParameterError, BudgetExceededError, NonConvergenceError
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
-from twoscale.wavelet_system import WaveletSystem, gram
+from twoscale.wavelet_system import WaveletSystem, gram, inner_product
 
 _EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = 2.0**-53
@@ -151,36 +159,16 @@ def reference_geometric_edges(origins, unit, lo, hi):
 
 
 def reference_pair(gen, p, q, tol, calls=None):
-    """inner_product of an unbounded generator, one entry at a time."""
+    """inner_product of an unbounded generator by quadrature in time, one entry at a time."""
     lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
     lo, hi, tail = reference_window(gen, p, q, tol)
-    if isinstance(gen, CatalogGenerator):
-        # the even product against cos(omega g) on [0, R], twice
-        ap, aq = bp / lp, bq / lq
-        shift, scale, ft = ap - aq, 2.0 / (lp * lq), gen.ft
-        omega = 2.0 * math.pi * shift
 
-        def integrand(g):
-            return scale * ft(g / lp) * ft(g / lq) * np.cos(omega * g)
+    def integrand(x):
+        return gen(lp * x - bp) * np.conj(gen(lq * x - bq))
 
-        edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
-        edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
-        edges = [x for x in edges if x > 0.0]
-        lo = 0.0
-        shift_rounding = 0.0
-        if (lp, bp) != (lq, bq):
-            shift_rounding = 2.0 * _UNIT_ROUNDOFF * (abs(ap) + abs(aq) + abs(shift)) + 2.0**-1073
-        rounding = (
-            2.0 * math.pi * shift_rounding + 4.0 * _UNIT_ROUNDOFF * abs(omega)
-        ) * hi + 2.0 * _UNIT_ROUNDOFF
-    else:
-
-        def integrand(x):
-            return gen(lp * x - bp) * np.conj(gen(lq * x - bq))
-
-        edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
-        edges += reference_geometric_edges((bp / lp, bq / lq), 1.0 / max(lp, lq), lo, hi)
-        rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(bp) + abs(bq))
+    edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
+    edges += reference_geometric_edges((bp / lp, bq / lq), 1.0 / max(lp, lq), lo, hi)
+    rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(bp) + abs(bq))
 
     def counted(x):
         if calls is not None:
@@ -209,12 +197,23 @@ def reference_gram(gen, points, tol):
     return matrix, worst, np.array(errors)
 
 
-def quadrature_triangle(gen, points, tol=1e-10):
-    """Values and error bounds of the quadrature kernel on the upper triangle, in one batch."""
+def triangle_params(points):
+    """Arrays (lp, bp, lq, bq) of the upper triangle of a list of points."""
     rows, cols = np.triu_indices(len(points))
     lam = np.array([p.dilation for p in points])
     beta = np.array([p.translation for p in points])
-    return wavelet_system._quadrature_pairs(gen, lam[rows], beta[rows], lam[cols], beta[cols], tol)
+    return lam[rows], beta[rows], lam[cols], beta[cols]
+
+
+def quadrature_triangle(gen, points, tol=1e-10):
+    """Values and error bounds on the upper triangle, in one batch: by adaptive
+    quadrature in time for a generator with a time-domain form, and for a
+    catalog generator by the Fourier-side kernel that gram uses (a fixed-step
+    rule, or the closed form of a band-limited entry)."""
+    kernel = wavelet_system._quadrature_pairs
+    if isinstance(gen, CatalogGenerator):
+        kernel, _ = wavelet_system._pairing(gen)
+    return kernel(gen, *triangle_params(points), tol)
 
 
 def triangle_matrix(values, n):
@@ -236,15 +235,18 @@ def assert_same_bits(gen, points, tol=1e-10):
     assert np.float64(quad_error).tobytes() == np.float64(worst).tobytes()
 
 
+# double poles at +-i: too close together to pair by residues
+DOUBLE_POLE = RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0])
 GENERATORS = (
     Gaussian(),
     TwoSidedExp(1),
     TwoSidedExp(2),
     RationalL2([1.0], [1.0, 0.0, 1.0]),
     RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]),
-    *(CatalogGenerator(cid) for cid in catalog_ids()),
+    DOUBLE_POLE,
 )
-GENERATOR_IDS = ("gaussian", "exp1", "exp2", "lorentz", "odd", *catalog_ids())
+GENERATOR_IDS = ("gaussian", "exp1", "exp2", "lorentz", "odd", "double-pole")
+FIXED_RULE_IDS = ("sech", "log_exp_ratio")
 DECAY_POINTS_8 = tuple(
     P(*pt)
     for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))
@@ -276,14 +278,12 @@ def test_gram_matches_entry_by_entry_bitwise(case):
     (
         # F1: the kink of exp(-|x|) at beta/lambda between the nodes of a panel
         (TwoSidedExp(1), (P(1.0, -0.9), P(1.5, 0.2))),
-        # F2: the annulus tents overlap on 1.99 <= |gamma| <= 2 only
-        (CatalogGenerator("ft_annulus_tent"), (P(1.0, 0.0), P(1.99, 0.0))),
         # F4: products far narrower than the truncation window
         (RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]), (P(1, 0), P(2, 0))),
         (RationalL2([1.0], [1.0, 0.0, 1.0]), (P(1000, 3e6), P(1000, 3e6 + 0.5))),
         *((gen, DECAY_POINTS_8) for gen in GENERATORS),
     ),
-    ids=("F1", "F2", "F4-odd", "F4-far", *(f"{name}-8" for name in GENERATOR_IDS)),
+    ids=("F1", "F4-odd", "F4-far", *(f"{name}-8" for name in GENERATOR_IDS)),
 )
 def test_fixed_systems_match_bitwise(gen, points):
     assert_same_bits(gen, list(points))
@@ -295,9 +295,9 @@ def test_fixed_systems_match_bitwise(gen, points):
     (
         (RationalL2([1.0], [1.0, 0.0, 1.0]), DECAY_POINTS_8[:5]),
         (TwoSidedExp(1), DECAY_POINTS_8[:4]),
-        (CatalogGenerator("log_exp_ratio"), DECAY_POINTS_8[:3]),
+        (DOUBLE_POLE, DECAY_POINTS_8[:3]),
     ),
-    ids=("lorentz", "exp1", "log_exp_ratio"),
+    ids=("lorentz", "exp1", "double-pole"),
 )
 def test_panel_block_leaves_bytes_unchanged(monkeypatch, block, gen, points):
     before = quadrature_triangle(gen, points)
@@ -307,17 +307,9 @@ def test_panel_block_leaves_bytes_unchanged(monkeypatch, block, gen, points):
     assert after[1].tobytes() == before[1].tobytes()
 
 
-@pytest.mark.parametrize(
-    "gen",
-    (
-        CatalogGenerator("sech"),
-        CatalogGenerator("log_exp_ratio"),
-        # double poles at +-i: too close together to pair by residues
-        RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),
-    ),
-    ids=("sech", "log_exp_ratio", "double-pole"),
-)
+@pytest.mark.parametrize("gen", (DOUBLE_POLE,), ids=("double-pole",))
 def test_gram_pairs_generators_without_closed_form_by_quadrature(gen):
+    assert wavelet_system._pairing(gen)[0] is wavelet_system._quadrature_pairs
     points = list(DECAY_POINTS_8[:5])
     values, errors = quadrature_triangle(gen, points)
     report = gram(WaveletSystem(gen, points))
@@ -325,8 +317,116 @@ def test_gram_pairs_generators_without_closed_form_by_quadrature(gen):
     assert report.quad_error == np.fmax.reduce(errors, initial=0.0)
 
 
-# The parity of each catalog transform, which the Fourier-side fold rests on.
+def half_step_entries(gen, points, tol=1e-10):
+    """Each entry by the same fixed-step rule at half the step, over twice the
+    range of nodes: twice the reach of the trapezoidal rule of sech, twice the
+    span in t of the SE-Sinc rule (half of it beyond each end); one entry at a
+    time, summed by math.fsum."""
+    params = triangle_params(points)
+    integrand, h, first, count, exponential, _, _ = gen.pair_fixed_rule(*params, tol)
+    values = []
+    for k in range(h.size):
+        last = first[k] + count[k] - 1
+        if exponential:
+            span = last - first[k]
+            index = np.arange(2 * first[k] - span, 2 * last + span + 1)
+        else:
+            index = np.arange(4 * last + 1)
+        step = 0.5 * h[k]
+        nodes = index * step
+        weight = np.full(index.size, step)
+        if exponential:
+            nodes = np.exp(nodes)
+            weight *= nodes
+        else:
+            weight[0] *= 0.5
+        values.append(math.fsum(weight * integrand(nodes, np.full(index.size, k))))
+    return np.array(values)
+
+
+FIXED_RULE_POINTS = (
+    DECAY_POINTS_8,
+    # wide and narrow factors, and origins 7.5 apart
+    (P(0.05, 0.0), P(0.1, 0.01), P(20.0, 1.0), P(1.0, 7.5), P(1.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("points", FIXED_RULE_POINTS, ids=("decay-8", "spread"))
+@pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
+def test_fixed_rule_at_half_the_step_agrees_within_the_bound(catalog_id, points):
+    gen = CatalogGenerator(catalog_id)
+    assert wavelet_system._pairing(gen)[0] is wavelet_system._fixed_rule_pairs
+    values, errors = quadrature_triangle(gen, list(points))
+    oracle = half_step_entries(gen, list(points))
+    assert np.all(np.abs(values - oracle) <= errors)
+    assert np.all(errors <= 1e-10)
+
+
+@pytest.mark.parametrize("block", (1, 7, 10**6))
+@pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
+def test_fixed_rule_gram_is_inner_product_bit_for_bit(monkeypatch, catalog_id, block):
+    gen, points = CatalogGenerator(catalog_id), list(DECAY_POINTS_8)
+    rows, cols = np.triu_indices(len(points))
+    alone = [inner_product(gen, points[i], points[j]) for i, j in zip(rows, cols)]
+    # blocks of any size, and passes of five entries
+    monkeypatch.setattr(wavelet_system, "_NODE_BLOCK", block)
+    monkeypatch.setattr(wavelet_system, "_QUADRATURE_CHUNK", 5)
+    report = gram(WaveletSystem(gen, points))
+    values = [value for value, _ in alone]
+    assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
+    assert report.quad_error == max(error for _, error in alone)
+
+
+@st.composite
+def fixed_rule_systems(draw):
+    gen = CatalogGenerator(draw(st.sampled_from(FIXED_RULE_IDS)))
+    count = draw(st.integers(2, 4))
+    dilations = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]) | st.floats(0.25, 4.0)
+    translations = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
+    points = draw(
+        st.lists(st.tuples(dilations, translations), min_size=count, max_size=count, unique=True)
+    )
+    tol = draw(st.sampled_from([1e-10, 1e-8]))
+    return gen, [P(lam, beta) for lam, beta in points], tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=fixed_rule_systems())
+def test_fixed_rule_entries_lie_within_their_bounds(case):
+    gen, points, tol = case
+    values, errors = quadrature_triangle(gen, points, tol)
+    report = gram(WaveletSystem(gen, points), tol)
+    assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
+    assert np.all(np.abs(values - half_step_entries(gen, points, tol)) <= errors)
+    assert report.quad_error <= tol
+
+
+@pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
+def test_node_budget_is_checked_before_any_node_is_formed(monkeypatch, catalog_id):
+    # origins 2e300 apart: a step of about 2 pi / |omega| = 5e-301
+    sizes = record_fourier_calls(monkeypatch)
+    system = WaveletSystem(CatalogGenerator(catalog_id), [P(1.0, 1e300), P(1.0, -1e300)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            BudgetExceededError, match=r"points \(1, 1e\+300\) and \(1, -1e\+300\) need .* budget"
+        ):
+            gram(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [] and peak < 2**20
+
+
+# The parity of each catalog transform, which the Fourier-side fold rests on,
+# and the points where it is not smooth.
 FT_PARITY = {"ft_annulus_tent": 1.0, "ft_box": 1.0, "log_exp_ratio": -1.0, "sech": 1.0}
+FT_KINKS = {
+    "ft_annulus_tent": (-2.0, -1.5, -1.0, 1.0, 1.5, 2.0),
+    "ft_box": (-0.5, 0.5),
+    "log_exp_ratio": (0.0,),
+    "sech": (),
+}
 
 
 @pytest.mark.parametrize("catalog_id", catalog_ids())
@@ -353,7 +453,7 @@ def full_line_pair(gen, p, q, tol):
     def integrand(g):
         return scale * ft(g / lp) * np.conj(ft(g / lq)) * np.exp(-2.0j * np.pi * shift * g)
 
-    edges = [k * pt.dilation for k in gen.kinks for pt in (p, q)]
+    edges = [k * pt.dilation for k in FT_KINKS[gen.catalog_id] for pt in (p, q)]
     edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
     value, err, _, count = reference_integrate(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
     return value, err + tail, count
@@ -378,22 +478,39 @@ def test_folded_pairings_agree_with_the_full_line_integral(catalog_id):
 def test_folded_gram_is_real_at_half_the_evaluations(
     monkeypatch, catalog_id, full_line_evaluations
 ):
+    # the fixed-step rules take at most a quarter of the evaluations of the
+    # full-line adaptive quadrature, and no quadrature at all
     gen, points = CatalogGenerator(catalog_id), list(DECAY_POINTS_8)
     rows, cols = np.triu_indices(len(points))
     oracle = sum(full_line_pair(gen, points[i], points[j], 1e-10)[2] for i, j in zip(rows, cols))
     assert oracle == full_line_evaluations
-    counts = []
-    integrate = wavelet_system.integrate_adaptive
+    sizes = record_fourier_calls(monkeypatch)
 
-    def counting(*args, **kwargs):
-        result = integrate(*args, **kwargs)
-        counts.append(result.evaluations)
-        return result
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_adaptive called")
 
-    monkeypatch.setattr(wavelet_system, "integrate_adaptive", counting)
+    monkeypatch.setattr(wavelet_system, "integrate_adaptive", forbidden)
     report = gram(WaveletSystem(gen, points))
     assert np.all(report.matrix.imag == 0.0)
-    assert 0 < sum(counts) <= full_line_evaluations // 2
+    assert 0 < sum(sizes) <= full_line_evaluations // 4
+
+
+def record_fourier_calls(monkeypatch):
+    """Node counts of the calls of the folded Fourier-side products."""
+    sizes = []
+    factory = CatalogGenerator.ft_pair_integrand
+
+    def recording(self, *params):
+        integrand = factory(self, *params)
+
+        def wrapped(g, pair):
+            sizes.append(g.size)
+            return integrand(g, pair)
+
+        return wrapped
+
+    monkeypatch.setattr(CatalogGenerator, "ft_pair_integrand", recording)
+    return sizes
 
 
 def record_quadrature_calls(monkeypatch):

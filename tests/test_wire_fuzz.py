@@ -86,6 +86,9 @@ generator_docs = st.one_of(
     st.just({"kind": "rational", "numerator": [1.0], "denominator": [1.0, 0.0, 0.0, 0.0, 1.0]}),
     st.just({"kind": "le_catalog", "id": "ft_box"}),
     st.just({"kind": "le_catalog", "id": "ft_annulus_tent"}),
+    # the catalog generators that pair by fixed-step rules
+    st.just({"kind": "le_catalog", "id": "sech"}),
+    st.just({"kind": "le_catalog", "id": "log_exp_ratio"}),
 )
 
 point_docs = st.fixed_dictionaries(
@@ -275,3 +278,26 @@ EDGE_POINTS = (
 @pytest.mark.parametrize("generator", CLOSED_FORM_GENERATORS, ids=lambda g: g.get("id", g["kind"]))
 def test_closed_forms_at_float_edges(tmp_path, generator, points):
     assert run_document(tmp_path, {"generator": generator, "points": _points(*points)}, "gram")[0] in (0, 1)
+
+
+FIXED_RULE_GENERATORS = (
+    {"kind": "le_catalog", "id": "sech"},
+    {"kind": "le_catalog", "id": "log_exp_ratio"},
+)
+
+
+@pytest.mark.parametrize(
+    "points",
+    EDGE_POINTS + (
+        # transforms at arguments up to 1e305, past the range of e^|gamma|
+        ((1e300, 0.0), (1e-5, 0.0)),
+        # origins 1e4 apart: a fast phase, for the SE-Sinc rule a thin sector
+        ((1.0, 0.0), (1.0, 1e4)),
+    ),
+)
+@pytest.mark.parametrize("generator", FIXED_RULE_GENERATORS, ids=lambda g: g["id"])
+def test_fixed_rules_at_float_edges(tmp_path, generator, points):
+    code, err = run_document(tmp_path, {"generator": generator, "points": _points(*points)}, "gram")
+    assert code in (0, 1)
+    if code == 1:
+        assert json.loads(err)["error"] in TYPED_ERRORS
