@@ -48,7 +48,7 @@ class DuplicatePointError(TwoscaleError):
 
 
 class InconsistentTagsError(TwoscaleError):
-    """Declared generator property tags contradict each other."""
+    """Declared generator property tags contradict each other or the kind."""
 
 
 class InvalidEquationError(TwoscaleError):

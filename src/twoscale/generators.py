@@ -1,10 +1,10 @@
 """Generators for finite wavelet systems.
 
-A generator is a square integrable function together with a set of declared
-analytic property tags.  Tags drive the certificate engine: properties such
-as "ultimately decreasing Fourier modulus" are not decidable from samples,
-so they are declared at construction (catalog kinds populate the tags that
-are provable for them) rather than inferred numerically.
+A generator is a square integrable function together with a set of analytic
+property tags, which drive the certificate engine.  Every kind fixed by its
+parameters has exactly the tags proved for it, derived from those parameters.
+Only ``SampledGenerator`` takes declared tags: its samples stand for a
+function the program does not know, whose properties they cannot decide.
 
 Generators whose ``closed_form`` is true (the Gaussian, the two-sided
 exponentials, rationals with separated poles, and the band-limited catalog
@@ -105,9 +105,7 @@ class GeneratorSpec:
     # points where the generator is not smooth, in unit coordinates;
     # quadrature panels break there
     kinks: tuple = ()
-
-    def __init__(self, base_tags: Iterable[str], extra_tags: Iterable[str] | None = None):
-        self.tags = normalize_tags(set(base_tags) | set(extra_tags or ()))
+    tags: frozenset  # closed under implication (normalize_tags)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} generator has no time-domain form")
@@ -298,20 +296,17 @@ class Gaussian(GeneratorSpec):
 
     kind = "gaussian"
     closed_form = True
-
-    def __init__(self, extra_tags: Iterable[str] | None = None):
-        super().__init__(
-            {
-                "schwartz",
-                "faster_than_exponential_decay",
-                "faster_than_polynomial_decay",
-                "noncompact_support",
-                "ft_abs_ultimately_decreasing_both_sides",
-                "ft_le_combination",
-                "smooth_all_derivs_L1",
-            },
-            extra_tags,
-        )
+    tags = frozenset(
+        {
+            "schwartz",
+            "faster_than_exponential_decay",
+            "faster_than_polynomial_decay",
+            "noncompact_support",
+            "ft_abs_ultimately_decreasing_both_sides",
+            "ft_le_combination",
+            "smooth_all_derivs_L1",
+        }
+    )
 
     def __call__(self, x):
         return np.exp(-np.square(np.asarray(x, dtype=np.float64)))
@@ -371,20 +366,19 @@ class TwoSidedExp(GeneratorSpec):
     kind = "two_sided_exp"
     closed_form = True
     kinks = (0.0,)
+    tags = frozenset(
+        {
+            "faster_than_polynomial_decay",
+            "noncompact_support",
+            "ft_abs_ultimately_decreasing_both_sides",
+            "ft_le_combination",
+        }
+    )
 
-    def __init__(self, n: int, extra_tags: Iterable[str] | None = None):
+    def __init__(self, n: int):
         if int(n) != n or n < 1:
             raise BadParameterError("two-sided exponential needs a positive integer rate")
         self.n = int(n)
-        super().__init__(
-            {
-                "faster_than_polynomial_decay",
-                "noncompact_support",
-                "ft_abs_ultimately_decreasing_both_sides",
-                "ft_le_combination",
-            },
-            extra_tags,
-        )
 
     def __call__(self, x):
         return np.exp(-self.n * np.abs(np.asarray(x, dtype=np.float64)))
@@ -515,12 +509,7 @@ class RationalL2(GeneratorSpec):
 
     kind = "rational"
 
-    def __init__(
-        self,
-        numerator: Sequence[float],
-        denominator: Sequence[float],
-        extra_tags: Iterable[str] | None = None,
-    ):
+    def __init__(self, numerator: Sequence[float], denominator: Sequence[float]):
         num = [float(c) for c in numerator]
         den = [float(c) for c in denominator]
         while num and num[-1] == 0.0:
@@ -539,12 +528,12 @@ class RationalL2(GeneratorSpec):
         self.decay_power = len(den) - len(num)
         self._poles = _upper_poles(self.numerator, self.denominator, roots)
         self.closed_form = self._poles is not None
-        base = {"noncompact_support", "smooth_all_derivs_L1"}
+        tags = {"noncompact_support", "smooth_all_derivs_L1"}
         # the Fourier transform is a combination of polynomial-times-real-
         # exponential germs only when every pole is purely imaginary
         if all(abs(r.real) <= 1.0e-9 * (1.0 + abs(r)) for r in roots):
-            base.add("ft_le_combination")
-        super().__init__(base, extra_tags)
+            tags.add("ft_le_combination")
+        self.tags = frozenset(tags)
 
     def __call__(self, x):
         xv = np.asarray(x, dtype=np.float64)
@@ -625,11 +614,13 @@ class SampledGenerator(GeneratorSpec):
 
     Pairs exactly: the product of two dilated translates of a linear
     interpolant is piecewise quadratic between the merged sample knots.
+    ``tags`` declares properties of the function the samples stand for;
+    the Gram matrix is that of the interpolant.
     """
 
     kind = "sampled"
 
-    def __init__(self, sampled: SampledFunction, extra_tags: Iterable[str] | None = None):
+    def __init__(self, sampled: SampledFunction, tags: Iterable[str] = ()):
         values = np.asarray(sampled.values)
         lo, hi = sampled.support
         if values.ndim != 1 or values.size < 2 or not np.all(np.isfinite(values)):
@@ -659,7 +650,7 @@ class SampledGenerator(GeneratorSpec):
         # paired, since their squares overflow
         with np.errstate(over="ignore"):
             self.lipschitz = float(np.max(np.abs(np.diff(self.values)))) / sampled.step
-        super().__init__({"compact_support"}, extra_tags)
+        self.tags = normalize_tags({"compact_support", *tags})
 
     def __call__(self, x):
         xv = np.asarray(x, dtype=np.float64)
@@ -675,11 +666,11 @@ class Hat(SampledGenerator):
 
     kind = "hat"
 
-    def __init__(self, extra_tags: Iterable[str] | None = None):
+    def __init__(self):
         samples = SampledFunction(
             start=0.0, step=1.0, values=np.array([0.0, 1.0, 0.0]), support=(0.0, 2.0)
         )
-        super().__init__(samples, extra_tags)
+        super().__init__(samples)
 
 
 class RefinementGenerator(SampledGenerator):
@@ -692,13 +683,12 @@ class RefinementGenerator(SampledGenerator):
         equation: TwoScaleEquation,
         resolution: float = 2.0**-10,
         iterations: int = 40,
-        extra_tags: Iterable[str] | None = None,
     ):
         self.equation = equation
         self.resolution = float(resolution)
         self.iterations = int(iterations)
         sampled, _ = cascade_solve(equation, self.resolution, self.iterations)
-        super().__init__(sampled, extra_tags)
+        super().__init__(sampled)
 
     def params(self):
         return {
@@ -1098,7 +1088,7 @@ class CatalogGenerator(GeneratorSpec):
 
     kind = "le_catalog"
 
-    def __init__(self, catalog_id: str, extra_tags: Iterable[str] | None = None):
+    def __init__(self, catalog_id: str):
         try:
             entry = _CATALOG[catalog_id]
         except KeyError:
@@ -1108,7 +1098,7 @@ class CatalogGenerator(GeneratorSpec):
         self.catalog_id = catalog_id
         self._entry = entry
         self.closed_form = entry.pair_closed_form is not None
-        super().__init__(entry.tags, extra_tags)
+        self.tags = entry.tags
 
     def __call__(self, x):
         if self._entry.time_fn is None:

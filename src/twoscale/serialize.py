@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernoulli import DensityHistogram
-from .errors import BadParameterError, TwoscaleError
+from .errors import BadParameterError, InconsistentTagsError, TwoscaleError
 from .generators import (
     CatalogGenerator,
     Gaussian,
@@ -171,10 +171,13 @@ def _floats(values) -> list:
 
 
 def _number(value, where: str) -> float:
+    # a JSON string or boolean is not a number, though float() takes it
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got {type(value).__name__}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: expected a number, got {type(value).__name__}") from None
+    except OverflowError:
+        raise ParseError(f"{where}: integer past the float range") from None
 
 
 def _numbers(value, where: str) -> list:
@@ -227,8 +230,8 @@ def equation_from_dict(doc: dict) -> TwoScaleEquation:
     terms = []
     for k, term in enumerate(terms_doc):
         where = f"equation term {k}"
-        c = _parse_complex(_require(term, "c", where), where)
-        terms.append((c, _number(_require(term, "beta", where), where)))
+        c = _parse_complex(_require(term, "c", where), f"{where} c")
+        terms.append((c, _number(_require(term, "beta", where), f"{where} beta")))
     return TwoScaleEquation(_number(lam, "equation lambda"), terms)
 
 
@@ -269,26 +272,29 @@ def generator_to_dict(gen: GeneratorSpec) -> dict:
 
 
 def generator_from_dict(doc: dict) -> GeneratorSpec:
+    """Only a sampled generator takes the document's tags as declared; every
+    other kind derives its tags, and its document may list only those."""
     kind = _require(doc, "kind", "generator")
     tags = doc.get("tags")
     if tags is not None and not (
         isinstance(tags, list) and all(isinstance(t, str) for t in tags)
     ):
         raise ParseError("generator: 'tags' must be a list of strings")
+    tags = tags or ()
+    if kind == "sampled":
+        return SampledGenerator(_sampled_from_dict(doc, "generator"), tags)
     if kind == "gaussian":
-        return Gaussian(extra_tags=tags)
-    if kind == "two_sided_exp":
-        n = _integer(_require(doc, "n", "generator"), "generator n")
-        return TwoSidedExp(n, extra_tags=tags)
-    if kind == "rational":
-        return RationalL2(
+        gen = Gaussian()
+    elif kind == "two_sided_exp":
+        gen = TwoSidedExp(_integer(_require(doc, "n", "generator"), "generator n"))
+    elif kind == "rational":
+        gen = RationalL2(
             _numbers(_require(doc, "numerator", "generator"), "generator numerator"),
             _numbers(_require(doc, "denominator", "generator"), "generator denominator"),
-            extra_tags=tags,
         )
-    if kind == "hat":
-        return Hat(extra_tags=tags)
-    if kind == "refinement":
+    elif kind == "hat":
+        gen = Hat()
+    elif kind == "refinement":
         eq = equation_from_dict(_require(doc, "equation", "generator"))
         # the constructor's defaults stand for the keys the document leaves out
         options = {
@@ -296,12 +302,18 @@ def generator_from_dict(doc: dict) -> GeneratorSpec:
             for key, parse in (("resolution", _number), ("iterations", _integer))
             if key in doc
         }
-        return RefinementGenerator(eq, extra_tags=tags, **options)
-    if kind == "sampled":
-        return SampledGenerator(_sampled_from_dict(doc, "generator"), extra_tags=tags)
-    if kind == "le_catalog":
-        return CatalogGenerator(str(_require(doc, "id", "generator")), extra_tags=tags)
-    raise ParseError(f"generator: unknown kind {kind!r}")
+        gen = RefinementGenerator(eq, **options)
+    elif kind == "le_catalog":
+        catalog_id = _require(doc, "id", "generator")
+        if not isinstance(catalog_id, str):
+            raise ParseError(f"generator id: expected a string, got {type(catalog_id).__name__}")
+        gen = CatalogGenerator(catalog_id)
+    else:
+        raise ParseError(f"generator: unknown kind {kind!r}")
+    unproved = sorted(set(tags) - gen.tags)
+    if unproved:
+        raise InconsistentTagsError(f"{kind} generator: tags {unproved} are not derived for it")
+    return gen
 
 
 def system_to_dict(system: WaveletSystem) -> dict:
@@ -320,8 +332,8 @@ def system_from_dict(doc: dict) -> WaveletSystem:
         raise ParseError("system: 'points' must be a nonempty list")
     points = [
         WaveletPoint(
-            _number(_require(p, "lambda", f"point {k}"), f"point {k}"),
-            _number(_require(p, "beta", f"point {k}"), f"point {k}"),
+            _number(_require(p, "lambda", f"point {k}"), f"point {k} lambda"),
+            _number(_require(p, "beta", f"point {k}"), f"point {k} beta"),
         )
         for k, p in enumerate(points_doc)
     ]
@@ -335,6 +347,8 @@ def load_json(text: str):
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 # ------------------------------------------------------------------ reports

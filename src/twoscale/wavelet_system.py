@@ -652,7 +652,7 @@ _RULE_TABLE = (
 
 
 def certify(system: WaveletSystem) -> Certificate | None:
-    """Match declared generator tags and point geometry against the rule table.
+    """Match the generator's tags and point geometry against the rule table.
 
     Rules are tried in a fixed priority order (cheapest and most general
     first) and the first rule whose whole checklist is satisfied wins; None

@@ -16,7 +16,7 @@ def smooth_bump_generator(tags=("schwartz",), count=4097):
     sampled = SampledFunction(
         start=-1.0, step=2.0 / (count - 1), values=values, support=(-1.0, 1.0)
     )
-    return SampledGenerator(sampled, extra_tags=tags)
+    return SampledGenerator(sampled, tags=tags)
 
 
 def gaussian_gram_closed_form(points) -> np.ndarray:

@@ -26,6 +26,7 @@ from twoscale.refinement import (
     solve_fourier,
     validate_equation,
 )
+from twoscale.serialize import dump_json, system_to_dict
 from twoscale.wavelet_system import (
     WaveletPoint,
     WaveletSystem,
@@ -175,10 +176,17 @@ def test_09_regularity_estimator(capsys):
         report(9, "regularity estimator", ok)
 
 
-def test_10_certificate_engine(capsys):
+def test_10_certificate_engine(capsys, tmp_path):
     gaussian_any = certify(WaveletSystem(Gaussian(), [P(0.5, 1), P(2, -3), P(7, 0)]))
     ft_compact = certify(WaveletSystem(CatalogGenerator("ft_box"), [P(1, 0), P(2, 1)]))
     le_catalog = certify(WaveletSystem(CatalogGenerator("log_exp_ratio"), [P(1, 0), P(3, 2)]))
+    # sech is Schwartz by its kind; the sampled bump only by declaration
+    sech_system = WaveletSystem(CatalogGenerator("sech"), [P(1, 0), P(1, 1), P(1, 2)])
+    sech3 = certify(sech_system)
+    path = tmp_path / "sech.json"
+    path.write_text(dump_json(system_to_dict(sech_system)), encoding="utf-8")
+    sech3_code = cli.run(["analyze", "--input", str(path)])
+    sech3_cli = json.loads(capsys.readouterr().out)
     bump = smooth_bump_generator()
     schwartz3 = certify(WaveletSystem(bump, [P(1, 0), P(1, 1), P(2, 0)]))
     hat_system = WaveletSystem(Hat(), HAT_LATTICE)
@@ -189,6 +197,11 @@ def test_10_certificate_engine(capsys):
         and ft_compact.rule_id == "FTCompact_L33ii"
         and le_catalog is not None
         and le_catalog.rule_id == "LECombination_T42"
+        and sech3 is not None
+        and sech3.rule_id == "ThreePointSchwartz_C32"
+        and sech3_code == 0
+        and sech3_cli["outcome"] == "IndependentCertified"
+        and sech3_cli["rule_id"] == "ThreePointSchwartz_C32"
         and schwartz3 is not None
         and schwartz3.rule_id == "ThreePointSchwartz_C32"
         and certify(hat_system) is None

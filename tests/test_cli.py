@@ -240,6 +240,40 @@ class TestSystemCommands:
         null = null.real / np.linalg.norm(null.real)
         assert min(np.max(np.abs(null - target)), np.max(np.abs(null + target))) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "generator,points,untagged",
+        (
+            # hat(x) = hat(2x) / 2 + hat(2x - 1) + hat(2x - 2) / 2: a dependent system
+            ({"kind": "hat", "tags": ["schwartz", "ft_abs_ultimately_decreasing_both_sides"]},
+             ((1, 0), (2, 0), (2, 1), (2, 2)), ("Dependent", None)),
+            ({"kind": "two_sided_exp", "n": 1, "tags": ["schwartz"]},
+             ((1, 0), (1, 1), (1, 2)), ("IndependentCertified", "LECombination_T42")),
+            ({"kind": "gaussian", "tags": ["ft_compact_support"]},
+             ((1, 0), (2, 1)), ("IndependentCertified", "ExpDecay_L31a")),
+            # 1 / (1 + x^4): no pole is purely imaginary
+            ({"kind": "rational", "numerator": [1], "denominator": [1, 0, 0, 0, 1],
+              "tags": ["ft_le_combination"]},
+             ((1, 0), (2, 1)), ("IndependentCertified", "SmoothMinDilation_L31c")),
+        ),
+        ids=("hat", "two_sided_exp", "gaussian", "rational"),
+    )
+    def test_tags_the_kind_lacks_are_refused(self, capsys, tmp_path, generator, points, untagged):
+        doc = {"generator": generator, "points": [{"lambda": a, "beta": b} for a, b in points]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("analyze", "certify", "gram"):
+            code, out, err = run_cli(capsys, command, "--input", str(path))
+            assert code == 1 and out == ""
+            error = json.loads(err)
+            assert error["error"] == "InconsistentTagsError"
+            assert all(repr(tag) in error["message"] for tag in generator["tags"])
+            assert generator["kind"] in error["message"]
+        doc["generator"] = {key: value for key, value in generator.items() if key != "tags"}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(path))
+        verdict = json.loads(out)
+        assert code == 0 and (verdict["outcome"], verdict["rule_id"]) == untagged
+
     def test_gram_report(self, capsys, tmp_path):
         system = WaveletSystem(Hat(), [WaveletPoint(1, 0), WaveletPoint(2, 0)])
         path = write_system(tmp_path, "pair.json", system)

@@ -10,7 +10,19 @@ from hypothesis import strategies as st
 
 from twoscale import serialize as ser
 from twoscale.bernoulli import BernoulliModel, density, fourier
-from twoscale.generators import CatalogGenerator, Gaussian, Hat, RationalL2, TwoSidedExp
+from twoscale.errors import InconsistentTagsError
+from twoscale.generators import (
+    ALL_TAGS,
+    CatalogGenerator,
+    Gaussian,
+    Hat,
+    RationalL2,
+    RefinementGenerator,
+    SampledGenerator,
+    TwoSidedExp,
+    catalog_ids,
+    normalize_tags,
+)
 from twoscale.refinement import (
     SampledFunction,
     TwoScaleEquation,
@@ -46,6 +58,20 @@ class TestEquationJson:
         with pytest.raises(ser.ParseError):
             ser.equation_from_dict({"lambda": 2.0, "terms": [{"beta": 0.0}]})
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        (
+            ({"lambda": "2", "terms": [{"c": 2.0, "beta": 0.0}]}, "equation lambda"),
+            ({"lambda": True, "terms": [{"c": 1.0, "beta": 0.0}]}, "equation lambda"),
+            ({"lambda": 2.0, "terms": [{"c": True, "beta": 0.0}]}, "equation term 0 c"),
+            ({"lambda": 2.0, "terms": [{"c": ["2", 0.0], "beta": 0.0}]}, "equation term 0 c"),
+            ({"lambda": 2.0, "terms": [{"c": 2.0, "beta": "0"}]}, "equation term 0 beta"),
+        ),
+    )
+    def test_numbers_must_be_json_numbers(self, doc, field):
+        with pytest.raises(ser.ParseError, match=field):
+            ser.equation_from_dict(doc)
+
     def test_bad_json_reports_position(self):
         with pytest.raises(ser.ParseError) as info:
             ser.load_json('{"lambda": 2.0,\n "terms": }')
@@ -53,16 +79,30 @@ class TestEquationJson:
         assert info.value.column is not None
 
 
+def at_origin(generator, point=None) -> dict:
+    """A system document of the generator at one point, (1, 0) by default."""
+    return {"generator": generator, "points": [point or {"lambda": 1, "beta": 0}]}
+
+
+# one generator of each kind whose tags are derived from its parameters
+DERIVED_TAG_GENERATORS = [
+    Gaussian(),
+    TwoSidedExp(2),
+    RationalL2([1.0], [1.0, 0.0, 1.0]),
+    RationalL2([1.0], [1.0, 0.0, 0.0, 0.0, 1.0]),
+    Hat(),
+    RefinementGenerator(preset("hat"), 2.0**-4, 8),
+    *(CatalogGenerator(catalog_id) for catalog_id in catalog_ids()),
+]
+
+
 class TestSystemJson:
     @pytest.mark.parametrize(
         "gen",
-        [
-            Gaussian(),
-            TwoSidedExp(2),
-            RationalL2([1.0], [1.0, 0.0, 1.0]),
-            Hat(),
-            CatalogGenerator("sech"),
-        ],
+        DERIVED_TAG_GENERATORS
+        + [SampledGenerator(SampledFunction(-1.0, 1.0, np.array([0.0, 1.0, 0.0]), (-1.0, 1.0)),
+                            tags=["schwartz"])],
+        ids=lambda gen: getattr(gen, "catalog_id", gen.kind),
     )
     def test_round_trip_kinds(self, gen):
         system = WaveletSystem(gen, [WaveletPoint(1, 0), WaveletPoint(2, 1)])
@@ -70,6 +110,21 @@ class TestSystemJson:
         back = ser.system_from_dict(doc)
         assert ser.system_to_dict(back) == doc
         assert back.generator.tags == gen.tags
+
+    @pytest.mark.parametrize(
+        "gen", DERIVED_TAG_GENERATORS, ids=lambda gen: getattr(gen, "catalog_id", gen.kind)
+    )
+    def test_derived_tags_are_closed_and_admit_only_their_subsets(self, gen):
+        assert normalize_tags(gen.tags) == gen.tags
+        doc = ser.system_to_dict(WaveletSystem(gen, [WaveletPoint(1, 0)]))
+        tags = doc["generator"]["tags"]
+        for subset in ([], tags[:1], tags[::2]):
+            doc["generator"]["tags"] = subset
+            assert ser.system_from_dict(doc).generator.tags == gen.tags
+        for tag in sorted(ALL_TAGS - gen.tags):
+            doc["generator"]["tags"] = tags + [tag]
+            with pytest.raises(InconsistentTagsError, match=f"{gen.kind} .*'{tag}'"):
+                ser.system_from_dict(doc)
 
     def test_refinement_generator_round_trip(self):
         doc = {
@@ -120,11 +175,38 @@ class TestSystemJson:
              "resolution": [0.5]},
             {"kind": "sampled", "start": 0.0, "step": 1.0, "values": [0.0, 1.0, 0.0],
              "support": 2.0},
+            {"kind": "le_catalog", "id": 3},
+            {"kind": "le_catalog", "id": ["sech"]},
         ),
     )
     def test_wrong_typed_generator_field(self, generator):
         with pytest.raises(ser.ParseError):
             ser.system_from_dict({"generator": generator, "points": [{"lambda": 1, "beta": 0}]})
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        (
+            (at_origin({"kind": "gaussian"}, {"lambda": "2", "beta": 0}), "point 0 lambda"),
+            (at_origin({"kind": "gaussian"}, {"lambda": True, "beta": 0}), "point 0 lambda"),
+            (at_origin({"kind": "gaussian"}, {"lambda": 1, "beta": False}), "point 0 beta"),
+            (at_origin({"kind": "gaussian"}, {"lambda": 10**400, "beta": 0}), "point 0 lambda"),
+            (at_origin({"kind": "two_sided_exp", "n": "2"}), "generator n"),
+            (at_origin({"kind": "two_sided_exp", "n": True}), "generator n"),
+            (at_origin({"kind": "rational", "numerator": ["1"], "denominator": [1, 0, 1]}),
+             "generator numerator"),
+            (at_origin({"kind": "refinement", "equation": ser.equation_to_dict(preset("hat")),
+                        "resolution": "0.25"}), "generator resolution"),
+            (at_origin({"kind": "sampled", "start": 0.0, "step": 1.0, "values": [0.0, True, 0.0],
+                        "support": [0.0, 2.0]}), "generator values"),
+        ),
+    )
+    def test_numbers_must_be_json_numbers(self, doc, field):
+        with pytest.raises(ser.ParseError, match=field):
+            ser.system_from_dict(doc)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ser.ParseError, match="invalid JSON"):
+            ser.load_json('{"lambda": 1' + "0" * 5000 + "}")
 
     def test_unknown_kind(self):
         with pytest.raises(ser.ParseError):

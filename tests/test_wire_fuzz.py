@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twoscale import cli, errors, serialize
+from twoscale.generators import ALL_TAGS
 
 TYPED_ERRORS = {
     cls.__name__
@@ -91,6 +92,15 @@ generator_docs = st.one_of(
     st.just({"kind": "le_catalog", "id": "log_exp_ratio"}),
 )
 
+# Subsets of the known tags, and lists with junk strings; junk in place of
+# the list comes from ``corrupted``.  Draws favour the first tag, which six
+# kinds derive and the compactly supported ones refuse, so that both the
+# accept and the refuse path run.
+known_tags = st.sampled_from(sorted(ALL_TAGS, key=lambda tag: tag != "noncompact_support"))
+tag_lists = st.lists(known_tags, min_size=1, max_size=3, unique=True) | st.lists(
+    known_tags | st.text(max_size=3), max_size=2
+)
+
 point_docs = st.fixed_dictionaries(
     {"lambda": st.floats(0.25, 4.0), "beta": st.floats(-4.0, 4.0)}
 )
@@ -119,9 +129,11 @@ def corrupted(draw, doc, paths=((), ("generator",), ("points",))):
 @st.composite
 def documents(draw):
     doc = {
-        "generator": draw(generator_docs),
+        "generator": dict(draw(generator_docs)),
         "points": draw(st.lists(point_docs, min_size=1, max_size=4)),
     }
+    if draw(st.booleans()):
+        doc["generator"]["tags"] = draw(tag_lists)
     if doc["generator"]["kind"] == "gaussian":
         doc["points"] = doc["points"][:2]
     if draw(st.booleans()):
@@ -173,7 +185,7 @@ def run_document(tmp_path, doc, command, *options):
 
 
 @settings(
-    max_examples=80,
+    max_examples=200,
     deadline=None,
     derandomize=True,
     database=None,
