@@ -7,17 +7,18 @@ Only ``SampledGenerator`` takes declared tags: its samples stand for a
 function the program does not know, whose properties they cannot decide.
 
 Generators whose ``closed_form`` is true (the Gaussian, the two-sided
-exponentials, rationals with separated poles, and the band-limited catalog
-entries) pair exactly through ``pair_closed_form``.  The other catalog
-entries, sech and log_exp_ratio, pair in the Fourier domain by fixed-step
-rules whose step and truncation come from a priori error bounds
-(``CatalogGenerator.pair_fixed_rule``); rationals with clustered poles pair
-by adaptive quadrature in the time domain (``GeneratorSpec.pair_quadrature``).
+exponentials, every rational, and the band-limited catalog entries) pair
+exactly through ``pair_closed_form``.  The other catalog entries, sech and
+log_exp_ratio, pair in the Fourier domain by fixed-step rules whose step and
+truncation come from a priori error bounds
+(``CatalogGenerator.pair_fixed_rule``).  The time-side windows, kinks and
+``GeneratorSpec.pair_quadrature`` remain only as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -102,8 +103,8 @@ class GeneratorSpec:
     kind: str = "abstract"
     # whether pair_closed_form gives every pairing of this generator
     closed_form: bool = False
-    # points where the generator is not smooth, in unit coordinates;
-    # quadrature panels break there
+    # points where the generator is not smooth, in unit coordinates; the
+    # panels of the reference quadrature break there (pair_quadrature)
     kinks: tuple = ()
     tags: frozenset  # closed under implication (normalize_tags)
 
@@ -123,7 +124,9 @@ class GeneratorSpec:
         return integrand
 
     def pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
-        """Truncation intervals (lo, hi) plus analytic tail bounds, one per pair of points."""
+        """Truncation intervals (lo, hi) plus analytic tail bounds, one per
+        pair of points.  The time-side windows are a test reference with no
+        production caller (ROADMAP item 7), see pair_quadrature."""
         raise NotImplementedError(
             f"{self.kind} generator has unbounded support but no tail model"
         )
@@ -131,7 +134,9 @@ class GeneratorSpec:
     def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
         """What quadrature needs to pair the dilated translates at pairs of points.
 
-        Returns (integrand, lo, hi, breakpoints, rounding, tail): the pair
+        Test reference, no production caller (ROADMAP item 7): every time-side
+        closed form is compared against the quadrature it feeds
+        (wavelet_system._quadrature_pairs).  Returns (integrand, lo, hi, breakpoints, rounding, tail): the pair
         products, the truncation windows, the panel edges (flat points and
         the pair of each), and per pair the factor on the integral of
         |product| and the tail bound that go into the error bound.  In time
@@ -244,7 +249,8 @@ def _checked_window(window: tuple, lp, bp, lq, bq) -> tuple:
 
 def _breakpoints(kinks: list, origins: tuple, unit: np.ndarray, lo, hi) -> tuple:
     """Panel edges of each pair: its kinks, and each origin a with the points
-    a +- unit * 2^k, k >= 0, out to the window.
+    a +- unit * 2^k, k >= 0, out to the window.  Test reference, no
+    production caller (ROADMAP item 7), see GeneratorSpec.pair_quadrature.
 
     Panels then widen geometrically away from each factor's origin, so a
     product feature of width about ``unit`` cannot hide between the nodes
@@ -443,60 +449,122 @@ def _poly_eval(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-# A rational pairs by residues only when every two of its poles lie at least
-# this far apart, relative to the larger modulus.  Closer poles make the
-# residues ill-conditioned (a double pole comes out of np.roots as two poles
-# about sqrt(eps) apart), and such a rational pairs by quadrature.
-_POLE_SEPARATION = 1.0e-3
-_NEWTON_STEPS = 2
+# The Newton-form pairing adds this floor to its moduli at each step and
+# caps the distances it divides them by, so that every modulus stays above
+# 2^-1020 and a result that underflows costs no more than u times its bound
+_FLOOR = 2.0**-1000
+_LOW_CAP = 2.0**20
+# Entries per block of a rational pairing, divided by the square of the
+# number of poles: a block holds a few arrays of (poles^2 x entries) numbers
+_NODE_ENTRIES = 2**18
 
 
-def _upper_poles(numerator: tuple, denominator: tuple, roots: np.ndarray) -> tuple | None:
-    """(w, A, dw, dA): the poles w_k of N/D in the upper half plane, the
-    residues A_k there, and bounds on the errors of both; None when two poles
-    are closer than _POLE_SEPARATION allows.
+def _newton_coefficients(numerator: tuple, nodes: np.ndarray) -> list:
+    """The divided differences c_j = N[w_0 .. w_j], j = 0 .. deg N, of the
+    numerator at the first nodes, by synthetic division: N = c_0 + (u - w_0)
+    N_1, c_1 = N_1(w_1), and so on.  No difference of two nodes is formed."""
+    q = [complex(c) for c in reversed(numerator)]
+    out = []
+    for w in nodes[: len(numerator)].tolist():
+        for t in range(1, len(q)):
+            q[t] += w * q[t - 1]
+        out.append(q.pop())
+    return out
 
-    Each root from np.roots is polished by Newton steps.  A disc of radius
-    deg D (|D(w)| + e) / (|D'(w)| - e') about w holds a root of D, where e
-    and e' bound the rounding of D(w) and D'(w); with the poles separated it
-    is the root w stands for.  A_k = N(w_k) / D'(w_k), charged with its
-    rounding and with twice its first-order change over that disc.
-    """
-    gaps = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    moduli = np.abs(roots)
-    if not (gaps >= _POLE_SEPARATION * np.maximum(moduli[:, None], moduli[None, :])).all():
-        return None
-    w = roots[roots.imag > 0.0]
-    if 2 * w.size != roots.size:
-        return None
-    u = _UNIT_ROUNDOFF
-    num, den = np.array(numerator), np.array(denominator)
-    dden = den[1:] * np.arange(1, den.size)
-    ddden = dden[1:] * np.arange(1, dden.size)
-    dnum = num[1:] * np.arange(1, num.size)
-    for _ in range(_NEWTON_STEPS):
-        w = w - _poly_eval(den, w) / _poly_eval(dden, w)
-    r = np.abs(w)
 
-    def rounding(coeffs: np.ndarray) -> np.ndarray:
-        # |fl(P(w)) - P(w)| for Horner's rule in complex arithmetic
-        return 8.0 * max(coeffs.size, 1) * u * _poly_eval(np.abs(coeffs), r)
+# every float is an integer multiple of 2^-1074
+_DYADIC = 1074
 
-    slope = _poly_eval(dden, w)
-    slope_low = np.abs(slope) - rounding(dden)
-    dw = (den.size - 1) * (np.abs(_poly_eval(den, w)) + rounding(den)) / slope_low
-    top = _poly_eval(num, w)
-    res = top / slope
-    change = np.abs(_poly_eval(dnum, w) / slope - top * _poly_eval(ddden, w) / slope**2)
-    dres = (
-        2.0 * change * dw
-        + (rounding(num) + np.abs(res) * rounding(dden)) / slope_low
-        + 4.0 * u * np.abs(res)
+
+def _dyadic(x: float) -> int:
+    """x 2^1074, exactly."""
+    p, q = x.as_integer_ratio()
+    return p << (_DYADIC + 1 - q.bit_length())
+
+
+def _exact_newton_poly(nodes: list, weights: list) -> tuple:
+    """(re, im, e): the ascending coefficients of sum_j weights[j] prod_(i <
+    j) (u - nodes[i]), exact, as (re_k + i im_k) 2^-e with integers re, im."""
+    re, im, e = [_dyadic(weights[-1].real)], [_dyadic(weights[-1].imag)], _DYADIC
+    for z, c in zip(reversed(nodes[: len(weights) - 1]), reversed(weights[:-1])):
+        zr, zi = _dyadic(z.real), _dyadic(z.imag)
+        new_re = [0] + [a << _DYADIC for a in re]
+        new_im = [0] + [b << _DYADIC for b in im]
+        for k, (a, b) in enumerate(zip(re, im)):
+            new_re[k] -= zr * a - zi * b
+            new_im[k] -= zr * b + zi * a
+        new_re[0] += _dyadic(c.real) << e
+        new_im[0] += _dyadic(c.imag) << e
+        re, im, e = new_re, new_im, e + _DYADIC
+    return re, im, e
+
+
+def _deviation(coeffs: tuple, re: list, im: list, e: int, s: list) -> Fraction:
+    """sum_k |c_k - (re_k + i im_k) 2^-e| s_k, exact, with the modulus
+    bounded by |Re| + |Im|."""
+    total = sum(
+        (abs((_dyadic(c) << (e - _DYADIC)) - a) + abs(b)) * s_k
+        for c, a, b, s_k in zip(coeffs, re, im, s)
     )
-    if not (np.isfinite(dw).all() and np.isfinite(dres).all() and (slope_low > 0.0).all()):
-        return None
-    return w, res, dw, dres
+    return Fraction(total) / (1 << e)
+
+
+def _sup_bounds(poles: list, lead: float) -> list:
+    """s_k >= sup over real u of |u|^k / |D(u)|, k = 0 .. n, for D = lead
+    prod (u - w_i), exact.  |u - w| >= |Im w| and |u| / |u - w| <= 1 +
+    |Re w| / |Im w|; the second is spent on the k poles with the least
+    |Re w| + |Im w|, the first on the others."""
+    order = sorted(poles, key=lambda w: abs(w.real) + abs(w.imag))
+    im = [abs(Fraction(w.imag)) for w in order]
+    near = [(abs(Fraction(w.real)) + b) / b for w, b in zip(order, im)]
+    far = [1 / abs(Fraction(lead))]
+    for b in reversed(im):
+        far.append(far[-1] / b)
+    out, head = [], Fraction(1)
+    for k in range(len(order) + 1):
+        out.append(head * far[len(order) - k])
+        if k < len(order):
+            head *= near[k]
+    return out
+
+
+def _upper_float(x: Fraction) -> float:
+    """A float at least x >= 0; inf past the float range."""
+    try:
+        return float(x) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _SUBNORMAL
+    except OverflowError:
+        return math.inf
+
+
+def _divide_step(state: np.ndarray, rho, factor: np.ndarray) -> np.ndarray:
+    """The Leibniz rule for the factor rho / (z - v), v a lower node, over
+    the upper nodes u_r.
+
+    ``state`` stacks h and M over r: h_r is (-1)^r times the divided
+    difference over u_0 .. u_r of the function so far, and M_r bounds the
+    modulus of its exact value.  Then h_r <- (rho h_r + h_(r-1)) / (u_r - v),
+    with u_r - v in factor[r, 0]; M obeys the same recurrence with a lower
+    bound on |u_r - v| (at most _LOW_CAP) in factor[r, 1], plus a floor that
+    keeps every M_r above 2^-1000 / _LOW_CAP.
+    """
+    x = rho * state
+    x[:, 1] += _FLOOR
+    x[0] /= factor[0]
+    for r in range(1, x.shape[0]):
+        x[r] += x[r - 1]
+        x[r] /= factor[r]
+    return x
+
+
+def _multiply_step(state: np.ndarray, rho, factor: np.ndarray) -> np.ndarray:
+    """The same for the factor (z - x) / rho, x an upper node: h_r <- (h_r
+    (u_r - x) - h_(r-1)) / rho, and M with an upper bound on |u_r - x|."""
+    x = state * factor
+    x[1:, 0] -= state[:-1, 0]
+    x[1:, 1] += state[:-1, 1]
+    x /= rho
+    x[:, 1] += _FLOOR
+    return x
 
 
 class RationalL2(GeneratorSpec):
@@ -505,13 +573,23 @@ class RationalL2(GeneratorSpec):
     Coefficients are ascending (constant term first).  Square integrability
     is enforced structurally: the denominator may not have real roots and
     must exceed the numerator degree by at least one.
+
+    Every rational pairs in closed form, whatever the multiplicities and
+    gaps of its poles, through the Newton form of its partial fractions
+    (see _newton_sums).  The poles w_0 .. w_(n-1) come from np.roots once,
+    lower half plane first, and the divided differences c_j = N[w_0 .. w_j]
+    of the numerator by synthetic division; then R(u) = sum_j a_j /
+    prod_(i >= j) (u - w_i) with a_j = c_j / lead.
     """
 
     kind = "rational"
+    closed_form = True
 
     def __init__(self, numerator: Sequence[float], denominator: Sequence[float]):
         num = [float(c) for c in numerator]
         den = [float(c) for c in denominator]
+        if not all(math.isfinite(c) for c in num + den):
+            raise BadParameterError("rational coefficients must be finite")
         while num and num[-1] == 0.0:
             num.pop()
         while den and den[-1] == 0.0:
@@ -520,14 +598,21 @@ class RationalL2(GeneratorSpec):
             raise BadParameterError("numerator is identically zero")
         if len(den) < len(num) + 1:
             raise BadParameterError("denominator degree must exceed numerator degree")
-        roots = np.roots(list(reversed(den)))
+        with np.errstate(all="ignore"):
+            companion = np.array(den[:-1]) / den[-1]
+        if not np.isfinite(companion).all():
+            raise BadParameterError("the denominator's companion matrix leaves the float range")
+        try:
+            roots = np.roots(den[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise BadParameterError(f"the denominator's roots cannot be found: {exc}") from None
+        if not np.isfinite(roots).all():
+            raise BadParameterError("the denominator's roots leave the float range")
         if any(abs(r.imag) <= 1.0e-9 * (1.0 + abs(r)) for r in roots):
             raise BadParameterError("denominator must have no real roots")
         self.numerator = tuple(num)
         self.denominator = tuple(den)
         self.decay_power = len(den) - len(num)
-        self._poles = _upper_poles(self.numerator, self.denominator, roots)
-        self.closed_form = self._poles is not None
         tags = {"noncompact_support", "smooth_all_derivs_L1"}
         # the Fourier transform is a combination of polynomial-times-real-
         # exponential germs only when every pole is purely imaginary
@@ -535,50 +620,199 @@ class RationalL2(GeneratorSpec):
             tags.add("ft_le_combination")
         self.tags = frozenset(tags)
 
+        u = _UNIT_ROUNDOFF
+        lower = roots[roots.imag < 0.0]
+        self._poles = np.concatenate([lower, roots[roots.imag > 0.0]])
+        self._lower = lower.size
+        with np.errstate(all="ignore"):
+            self._newton = np.array(_newton_coefficients(self.numerator, self._poles)) / den[-1]
+        if not np.isfinite(self._newton).all():
+            raise BadParameterError("the numerator's Newton coefficients leave the float range")
+        # the weights (a_j, |a_j|) of the stacked states (see _newton_sums)
+        self._weights = np.stack((self._newton, np.abs(self._newton) * (1.0 + 2.0 * u)), axis=1)[:, :, None]
+        n = self._poles.size
+        # twice the least |Im w|, and the node error that does not scale with
+        # the shift (see _newton_sums)
+        self._imin2 = 2.0 * float(np.min(np.abs(self._poles.imag))) * (1.0 - 4.0 * u)
+        self._eps = 20.0 * u * float(np.max(np.abs(self._poles))) * (1.0 + 2.0 * u)
+        # the longest chain of rounded steps from the data to a pairing, and
+        # the relative rounding of the weights, sums, rhos and final scaling
+        self._depth = 4 * n - 2 * lower.size + 2
+        self._rounding = (16 * self._depth + 2 * self._newton.size + 6 * n + 24) * u
+        # the diagonal entry that _backward_bound needs is paired with neither
+        # the backward term nor the Cauchy-Schwarz cap
+        self._backward, self._norm_square = 0.0, math.inf
+        t, backward = self._backward_bound()
+        # per 2 pi / sqrt(lp lq), the factor that _newton_sums forms
+        self._backward = backward / (2.0 * math.pi) * (1.0 + 8.0 * u)
+        self._norm_square = t * t / (2.0 * math.pi) * (1.0 + 16.0 * u)
+
     def __call__(self, x):
         xv = np.asarray(x, dtype=np.float64)
         return _poly_eval(self.numerator, xv) / _poly_eval(self.denominator, xv)
 
-    def pair_closed_form(self, lp, bp, lq, bq):
-        """-4 pi Im sum_jk A_j conj(A_k) / (lp lq d + w_j lq - conj(w_k) lp), by residues.
+    def _backward_bound(self) -> tuple:
+        """(t, K): t >= ||R||, and K / sqrt(lp lq) bounds how far the
+        pairing of the computed Newton form R^ = N^ / D~ lies from that of R.
 
-        With R = sum_k A_k / (u - w_k) + conj(A_k) / (u - conj(w_k)) over the
-        upper poles w_k, the product of the two factors is a sum of terms
-        c / ((t - p) (t - q)); such a term integrates to 2 pi i c / (p - q)
-        when p is an upper pole and q a lower one, to the negative of that
-        when q is upper and p lower, and to 0 otherwise.  The two mixed sums
-        are conjugate, which leaves the imaginary part above.  Every
-        denominator has imaginary part Im(w_j) lq + Im(w_k) lp > 0, so none
-        cancels.  Each term is charged with the errors of its poles and
-        residues and the rounding of its denominator; where those could move
-        the denominator by half its size, with twice its largest modulus.
+        D~ = lead prod (u - w~_i) over the computed poles and N^ = lead
+        sum_j a_j prod_(i < j) (u - w~_i) are expanded exactly (floats are
+        dyadic rationals).  With s_k >= sup |u|^k / |D~(u)| (_sup_bounds),
+        R^ - R = (N^ - N) / D~ + R (D - D~) / D~ gives ||R^ - R|| <= delta =
+        alpha + eta ||R||, with eta = sum_k |(D - D~)_k| s_k and alpha =
+        sqrt(pi) sum_k |(N^ - N)_k| (s_k + s_(k+1)), since |u|^k sqrt(1 +
+        u^2) / |D~| <= s_k + s_(k+1) and 1 / (1 + u^2) integrates to pi.  By
+        Cauchy-Schwarz an entry moves by at most (2 ||R|| delta + delta^2) /
+        sqrt(lp lq); ||R||^2 is the pairing of R with itself, which the
+        formula gives at the point (1, 0) within its rounding plus that same
+        amount, and solving that quadratic for ||R|| gives t.  A rational
+        whose relative bound delta / t is not below 1 (poles nearly on the
+        real axis) is a BadParameterError.  Computed once per generator.
         """
-        w, res, dw, dres = self._poles
-        d, dd = _relative_shift(lp, bp, lq, bq)
         u = _UNIT_ROUNDOFF
-        p, q = lp[:, None, None], lq[:, None, None]
+        poles = self._poles.tolist()
+        lead = self.denominator[-1]
+        s = _sup_bounds(poles, lead)
+        d_re, d_im, e = _exact_newton_poly(poles, [0j] * len(poles) + [complex(lead)])
+        eta = _deviation(self.denominator, d_re, d_im, e, s)
+        n_re, n_im, e = _exact_newton_poly(poles, self._newton.tolist())
+        scale = _dyadic(lead)
+        alpha = _deviation(
+            self.numerator, [a * scale for a in n_re], [b * scale for b in n_im], e + _DYADIC,
+            [a + b for a, b in zip(s, s[1:])],
+        )
+        eta, alpha = _upper_float(eta), _upper_float(alpha) * math.sqrt(math.pi) * (1.0 + 4.0 * u)
+        one, zero = np.ones(1), np.zeros(1)
         with np.errstate(all="ignore"):
-            x = np.clip(lp * (lq * d), -_FLOAT_MAX, _FLOAT_MAX)[:, None, None]
-            dx = (lp * (lq * dd))[:, None, None] + 2.0 * u * np.abs(x)
-            den = x + w[:, None] * q - np.conj(w) * p
-            weight = res[:, None] * np.conj(res)
-            terms = weight / den
-            value = -4.0 * math.pi * terms.imag.sum(axis=(1, 2))
-            size = np.abs(den)
-            weight_abs = np.abs(weight)
-            modulus = np.abs(res)
-            dweight = dres[:, None] * modulus + modulus[:, None] * dres + dres[:, None] * dres
-            shift = dx + dw[:, None] * q + dw * p
-            shift += 4.0 * u * (np.abs(x) + np.abs(w)[:, None] * q + np.abs(w) * p)
-            rho = shift / size
-            im_low = w.imag[:, None] * q + w.imag * p - (dw[:, None] * q + dw * p)
-            near = (2.0 * dweight + weight_abs * (2.0 * rho + 8.0 * u)) / size
-            far = (2.0 * weight_abs + dweight) / im_low
-            term_error = np.where(rho <= 0.5, near, far).sum(axis=(1, 2))
-            rounding = (w.size**2 + 2) * u * (weight_abs / size).sum(axis=(1, 2))
-            rounding += w.size**2 * _TINY  # subnormal terms
-            error = 4.0 * math.pi * (term_error + rounding) + 2.0 * u * np.abs(value) + _TINY
-        return value, error
+            diag, rounding = self._newton_sums(one, one, zero, zero)
+            square = float(diag[0] + rounding[0]) * (1.0 + 2.0 * u)
+            c2 = 2.0 - (1.0 + eta) ** 2 * (1.0 + 4.0 * u)
+            t = delta = math.nan
+            if square > 0.0 and c2 > 0.0:
+                b = alpha * (1.0 + eta)
+                t = (b + math.sqrt(b * b + c2 * (square + alpha * alpha))) / c2 * (1.0 + 16.0 * u)
+                delta = (alpha + eta * t) * (1.0 + 4.0 * u)
+        if not delta < t < math.inf:
+            raise BadParameterError(
+                "the denominator's computed poles leave no usable error bound "
+                "(poles too close to the real axis, or coefficients too far apart)"
+            )
+        return t, (2.0 * t + delta) * delta * (1.0 + 4.0 * u)
+
+    def _newton_sums(self, lp, lq, d, dd) -> tuple:
+        """(values, rounding bounds) of the pairings of the Newton form at
+        dilations lp, lq and relative shift d (rounded by at most dd).
+
+        With m = min(lp, lq), rho_p = m / lp, rho_q = m / lq and s = m y,
+        the factor 1 / (lp (y - d) - w) is rho_p / (s - P) with the node
+        P = m d + rho_p w, and 1 / (lq y - w) is rho_q / (s - Q), Q = rho_q w.
+        The pairing is (1 / m) sum_jk a_j a_k times the integral of the
+        product of these factors over the nodes of terms j and k.  Over U,
+        the upper nodes P_i and Q_l of every pole, that integral is 2 pi i
+        times the divided difference [U] of the product of rho / (z - v) over
+        the lower nodes v of the two terms and of (z - x) / rho over the upper
+        nodes x they lack (those cancel in the divided difference), times
+        rho_p^h rho_q^h for the h upper poles.  Each factor acts on the
+        divided differences over the leading nodes of U by the Leibniz rule
+        (_divide_step, _multiply_step): no step divides by the difference of
+        two poles, so clustered and repeated poles cost nothing.  The sum
+        over k is linear, so the Q factors run once, from the empty product
+        of term h, and their states are summed with weights a_k; the P
+        factors run on that sum.  The value is the real part, -(2 pi / m)
+        rho_p^h rho_q^h Im(sum).
+
+        Bound, by running error analysis: the moduli M of the stacked states
+        bound the exact divided differences.  Every node is off by at most
+        eps (the rounding of d, of the rhos and of the node sums), so every
+        |u - v| by at most 2 eps, against at least low = 2 min(rho) min|Im w|
+        - eps; each step then adds a relative error of at most delta = tau
+        (1 + 12 u) + 12 u, tau = eps / low, and at most D steps lead from the
+        data to the sum, which is off by at most theta M with theta = s / (1
+        - s), s = D delta plus a few u for the weights, the sums, the rhos
+        and the final scaling (e^s - 1 <= s / (1 - s)).  A (z - x) factor
+        uses big = 2 eps / u >= |u - x| + eps / u, which turns its node error
+        into a rounding error.  A subnormal scale adds 2^-1075 / scale per
+        product.
+        """
+        u = _UNIT_ROUNDOFF
+        w, nl, weights = self._poles, self._lower, self._weights
+        n, nu, last = w.size, w.size - nl, weights.shape[0] - 1
+        small = np.minimum(lp, lq)
+        rp, rq = small / lp, small / lq
+        ratio = rp * rq  # min(rp, rq), exactly
+        shift = small * d
+        nodes = np.empty((n, 2, small.size), dtype=np.complex128)  # Q and P of each pole
+        np.multiply(rq, w[:, None], out=nodes[:, 0])
+        np.multiply(rp, w[:, None], out=nodes[:, 1])
+        nodes[:, 1] += shift
+        upper = nodes[nl:].reshape(2 * nu, small.size)
+        # dd >= 2 u |d|, so 6 m dd covers the rounding of m d and of its sums
+        eps = small * dd * (6.0 + 48.0 * u) + self._eps
+        # each side's factors: u_r - v with a lower bound on |.| for the lower
+        # nodes v, u_r - x with an upper bound for the upper nodes x
+        steps = max(nl, last)
+        factors = np.empty((steps, 2, 2 * nu, 2, small.size), dtype=np.complex128)
+        np.subtract(upper, nodes[:steps, :, None], out=factors[:, :, :, 0])
+        low = np.minimum(np.abs(factors[:, :, :, 0]), _LOW_CAP)
+        low -= eps
+        factors[:, :, :, 1] = low
+        if nl < last:
+            factors[nl:, :, :, 1] = 2.0 / u * eps
+
+        def sweep(state, rho, side, record):
+            """Apply one side's factors from term nl down to 0 and up to last."""
+            if nl <= last:
+                record(nl, state)
+            x = state
+            for i in range(nl - 1, -1, -1):
+                x = _divide_step(x, rho, side[i])
+                if i <= last:
+                    record(i, x)
+            for i in range(nl, last):
+                state = _multiply_step(state, rho, side[i])
+                record(i + 1, state)
+
+        # the empty product, times rho_p^h rho_q^h
+        start = np.zeros((2 * nu, 2, small.size), dtype=np.complex128)
+        start[0, 0] = ratio
+        for _ in range(nu - 1):
+            start[0, 0] *= ratio
+        start[0, 1] = start[0, 0].real + _FLOOR
+        comb = []
+        sweep(start, rq, factors[:, 0], lambda k, x: comb.append(weights[k] * x))
+        total = []
+        sweep(sum(comb[1:], comb[0]), rp, factors[:, 1], lambda j, x: total.append(weights[j] * x[-1]))
+        total = sum(total[1:], total[0])
+        # h over all 2 h nodes is minus the divided difference
+        scale = 2.0 * math.pi / small
+        value = scale * total[0].imag
+        low = self._imin2 * ratio - 2.0 * eps
+        s = eps / low * (self._depth * (1.0 + 12.0 * u)) + self._rounding
+        theta = s / (1.0 - s)
+        theta = np.where(theta > 0.0, theta, math.inf)
+        # scale sqrt(ratio) is 2 pi / sqrt(lp lq), within a few u
+        root = np.sqrt(ratio)
+        error = (theta * np.abs(total[1].real) + self._backward * root) * scale + _TINY
+        root *= scale
+        cap = np.abs(value) + self._norm_square * root
+        return value, np.fmin(error, cap)
+
+    def pair_closed_form(self, lp, bp, lq, bq):
+        """Each entry by the Newton form (_newton_sums), in blocks of at
+        most _NODE_ENTRIES / n entries.  The bound adds the backward error
+        of the computed poles and Newton coefficients, K / sqrt(lp lq) (see
+        _backward_bound), and is at most |value| + t^2 / sqrt(lp lq), since
+        Cauchy-Schwarz bounds every entry by ||R||^2 / sqrt(lp lq)."""
+        d, dd = _relative_shift(lp, bp, lq, bq)
+        block = max(1, _NODE_ENTRIES // self._poles.size**2)
+        with np.errstate(all="ignore"):
+            if lp.size <= block:
+                return self._newton_sums(lp, lq, d, dd)
+            values, errors = np.empty(lp.size), np.empty(lp.size)
+            for s in range(0, lp.size, block):
+                part = slice(s, s + block)
+                values[part], errors[part] = self._newton_sums(lp[part], lq[part], d[part], dd[part])
+        return values, errors
 
     def _envelope_constants(self) -> tuple:
         """(M, U0) with |R(u)| <= M |u|^-p for |u| >= U0."""
@@ -946,6 +1180,50 @@ def _sech_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
     return h, np.zeros_like(h), last, bound, False
 
 
+def _lower_truncation(lp, lq, scale, log_target) -> tuple:
+    """(delta, log of the bound) of the SE-Sinc rule's lower truncation (see
+    _log_exp_ratio_rule): delta = delta0 2^-k, delta0 = min(lp, lq) / e,
+    with the least k >= 0 whose bound log f(delta) = log(scale / (12 lp
+    lq)) + 3 ln delta + ln(L^2 + 2 L / 3 + 2 / 9), L = ln(sqrt(lp lq) /
+    delta), is at most log_target.
+
+    L grows with k and the bound is increasing in L, so for k >= x, L >= L(x)
+    and the bound is at least its value with L frozen at L(x); that meets the
+    target only from the solution of its equality on.  Two such solutions,
+    from x = 0 and from the first, give a count below which every bound
+    fails.  The halvings start one below it and go on one numpy pass at a
+    time until each bound is met: the same delta, bit for bit, as halving
+    from delta0, in two or three passes where that took a dozen.
+    """
+    log_lp, log_lq = np.log(lp), np.log(lq)
+    delta = np.minimum(lp, lq) / math.e
+    log_delta = np.log(delta)
+    excess = np.log(scale / 12.0) - log_lp - log_lq + 3.0 * log_delta - log_target
+    root0 = 0.5 * (log_lp + log_lq) - log_delta
+    skip = 0.0
+    for _ in range(2):
+        root = root0 + _LN2 * skip
+        skip = np.maximum(skip, (excess + np.log(root * root + 2.0 * root / 3.0 + 2.0 / 9.0)) / (3.0 * _LN2))
+    skip = np.ceil(skip) - 1.0
+    delta = np.ldexp(delta, -np.where(skip > 0.0, np.minimum(skip, 1074.0), 0.0).astype(np.int64))
+    log_lower = np.empty(lp.size)
+
+    def lower(i):
+        log_delta = np.log(delta[i])
+        root = 0.5 * (log_lp[i] + log_lq[i]) - log_delta
+        return (
+            np.log(scale[i] / 12.0) - log_lp[i] - log_lq[i] + 3.0 * log_delta
+            + np.log(root * root + 2.0 * root / 3.0 + 2.0 / 9.0)
+        )
+
+    i = np.arange(lp.size)
+    while i.size:
+        log_lower[i] = lower(i)
+        i = i[log_lower[i] > log_target]
+        delta[i] *= 0.5
+    return delta, log_lower
+
+
 def _log_exp_ratio_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
     """The SE-Sinc rule after g = e^t for ft(g) = g ln|g| / (e^g + e^-g).
 
@@ -975,7 +1253,8 @@ def _log_exp_ratio_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
     (4 lp lq), e^t times which increases in t, so the terms at nodes below
     delta add up to at most its integral over [0, delta], scale delta^3
     (L^2 + 2 L / 3 + 2 / 9) / (12 lp lq) with L = ln(sqrt(lp lq) / delta);
-    delta halves from min(lp, lq) / e until that is within the target.
+    delta is min(lp, lq) / e halved until that is within the target
+    (_lower_truncation).
     Truncation above: past the radius R, e^t times the envelope decreases
     (R >= 1 / the pair rate), so the terms at nodes past R add up to at most
     the window's tail.  The nodes e^(kh) run from the last at or below delta
@@ -1004,23 +1283,7 @@ def _log_exp_ratio_rule(lp, lq, omega, scale, radius, log_target) -> tuple:
         h = np.minimum(step, _LN2)
         disc = _strip_bound(width, log_m, h, 2.0)
 
-        log_lp, log_lq = log_lp[:, 0], log_lq[:, 0]
-        delta = np.minimum(lp, lq) / math.e
-        log_lower = np.empty(lp.size)
-
-        def lower(i):
-            log_delta = np.log(delta[i])
-            root = 0.5 * (log_lp[i] + log_lq[i]) - log_delta
-            return (
-                np.log(scale[i] / 12.0) - log_lp[i] - log_lq[i] + 3.0 * log_delta
-                + np.log(root * root + 2.0 * root / 3.0 + 2.0 / 9.0)
-            )
-
-        i = np.arange(lp.size)
-        while i.size:
-            log_lower[i] = lower(i)
-            i = i[log_lower[i] > log_target]
-            delta[i] *= 0.5
+        delta, log_lower = _lower_truncation(lp, lq, scale, log_target)
         first = np.floor(np.log(delta) / h)
         last = np.ceil(np.log(radius) / h)
     return h, first, last, disc + np.exp(log_lower), True

@@ -4,8 +4,9 @@ A system is a generator plus finitely many points (dilation, translation);
 its elements are the dilated translates ``phi(dilation * x - translation)``.
 Linear dependence in L2 is detected numerically through the spectrum of the
 Gram matrix, and linear independence can additionally be certified
-symbolically by matching the generator's declared property tags and the
-point geometry against a fixed rule table of independence theorems.
+symbolically by matching the generator's property tags (derived from its
+kind and parameters, declared only for sampled generators) and the point
+geometry against a fixed rule table of independence theorems.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ _KNOT_BLOCK = 2**13
 # gram pairs a sampled or closed-form system's triangle this many entries at
 # a time, which bounds the per-entry arrays of the window test as well
 _PAIR_CHUNK = 2**16
-# and an unbounded generator's this many, which bounds the panels that one
-# batch of quadratures holds at once, and a fixed-step rule's arrays per entry
+# and a fixed-step rule's this many, which bounds its arrays per entry
 _QUADRATURE_CHUNK = 2**6
 # The fixed-step rules sum each entry's nodes in runs of at most this many,
 # and evaluate the runs in blocks of at most this many nodes, which bounds
@@ -388,7 +388,12 @@ def _closed_form_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
 
 
 def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
-    """Pairings of an unbounded generator at pairs of points, by one batch of quadratures."""
+    """Pairings of an unbounded generator at pairs of points, by one batch of
+    adaptive quadratures in time.
+
+    Test reference, no production caller (ROADMAP item 7): the tests compare
+    every time-side closed form against it.
+    """
     integrand, lo, hi, edges, rounding, tail = gen.pair_quadrature(lp, bp, lq, bq, tol)
     result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
     return result.value, result.error_estimate + rounding * result.abs_integral + tail
@@ -465,18 +470,17 @@ def _pairing(gen: GeneratorSpec) -> tuple:
     Every kernel maps (gen, lp, bp, lq, bq, tol), with arrays of the two
     points of each entry, to (values, error bounds).  Sampled generators
     pair exactly on merged knots; generators with a closed form
-    (``gen.closed_form``) pair by it; the other catalog generators (sech and
-    log_exp_ratio) by their fixed-step rules in the Fourier domain, with a
-    priori error bounds; rationals with clustered poles by batched adaptive
+    (``gen.closed_form``: the Gaussian, the two-sided exponentials, every
+    rational and the band-limited catalog entries) pair by it; the other
+    catalog generators (sech and log_exp_ratio) by their fixed-step rules in
+    the Fourier domain.  Every bound is a priori: no kernel calls adaptive
     quadrature.
     """
     if isinstance(gen, SampledGenerator):
         return _sampled_pairs, _PAIR_CHUNK
     if gen.closed_form:
         return _closed_form_pairs, _PAIR_CHUNK
-    if isinstance(gen, CatalogGenerator):
-        return _fixed_rule_pairs, _QUADRATURE_CHUNK
-    return _quadrature_pairs, _QUADRATURE_CHUNK
+    return _fixed_rule_pairs, _QUADRATURE_CHUNK
 
 
 def inner_product(
@@ -488,16 +492,16 @@ def inner_product(
     exactly on the intersection of supports, as (1/lambda_p) J(r, s) of the
     normalized key (see _sampled_pairs), with a bound on J's rounding, on
     the rounding of r and s and on the division by lambda_p; generators with
-    a closed form pair by it, with a rounding bound.  The other catalog
-    generators (sech and log_exp_ratio) pair in the Fourier domain, as a real
-    cosine integral on the half line, by a fixed-step rule whose step and
-    truncation come from a priori bounds: the error is the bound on the
-    rule's discretization and truncation plus the rounding of the phase and
-    of the sum (see CatalogGenerator.pair_fixed_rule).  Rationals with
-    clustered poles are integrated adaptively in time on a truncation
-    window, with the tail bound and the rounding of lambda x - beta folded
-    into the error (see GeneratorSpec.pair_quadrature).  This is the
-    one-pair call of the kernel that gram runs on the whole matrix.
+    a closed form pair by it, with a bound on its rounding (for a rational,
+    also on the backward error of its computed poles, see
+    RationalL2._backward_bound).  The other catalog generators (sech and
+    log_exp_ratio) pair in the Fourier domain, as a real cosine integral on
+    the half line, by a fixed-step rule whose step and truncation come from
+    a priori bounds: the error is the bound on the rule's discretization and
+    truncation plus the rounding of the phase and of the sum (see
+    CatalogGenerator.pair_fixed_rule).  No bound depends on tol except the
+    fixed-step rules'.  This is the one-pair call of the kernel that gram
+    runs on the whole matrix.
     """
     params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
     kernel, _ = _pairing(gen)

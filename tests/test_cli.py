@@ -6,6 +6,7 @@ import math
 import shlex
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -594,6 +595,23 @@ class TestProcessContract:
         report = json.loads(err)
         assert report["error"] == "BadParameterError"
         assert f"points {named}" in report["message"]
+
+    @pytest.mark.parametrize(
+        "denominator",
+        ([math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [1e300, 0.0, 1e-300]),
+        ids=("nan", "inf", "companion-overflow"),
+    )
+    def test_unusable_rational_coefficients_are_domain_errors(self, capsys, tmp_path, denominator):
+        # np.roots raised an untyped LinAlgError on these, after an overflow
+        # warning for the last, whose companion matrix holds 1e600
+        doc = at_origin({"kind": "rational", "numerator": [1.0], "denominator": denominator})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "gram", "--input", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BadParameterError"
 
     @pytest.mark.parametrize(
         "argv,doc",

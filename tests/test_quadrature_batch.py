@@ -1,8 +1,8 @@
 """Batched pairings of unbounded generators without a closed form, against references.
 
-gram pairs most of these generators in closed form now.  The adaptive
-quadrature kernel (wavelet_system._quadrature_pairs) still pairs rationals
-with clustered poles, and it is tested here, bit for bit against the
+gram pairs every generator with a time-domain form in closed form now.  The
+adaptive quadrature kernel (wavelet_system._quadrature_pairs) stays as the
+tests' reference, and it is tested here, bit for bit against the
 entry-by-entry reference, on every family with a time-domain form; the
 reference integrates time-side products of real generators in float64.
 
@@ -235,7 +235,7 @@ def assert_same_bits(gen, points, tol=1e-10):
     assert np.float64(quad_error).tobytes() == np.float64(worst).tobytes()
 
 
-# double poles at +-i: too close together to pair by residues
+# double poles at +-i, which np.roots returns about 1e-8 apart
 DOUBLE_POLE = RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0])
 GENERATORS = (
     Gaussian(),
@@ -308,13 +308,13 @@ def test_panel_block_leaves_bytes_unchanged(monkeypatch, block, gen, points):
 
 
 @pytest.mark.parametrize("gen", (DOUBLE_POLE,), ids=("double-pole",))
-def test_gram_pairs_generators_without_closed_form_by_quadrature(gen):
-    assert wavelet_system._pairing(gen)[0] is wavelet_system._quadrature_pairs
+def test_gram_agrees_with_quadrature(gen):
     points = list(DECAY_POINTS_8[:5])
     values, errors = quadrature_triangle(gen, points)
     report = gram(WaveletSystem(gen, points))
-    assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
-    assert report.quad_error == np.fmax.reduce(errors, initial=0.0)
+    rows, cols = np.triu_indices(len(points))
+    miss = np.abs(report.matrix[rows, cols] - values)
+    assert np.all(miss <= report.quad_error + errors)
 
 
 def half_step_entries(gen, points, tol=1e-10):
@@ -360,6 +360,45 @@ def test_fixed_rule_at_half_the_step_agrees_within_the_bound(catalog_id, points)
     oracle = half_step_entries(gen, list(points))
     assert np.all(np.abs(values - oracle) <= errors)
     assert np.all(errors <= 1e-10)
+
+
+def halving_lower_truncation(lp, lq, scale, log_target):
+    """delta and its log bound as the SE-Sinc rule found them before: halve
+    delta from min(lp, lq) / e, one numpy pass at a time, until each
+    entry's bound is within the target."""
+    log_lp, log_lq = np.log(lp), np.log(lq)
+    delta = np.minimum(lp, lq) / math.e
+    log_lower = np.empty(lp.size)
+    i = np.arange(lp.size)
+    while i.size:
+        log_delta = np.log(delta[i])
+        root = 0.5 * (log_lp[i] + log_lq[i]) - log_delta
+        log_lower[i] = (
+            np.log(scale[i] / 12.0) - log_lp[i] - log_lq[i] + 3.0 * log_delta
+            + np.log(root * root + 2.0 * root / 3.0 + 2.0 / 9.0)
+        )
+        i = i[log_lower[i] > log_target]
+        delta[i] *= 0.5
+    return delta, log_lower
+
+
+@pytest.mark.parametrize("tol", (1e-2, 1e-10, 1e-12, 1e-300))
+@pytest.mark.parametrize(
+    "dilations",
+    (
+        triangle_params(DECAY_POINTS_8)[::2],
+        (np.geomspace(1e-6, 1e6, 61), 0.7 * np.geomspace(1e-6, 1e6, 61)[::-1]),
+    ),
+    ids=("decay-8", "spread"),
+)
+def test_lower_truncation_starts_near_its_halving_count(dilations, tol):
+    lp, lq = dilations
+    scale = 2.0 / (lp * lq)
+    log_target = math.log(0.125 * tol)
+    delta, log_lower = generators._lower_truncation(lp, lq, scale, log_target)
+    reference = halving_lower_truncation(lp, lq, scale, log_target)
+    assert delta.tobytes() == reference[0].tobytes()
+    assert log_lower.tobytes() == reference[1].tobytes()
 
 
 @pytest.mark.parametrize("block", (1, 7, 10**6))

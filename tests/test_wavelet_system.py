@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_gram_closed_form, hat_gram_closed_form, smooth_bump_generator
-from twoscale import wavelet_system
+from twoscale import numerics, wavelet_system
 from twoscale.errors import DuplicatePointError
 from twoscale.generators import (
     CatalogGenerator,
@@ -634,3 +634,41 @@ def test_certificate_soundness_harness(rule_id, make_gen, shape):
         assert cert is not None and cert.rule_id == rule_id
         report = gram(system, 1e-6)
         assert report.relative_gap >= 1e-4, (rule_id, report.relative_gap)
+
+
+# Every generator kind: the eight of the benchmark's decay systems, the
+# compactly supported kinds, and rationals with repeated or clustered poles
+NO_QUADRATURE = (
+    Gaussian(),
+    TwoSidedExp(1),
+    TwoSidedExp(2),
+    RationalL2([1.0], [1.0, 0.0, 1.0]),
+    CatalogGenerator("sech"),
+    CatalogGenerator("log_exp_ratio"),
+    CatalogGenerator("ft_box"),
+    CatalogGenerator("ft_annulus_tent"),
+    Hat(),
+    RefinementGenerator(preset("hat"), 2.0**-6, 20),
+    smooth_bump_generator(count=257),
+    RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),
+    RationalL2([1.0], [1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0]),
+    RationalL2([1.0], [1.0201, 0.0, 2.0201, 0.0, 1.0]),
+    RationalL2([1.0], np.real(np.poly([1j, -1j, 1.0001j, -1.0001j]))[::-1].tolist()),
+)
+NO_QUADRATURE_IDS = (
+    "gaussian", "exp1", "exp2", "rational", "sech", "log_exp_ratio", "ft_box", "ft_annulus_tent",
+    "hat", "refinement", "sampled", "double-pole", "triple-pole", "gap-1e-2", "gap-1e-4",
+)
+
+
+@pytest.mark.parametrize("gen", NO_QUADRATURE, ids=NO_QUADRATURE_IDS)
+def test_no_generator_reaches_adaptive_quadrature(monkeypatch, gen):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature has no production caller")
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", refuse)
+    monkeypatch.setattr(wavelet_system, "integrate_adaptive", refuse)
+    points = [P(*pt) for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))]
+    report = gram(WaveletSystem(gen, points), 1e-10)
+    assert report.quad_error <= 1e-10
+

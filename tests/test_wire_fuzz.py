@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,29 @@ def sampled_generators(draw):
     }
 
 
+@st.composite
+def rational_generators(draw):
+    """Rationals with repeated, clustered, non-finite or extreme denominators."""
+    shape = draw(st.sampled_from(["quadratics", "close", "extreme"]))
+    if shape == "extreme":
+        denominator = draw(st.lists(finite | edge_numbers, min_size=2, max_size=5))
+    else:
+        if shape == "quadratics":
+            # ((x - a)^2 + b^2)^m, m = 1 .. 3, for one or two pole pairs a +- ib
+            poles = []
+            for _ in range(draw(st.integers(1, 2))):
+                a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 3.0))
+                poles += [complex(a, b), complex(a, -b)] * draw(st.integers(1, 3))
+        else:
+            # two pole pairs a +- ib and a +- i(b + gap)
+            a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 3.0))
+            gap = draw(st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]))
+            poles = [complex(a, b), complex(a, -b), complex(a, b + gap), complex(a, -b - gap)]
+        denominator = np.real(np.poly(poles))[::-1].tolist()
+    numerator = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=max(1, len(denominator) - 1)))
+    return {"kind": "rational", "numerator": numerator, "denominator": denominator}
+
+
 generator_docs = st.one_of(
     st.just({"kind": "hat"}),
     sampled_generators(),
@@ -85,6 +109,7 @@ generator_docs = st.one_of(
     # the other generators that pair in closed form
     st.just({"kind": "two_sided_exp", "n": 2}),
     st.just({"kind": "rational", "numerator": [1.0], "denominator": [1.0, 0.0, 0.0, 0.0, 1.0]}),
+    rational_generators(),
     st.just({"kind": "le_catalog", "id": "ft_box"}),
     st.just({"kind": "le_catalog", "id": "ft_annulus_tent"}),
     # the catalog generators that pair by fixed-step rules
