@@ -17,6 +17,7 @@ truncation come from a priori error bounds
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -195,8 +196,9 @@ def _relative_shift(lp, bp, lq, bq) -> tuple:
         ap, aq = bp / lp, bq / lq
         d = ap - aq
         bound = 2.0 * _UNIT_ROUNDOFF * (np.abs(ap) + np.abs(aq) + np.abs(d)) + _TINY
+    # a finite bound has a finite shift
     refuse_pairs(
-        np.isfinite(d) & np.isfinite(bound), lp, bp, lq, bq,
+        np.isfinite(bound), lp, bp, lq, bq,
         "put the shift between their origins out of float range",
     )
     bound[(lp == lq) & (bp == bq)] = 0.0
@@ -449,14 +451,14 @@ def _poly_eval(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The Newton-form pairing adds this floor to its moduli at each step and
-# caps the distances it divides them by, so that every modulus stays above
-# 2^-1020 and a result that underflows costs no more than u times its bound
+# The Newton-form pairing adds this floor to its moduli at each step, so
+# that every modulus stays above it and a result that underflows costs no
+# more than u times its bound
 _FLOOR = 2.0**-1000
-_LOW_CAP = 2.0**20
 # Entries per block of a rational pairing, divided by the square of the
-# number of poles: a block holds a few arrays of (poles^2 x entries) numbers
-_NODE_ENTRIES = 2**18
+# number of poles: a block holds a few arrays of 8 poles^2 complex numbers
+# per entry
+_NODE_ENTRIES = 2**16
 
 
 def _newton_coefficients(numerator: tuple, nodes: np.ndarray) -> list:
@@ -472,41 +474,45 @@ def _newton_coefficients(numerator: tuple, nodes: np.ndarray) -> list:
     return out
 
 
-# every float is an integer multiple of 2^-1074
-_DYADIC = 1074
-
-
-def _dyadic(x: float) -> int:
-    """x 2^1074, exactly."""
+def _dyadic(x: float) -> tuple:
+    """(p, k) with x = p / 2^k exactly, k >= 0: floats are dyadic rationals."""
     p, q = x.as_integer_ratio()
-    return p << (_DYADIC + 1 - q.bit_length())
+    return p, q.bit_length() - 1
 
 
 def _exact_newton_poly(nodes: list, weights: list) -> tuple:
     """(re, im, e): the ascending coefficients of sum_j weights[j] prod_(i <
     j) (u - nodes[i]), exact, as (re_k + i im_k) 2^-e with integers re, im."""
-    re, im, e = [_dyadic(weights[-1].real)], [_dyadic(weights[-1].imag)], _DYADIC
+    used = nodes[: len(weights) - 1] + weights
+    shift = max(_dyadic(x)[1] for z in used for x in (z.real, z.imag))
+
+    def scaled(x: float) -> int:
+        p, k = _dyadic(x)
+        return p << (shift - k)
+
+    re, im, e = [scaled(weights[-1].real)], [scaled(weights[-1].imag)], shift
     for z, c in zip(reversed(nodes[: len(weights) - 1]), reversed(weights[:-1])):
-        zr, zi = _dyadic(z.real), _dyadic(z.imag)
-        new_re = [0] + [a << _DYADIC for a in re]
-        new_im = [0] + [b << _DYADIC for b in im]
+        zr, zi = scaled(z.real), scaled(z.imag)
+        new_re = [0] + [a << shift for a in re]
+        new_im = [0] + [b << shift for b in im]
         for k, (a, b) in enumerate(zip(re, im)):
             new_re[k] -= zr * a - zi * b
             new_im[k] -= zr * b + zi * a
-        new_re[0] += _dyadic(c.real) << e
-        new_im[0] += _dyadic(c.imag) << e
-        re, im, e = new_re, new_im, e + _DYADIC
+        new_re[0] += scaled(c.real) << e
+        new_im[0] += scaled(c.imag) << e
+        re, im, e = new_re, new_im, e + shift
     return re, im, e
 
 
-def _deviation(coeffs: tuple, re: list, im: list, e: int, s: list) -> Fraction:
-    """sum_k |c_k - (re_k + i im_k) 2^-e| s_k, exact, with the modulus
+def _deviation(coeffs: tuple, re: list, im: list, e: int) -> list:
+    """|c_k - (re_k + i im_k) 2^-e| for each k, exact, with the modulus
     bounded by |Re| + |Im|."""
-    total = sum(
-        (abs((_dyadic(c) << (e - _DYADIC)) - a) + abs(b)) * s_k
-        for c, a, b, s_k in zip(coeffs, re, im, s)
-    )
-    return Fraction(total) / (1 << e)
+    out = []
+    for c, a, b in zip(coeffs, re, im):
+        p, k = _dyadic(c)
+        top = max(e, k)
+        out.append(Fraction(abs((p << (top - k)) - (a << (top - e))) + abs(b << (top - e)), 1 << top))
+    return out
 
 
 def _sup_bounds(poles: list, lead: float) -> list:
@@ -536,33 +542,31 @@ def _upper_float(x: Fraction) -> float:
         return math.inf
 
 
-def _divide_step(state: np.ndarray, rho, factor: np.ndarray) -> np.ndarray:
-    """The Leibniz rule for the factor rho / (z - v), v a lower node, over
-    the upper nodes u_r.
+def _divide_step(state: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The Leibniz rule for the factor rho_v / (z - v), v a lower node, over
+    the upper nodes u_r, each weighted by its own rho_u.
 
-    ``state`` stacks h and M over r: h_r is (-1)^r times the divided
-    difference over u_0 .. u_r of the function so far, and M_r bounds the
-    modulus of its exact value.  Then h_r <- (rho h_r + h_(r-1)) / (u_r - v),
-    with u_r - v in factor[r, 0]; M obeys the same recurrence with a lower
-    bound on |u_r - v| (at most _LOW_CAP) in factor[r, 1], plus a floor that
-    keeps every M_r above 2^-1000 / _LOW_CAP.
+    ``state`` stacks h and M over r: h_r is (-1)^r rho_(u_0) .. rho_(u_r)
+    times the divided difference over u_0 .. u_r of the function so far,
+    and M_r bounds the modulus of its exact value.  Then h_r <- alpha_r h_r
+    + beta_r h_(r-1), alpha_r = rho_v / (u_r - v), beta_r = rho_(u_r) / (u_r
+    - v); M obeys the same recurrence with |u_r - v| bounded below, plus
+    _FLOOR.
     """
-    x = rho * state
+    x = alpha * state
     x[:, 1] += _FLOOR
-    x[0] /= factor[0]
     for r in range(1, x.shape[0]):
-        x[r] += x[r - 1]
-        x[r] /= factor[r]
+        x[r] += beta[r] * x[r - 1]
     return x
 
 
-def _multiply_step(state: np.ndarray, rho, factor: np.ndarray) -> np.ndarray:
-    """The same for the factor (z - x) / rho, x an upper node: h_r <- (h_r
-    (u_r - x) - h_(r-1)) / rho, and M with an upper bound on |u_r - x|."""
-    x = state * factor
-    x[1:, 0] -= state[:-1, 0]
-    x[1:, 1] += state[:-1, 1]
-    x /= rho
+def _multiply_step(state: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The same for the factor (z - x) / rho_x, x an upper node: h_r <-
+    alpha_r h_r + beta_r h_(r-1) of the old state, alpha_r = (u_r - x) /
+    rho_x and beta_r = -rho_(u_r) / rho_x (for M, an upper bound on |u_r -
+    x| and +rho_(u_r) / rho_x)."""
+    x = alpha * state
+    x[1:] += beta[1:] * state[:-1]
     x[:, 1] += _FLOOR
     return x
 
@@ -621,6 +625,9 @@ class RationalL2(GeneratorSpec):
         self.tags = frozenset(tags)
 
         u = _UNIT_ROUNDOFF
+        # nearest the real axis first, which keeps the Newton coefficients
+        # and the bound's sums of moduli small
+        roots = roots[np.argsort(np.abs(roots.imag), kind="stable")]
         lower = roots[roots.imag < 0.0]
         self._poles = np.concatenate([lower, roots[roots.imag > 0.0]])
         self._lower = lower.size
@@ -631,14 +638,20 @@ class RationalL2(GeneratorSpec):
         # the weights (a_j, |a_j|) of the stacked states (see _newton_sums)
         self._weights = np.stack((self._newton, np.abs(self._newton) * (1.0 + 2.0 * u)), axis=1)[:, :, None]
         n = self._poles.size
-        # twice the least |Im w|, and the node error that does not scale with
-        # the shift (see _newton_sums)
-        self._imin2 = 2.0 * float(np.min(np.abs(self._poles.imag))) * (1.0 - 4.0 * u)
-        self._eps = 20.0 * u * float(np.max(np.abs(self._poles))) * (1.0 + 2.0 * u)
-        # the longest chain of rounded steps from the data to a pairing, and
-        # the relative rounding of the weights, sums, rhos and final scaling
-        self._depth = 4 * n - 2 * lower.size + 2
-        self._rounding = (16 * self._depth + 2 * self._newton.size + 6 * n + 24) * u
+        # the node error that does not scale with the shift, the relative
+        # error of a difference of two nodes of one side, the longest chain D
+        # of rounded steps from the data to a pairing, and the relative
+        # rounding of the weights, sums, rhos and final scaling (see
+        # _newton_sums)
+        w_max = float(np.max(np.abs(self._poles))) * (1.0 + 2.0 * u)
+        self._eps = 12.0 * u * w_max
+        im_low = float(np.min(np.abs(self._poles.imag))) * (1.0 - 4.0 * u)
+        self._tau = 4.0 * u * w_max / im_low
+        depth = 2 * max(lower.size, self._newton.size - 1 - lower.size) + 2 * (n - lower.size) + 2
+        self._depth_up = 4.0 * depth * (1.0 + 16.0 * u) / im_low
+        self._rounding = (24 * depth + 2 * self._newton.size + 6 * n + 24) * u
+        self._rounding += self._tau * depth * (1.0 + 16.0 * u)
+        self._block = max(1, _NODE_ENTRIES // n**2)
         # the diagonal entry that _backward_bound needs is paired with neither
         # the backward term nor the Cauchy-Schwarz cap
         self._backward, self._norm_square = 0.0, math.inf
@@ -672,15 +685,16 @@ class RationalL2(GeneratorSpec):
         u = _UNIT_ROUNDOFF
         poles = self._poles.tolist()
         lead = self.denominator[-1]
-        s = _sup_bounds(poles, lead)
         d_re, d_im, e = _exact_newton_poly(poles, [0j] * len(poles) + [complex(lead)])
-        eta = _deviation(self.denominator, d_re, d_im, e, s)
+        d_gap = _deviation(self.denominator, d_re, d_im, e)
         n_re, n_im, e = _exact_newton_poly(poles, self._newton.tolist())
-        scale = _dyadic(lead)
-        alpha = _deviation(
-            self.numerator, [a * scale for a in n_re], [b * scale for b in n_im], e + _DYADIC,
-            [a + b for a, b in zip(s, s[1:])],
-        )
+        p, k = _dyadic(lead)
+        n_gap = _deviation(self.numerator, [a * p for a in n_re], [b * p for b in n_im], e + k)
+        eta = alpha = Fraction(0)
+        if any(d_gap) or any(n_gap):
+            s = _sup_bounds(poles, lead)
+            eta = sum(g * s_k for g, s_k in zip(d_gap, s))
+            alpha = sum(g * (s_k + s_next) for g, s_k, s_next in zip(n_gap, s, s[1:]))
         eta, alpha = _upper_float(eta), _upper_float(alpha) * math.sqrt(math.pi) * (1.0 + 4.0 * u)
         one, zero = np.ones(1), np.zeros(1)
         with np.errstate(all="ignore"):
@@ -700,8 +714,9 @@ class RationalL2(GeneratorSpec):
         return t, (2.0 * t + delta) * delta * (1.0 + 4.0 * u)
 
     def _newton_sums(self, lp, lq, d, dd) -> tuple:
-        """(values, rounding bounds) of the pairings of the Newton form at
-        dilations lp, lq and relative shift d (rounded by at most dd).
+        """(values, error bounds) of the pairings of the Newton form at
+        dilations lp, lq and relative shift d (rounded by at most dd); see
+        pair_closed_form for the bounds' last two terms.
 
         With m = min(lp, lq), rho_p = m / lp, rho_q = m / lq and s = m y,
         the factor 1 / (lp (y - d) - w) is rho_p / (s - P) with the node
@@ -722,89 +737,108 @@ class RationalL2(GeneratorSpec):
         rho_p^h rho_q^h Im(sum).
 
         Bound, by running error analysis: the moduli M of the stacked states
-        bound the exact divided differences.  Every node is off by at most
-        eps (the rounding of d, of the rhos and of the node sums), so every
-        |u - v| by at most 2 eps, against at least low = 2 min(rho) min|Im w|
-        - eps; each step then adds a relative error of at most delta = tau
-        (1 + 12 u) + 12 u, tau = eps / low, and at most D steps lead from the
-        data to the sum, which is off by at most theta M with theta = s / (1
-        - s), s = D delta plus a few u for the weights, the sums, the rhos
-        and the final scaling (e^s - 1 <= s / (1 - s)).  A (z - x) factor
-        uses big = 2 eps / u >= |u - x| + eps / u, which turns its node error
-        into a rounding error.  A subnormal scale adds 2^-1075 / scale per
-        product.
+        bound the exact divided differences.  Every computed difference u - v
+        of two nodes is off by at most eps: the rounding of d (dd), of m d,
+        of the rhos, of the node sums and of the difference itself.  So the
+        exact |u - v| is at least |fl(u - v)| - eps, and at least 2 min(rho)
+        min|Im w| - 2 eps for a lower node v; each step adds a relative error
+        of at most delta = tau (1 + 12 u) + 12 u, tau = eps over that least
+        distance, and at most D steps lead from the data to the sum, which
+        is off by at most theta M, theta = e^s - 1 with s = D delta plus a
+        few u for the weights, the sums, the rhos and the final scaling.
+        Where s <= 1/2, 2 eps < min(rho) min|Im w| / 3, so tau <= 0.61 eps
+        / (min(rho) min|Im w|), and theta <= s + s^2; elsewhere the bound is
+        the Cauchy-Schwarz cap of pair_closed_form.  A (z - x) factor uses
+        2 eps / u >= |u - x| + eps / u, which turns its node error into a
+        rounding error.
         """
         u = _UNIT_ROUNDOFF
         w, nl, weights = self._poles, self._lower, self._weights
         n, nu, last = w.size, w.size - nl, weights.shape[0] - 1
-        small = np.minimum(lp, lq)
-        rp, rq = small / lp, small / lq
-        ratio = rp * rq  # min(rp, rq), exactly
-        shift = small * d
-        nodes = np.empty((n, 2, small.size), dtype=np.complex128)  # Q and P of each pole
-        np.multiply(rq, w[:, None], out=nodes[:, 0])
-        np.multiply(rp, w[:, None], out=nodes[:, 1])
-        nodes[:, 1] += shift
-        upper = nodes[nl:].reshape(2 * nu, small.size)
-        # dd >= 2 u |d|, so 6 m dd covers the rounding of m d and of its sums
-        eps = small * dd * (6.0 + 48.0 * u) + self._eps
-        # each side's factors: u_r - v with a lower bound on |.| for the lower
-        # nodes v, u_r - x with an upper bound for the upper nodes x
         steps = max(nl, last)
-        factors = np.empty((steps, 2, 2 * nu, 2, small.size), dtype=np.complex128)
-        np.subtract(upper, nodes[:steps, :, None], out=factors[:, :, :, 0])
-        low = np.minimum(np.abs(factors[:, :, :, 0]), _LOW_CAP)
-        low -= eps
-        factors[:, :, :, 1] = low
+        small = np.minimum(lp, lq)
+        rho = small / np.array((lq, lp))  # rho_q, rho_p
+        shift = small * d
+        # the nodes of each pole without the shift: rho_q w, rho_p w
+        nodes = w[:, None, None] * rho
+        # dd >= 2 u |d|, so 3 m dd covers the rounding of d, m d and of the
+        # sums across the sides
+        eps = small * dd * (3.0 + 32.0 * u) + self._eps
+        # factors[i, side, a, t]: the upper node (a, t) less node i of a
+        # side, plus the shift across the sides, and a bound on its modulus
+        shape = (steps, 2, nu, 2, 2, small.size)
+        factors = np.zeros(shape, dtype=np.complex128)
+        y = factors[:, :, :, :, 0]
+        np.subtract(nodes[nl:], nodes[:steps, :, None, None], out=y)
+        y[:, 0, :, 1] += shift
+        y[:, 1, :, 0] -= shift
+        # |u - v| >= max(|Re|, Im), Im > 0 for an upper u and a lower v, less
+        # the relative node error tau on one side (eps across the sides is
+        # charged to theta)
+        low = factors[:, :, :, :, 1].real
+        np.maximum(np.abs(y.real), y.imag, out=low)
+        low *= (1.0 - 4.0 * u) / (1.0 + self._tau)
+        rho_v = rho[:, None, None, None, :]
+        rho_u = rho[:, None, :]
+        alpha = rho_v / factors
+        beta = rho_u / factors
         if nl < last:
-            factors[nl:, :, :, 1] = 2.0 / u * eps
+            # upper nodes lacking from a term: (z - x) / rho_x, with 2 eps / u >=
+            # |u - x| + eps / u for M
+            factors[nl:, :, :, :, 1] = 2.0 / u * eps
+            alpha[nl:] = factors[nl:] / rho_v
+            beta[nl:] = rho_u / rho_v
+            beta[nl:, :, :, :, 0] *= -1.0
+        alpha = alpha.reshape(steps, 2, 2 * nu, 2, small.size)
+        beta = beta.reshape(steps, 2, 2 * nu, 2, small.size)
 
-        def sweep(state, rho, side, record):
-            """Apply one side's factors from term nl down to 0 and up to last."""
-            if nl <= last:
-                record(nl, state)
+        def sweep(state, side) -> list:
+            """(term, state) of one side's factors, from term nl down to 0 and
+            up to last: the empty product is the state of term nl."""
+            out = [(nl, state)] if nl <= last else []
             x = state
             for i in range(nl - 1, -1, -1):
-                x = _divide_step(x, rho, side[i])
+                x = _divide_step(x, alpha[i, side], beta[i, side])
                 if i <= last:
-                    record(i, x)
+                    out.append((i, x))
             for i in range(nl, last):
-                state = _multiply_step(state, rho, side[i])
-                record(i + 1, state)
+                state = _multiply_step(state, alpha[i, side], beta[i, side])
+                out.append((i + 1, state))
+            return out
 
-        # the empty product, times rho_p^h rho_q^h
+        # the empty product: 1 at u_0 = Q of the first upper pole
         start = np.zeros((2 * nu, 2, small.size), dtype=np.complex128)
-        start[0, 0] = ratio
-        for _ in range(nu - 1):
-            start[0, 0] *= ratio
-        start[0, 1] = start[0, 0].real + _FLOOR
-        comb = []
-        sweep(start, rq, factors[:, 0], lambda k, x: comb.append(weights[k] * x))
-        total = []
-        sweep(sum(comb[1:], comb[0]), rp, factors[:, 1], lambda j, x: total.append(weights[j] * x[-1]))
-        total = sum(total[1:], total[0])
+        start[0] = rho[0]
+        comb = functools.reduce(np.add, [weights[k] * x for k, x in sweep(start, 0)])
+        total = functools.reduce(np.add, [weights[j] * x[-1] for j, x in sweep(comb, 1)])
         # h over all 2 h nodes is minus the divided difference
         scale = 2.0 * math.pi / small
         value = scale * total[0].imag
-        low = self._imin2 * ratio - 2.0 * eps
-        s = eps / low * (self._depth * (1.0 + 12.0 * u)) + self._rounding
-        theta = s / (1.0 - s)
-        theta = np.where(theta > 0.0, theta, math.inf)
-        # scale sqrt(ratio) is 2 pi / sqrt(lp lq), within a few u
-        root = np.sqrt(ratio)
-        error = (theta * np.abs(total[1].real) + self._backward * root) * scale + _TINY
-        root *= scale
-        cap = np.abs(value) + self._norm_square * root
-        return value, np.fmin(error, cap)
+        # a difference across the sides is at least (rho_p + rho_q) min|Im w| =
+        # r in modulus, so that its relative error is at most eps / (r -
+        # eps), at most 2 eps / r where s <= 1/2
+        s = eps / (rho[0] + rho[1]) * self._depth_up + self._rounding
+        # NaN where s > 1/2, which leaves the cap
+        theta = np.where(s <= 0.5, s + s * s, math.nan)
+        # scale sqrt(rho_p rho_q) is 2 pi / sqrt(lp lq), within a few u
+        root = np.sqrt(rho[0] * rho[1])
+        error = np.fmin(
+            theta * total[1].real + self._backward * root,
+            np.abs(total[0].imag) + self._norm_square * root,
+        )
+        error *= scale
+        error += _TINY
+        return value, error
 
     def pair_closed_form(self, lp, bp, lq, bq):
         """Each entry by the Newton form (_newton_sums), in blocks of at
-        most _NODE_ENTRIES / n entries.  The bound adds the backward error
-        of the computed poles and Newton coefficients, K / sqrt(lp lq) (see
-        _backward_bound), and is at most |value| + t^2 / sqrt(lp lq), since
-        Cauchy-Schwarz bounds every entry by ||R||^2 / sqrt(lp lq)."""
+        most _NODE_ENTRIES / n^2 entries.  The bound is the rounding bound
+        plus the backward error of the computed poles and Newton
+        coefficients, K / sqrt(lp lq) (see _backward_bound), and at most
+        |value| + t^2 / sqrt(lp lq), since Cauchy-Schwarz bounds every entry
+        by ||R||^2 / sqrt(lp lq)."""
         d, dd = _relative_shift(lp, bp, lq, bq)
-        block = max(1, _NODE_ENTRIES // self._poles.size**2)
+        block = self._block
         with np.errstate(all="ignore"):
             if lp.size <= block:
                 return self._newton_sums(lp, lq, d, dd)
