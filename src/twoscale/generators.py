@@ -70,7 +70,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SUBNORMAL = 2.0**-1074
 # twice the smallest subnormal: the absolute rounding of a result that underflows
 _TINY = 2.0**-1073
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # pairs that cannot hold together for a nonzero square integrable function
 _EXCLUSIONS = (
@@ -581,9 +580,10 @@ class RationalL2(GeneratorSpec):
     Every rational pairs in closed form, whatever the multiplicities and
     gaps of its poles, through the Newton form of its partial fractions
     (see _newton_sums).  The poles w_0 .. w_(n-1) come from np.roots once,
-    lower half plane first, and the divided differences c_j = N[w_0 .. w_j]
-    of the numerator by synthetic division; then R(u) = sum_j a_j /
-    prod_(i >= j) (u - w_i) with a_j = c_j / lead.
+    the lower half plane first and each half nearest the real axis first,
+    and the divided differences c_j = N[w_0 .. w_j] of the numerator by
+    synthetic division; then R(u) = sum_j a_j / prod_(i >= j) (u - w_i)
+    with a_j = c_j / lead.
     """
 
     kind = "rational"
@@ -639,10 +639,11 @@ class RationalL2(GeneratorSpec):
         self._weights = np.stack((self._newton, np.abs(self._newton) * (1.0 + 2.0 * u)), axis=1)[:, :, None]
         n = self._poles.size
         # the node error that does not scale with the shift, the relative
-        # error of a difference of two nodes of one side, the longest chain D
-        # of rounded steps from the data to a pairing, and the relative
-        # rounding of the weights, sums, rhos and final scaling (see
-        # _newton_sums)
+        # error tau of a difference of two nodes of one side, the longest
+        # chain D of rounded steps from the data to a pairing, D (1 + 16 u)
+        # times twice the relative error across the sides per eps / (rho_p
+        # + rho_q), and the relative rounding of the steps, weights, sums
+        # and final scaling with D tau (see _newton_sums)
         w_max = float(np.max(np.abs(self._poles))) * (1.0 + 2.0 * u)
         self._eps = 12.0 * u * w_max
         im_low = float(np.min(np.abs(self._poles.imag))) * (1.0 - 4.0 * u)
@@ -724,33 +725,36 @@ class RationalL2(GeneratorSpec):
         The pairing is (1 / m) sum_jk a_j a_k times the integral of the
         product of these factors over the nodes of terms j and k.  Over U,
         the upper nodes P_i and Q_l of every pole, that integral is 2 pi i
-        times the divided difference [U] of the product of rho / (z - v) over
-        the lower nodes v of the two terms and of (z - x) / rho over the upper
-        nodes x they lack (those cancel in the divided difference), times
-        rho_p^h rho_q^h for the h upper poles.  Each factor acts on the
-        divided differences over the leading nodes of U by the Leibniz rule
-        (_divide_step, _multiply_step): no step divides by the difference of
-        two poles, so clustered and repeated poles cost nothing.  The sum
-        over k is linear, so the Q factors run once, from the empty product
-        of term h, and their states are summed with weights a_k; the P
-        factors run on that sum.  The value is the real part, -(2 pi / m)
-        rho_p^h rho_q^h Im(sum).
+        times rho_U [U] g, with rho_U the product of the rhos of the nodes
+        of U and [U] g the divided difference of the product g of rho / (z -
+        v) over the lower nodes v of the two terms and of (z - x) / rho over
+        the upper nodes x they lack (those cancel in the divided
+        difference).  Each factor acts on the weighted divided differences
+        over the leading nodes of U by the Leibniz rule (_divide_step,
+        _multiply_step), which divides only by differences of an upper and a
+        lower node, never by the difference of two poles: clustered and
+        repeated poles cost nothing, and neither do dilations far apart.
+        The sum over k is linear, so the Q factors run once, from the empty
+        product (the term whose nodes are the upper poles), and their
+        states are summed with weights a_k; the P factors run on that sum.
+        The value is the real part of 2 pi i / m times the result.
 
-        Bound, by running error analysis: the moduli M of the stacked states
-        bound the exact divided differences.  Every computed difference u - v
-        of two nodes is off by at most eps: the rounding of d (dd), of m d,
-        of the rhos, of the node sums and of the difference itself.  So the
-        exact |u - v| is at least |fl(u - v)| - eps, and at least 2 min(rho)
-        min|Im w| - 2 eps for a lower node v; each step adds a relative error
-        of at most delta = tau (1 + 12 u) + 12 u, tau = eps over that least
-        distance, and at most D steps lead from the data to the sum, which
-        is off by at most theta M, theta = e^s - 1 with s = D delta plus a
-        few u for the weights, the sums, the rhos and the final scaling.
-        Where s <= 1/2, 2 eps < min(rho) min|Im w| / 3, so tau <= 0.61 eps
-        / (min(rho) min|Im w|), and theta <= s + s^2; elsewhere the bound is
-        the Cauchy-Schwarz cap of pair_closed_form.  A (z - x) factor uses
-        2 eps / u >= |u - x| + eps / u, which turns its node error into a
-        rounding error.
+        Bound, by running error analysis.  The moduli M of the stacked
+        states bound the exact weighted divided differences, from lower
+        bounds on |u - v|.  Differences of two nodes of one side, both
+        rho w, are off by a relative tau = 4 u max|w| / min|Im w| at most;
+        differences across the sides carry the shift m d and are off by at
+        most eps (the rounding of d, of m d, of the rhos and of the sums),
+        against at least r = (rho_p + rho_q) min|Im w|.  Each step then adds
+        a relative error of at most tau + eps / (r - eps) + 16 u, and so does
+        M's use of |fl(u - v)| across the sides; at most D steps lead from
+        the data to the result, which is off by at most theta M, theta =
+        e^s - 1 with s = D times those errors plus a few u for the weights,
+        the sums and the final scaling.  Where s <= 1/2, eps / (r - eps) <=
+        2 eps / r and theta <= s + s^2; elsewhere the bound is the
+        Cauchy-Schwarz cap of pair_closed_form.  A (z - x) factor uses 2 eps
+        / u >= |u - x| + eps / u, which turns its node error into a rounding
+        error.
         """
         u = _UNIT_ROUNDOFF
         w, nl, weights = self._poles, self._lower, self._weights
@@ -811,7 +815,8 @@ class RationalL2(GeneratorSpec):
         start[0] = rho[0]
         comb = functools.reduce(np.add, [weights[k] * x for k, x in sweep(start, 0)])
         total = functools.reduce(np.add, [weights[j] * x[-1] for j, x in sweep(comb, 1)])
-        # h over all 2 h nodes is minus the divided difference
+        # h over all of U is minus the weighted divided difference, so the
+        # real part of 2 pi i / m times the latter is this
         scale = 2.0 * math.pi / small
         value = scale * total[0].imag
         # a difference across the sides is at least (rho_p + rho_q) min|Im w| =

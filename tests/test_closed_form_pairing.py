@@ -209,6 +209,25 @@ def test_bounds_hold_against_exact_formulas(gen, exact):
             assert errors[k] <= 1e-12
 
 
+def test_backward_bound_covers_inexact_poles(monkeypatch):
+    # np.roots returning the poles of 1/(1+x^2) 1e-6 off: the formula then
+    # pairs 1/(x^2 + (1 + 1e-6)^2), and only the backward term of the bound,
+    # from the exact expansion of the computed denominator, covers the
+    # difference, about 2e-6 of each entry
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots(p) * (1.0 + 1e-6))
+    gen = RationalL2([1.0], [1.0, 0.0, 1.0])
+    params = pairs(list(EXACT_POINTS))
+    values, errors = gen.pair_closed_form(*params)
+    misses = []
+    for k, (lp, bp, lq, bq) in enumerate(zip(*(v.tolist() for v in params))):
+        d = float(Fraction(bp) / Fraction(lp) - Fraction(bq) / Fraction(lq))
+        reference = lorentz_pairing(lp, lq, d)
+        misses.append(abs(values[k] - reference))
+        assert misses[-1] <= errors[k] + 64.0 * U * abs(reference)
+    assert max(misses) > 1e-7
+
+
 DECAY_POINTS_8 = tuple(
     P(*pt) for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))
 )
