@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -348,6 +347,8 @@ class Gaussian(GeneratorSpec):
         return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
+        """Test reference, no production caller (ROADMAP item 7); see
+        GeneratorSpec.pair_window."""
         with np.errstate(all="ignore"):
             rate = lp * lp + lq * lq
             center = (lp * bp + lq * bq) / rate
@@ -417,6 +418,8 @@ class TwoSidedExp(GeneratorSpec):
         return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
+        """Test reference, no production caller (ROADMAP item 7); see
+        GeneratorSpec.pair_window."""
         integrand = self.pair_integrand(lp, bp, lq, bq)
         with np.errstate(all="ignore"):
             lo = np.minimum(bp / lp, bq / lq)
@@ -503,40 +506,50 @@ def _exact_newton_poly(nodes: list, weights: list) -> tuple:
     return re, im, e
 
 
-def _deviation(coeffs: tuple, re: list, im: list, e: int) -> list:
-    """|c_k - (re_k + i im_k) 2^-e| for each k, exact, with the modulus
-    bounded by |Re| + |Im|."""
-    out = []
-    for c, a, b in zip(coeffs, re, im):
-        p, k = _dyadic(c)
-        top = max(e, k)
-        out.append(Fraction(abs((p << (top - k)) - (a << (top - e))) + abs(b << (top - e)), 1 << top))
-    return out
+def _deviation(coeffs: tuple, re: list, im: list, e: int) -> tuple:
+    """(gaps, top): |c_k - (re_k + i im_k) 2^-e| <= gaps[k] 2^-top for each
+    k, exact integers, the modulus bounded by |Re| + |Im|."""
+    parts = [_dyadic(c) for c in coeffs]
+    top = max([e] + [k for _, k in parts])
+    gaps = [
+        abs((p << (top - k)) - (a << (top - e))) + abs(b << (top - e))
+        for (p, k), a, b in zip(parts, re, im)
+    ]
+    return gaps, top
 
 
-def _sup_bounds(poles: list, lead: float) -> list:
-    """s_k >= sup over real u of |u|^k / |D(u)|, k = 0 .. n, for D = lead
-    prod (u - w_i), exact.  |u - w| >= |Im w| and |u| / |u - w| <= 1 +
-    |Re w| / |Im w|; the second is spent on the k poles with the least
-    |Re w| + |Im w|, the first on the others."""
+def _sup_sum(gaps: list, top: int, poles: list, lead: float, pairs: bool) -> float:
+    """A float at least sum_k gaps[k] 2^-top s_k (s_k + s_(k+1) if pairs),
+    s_k >= sup over real u of |u|^k / |D(u)|, k = 0 .. n, D = lead prod (u -
+    w_i).
+
+    |u - w| >= |Im w| and |u| / |u - w| <= 1 + |Re w| / |Im w|; the second
+    is spent on the k poles with the least |Re w| + |Im w|, the first on
+    the others, so s_k = prod_(i < k) (|Re w_i| + |Im w_i|) / (|lead| prod_i
+    |Im w_i|) in that order.  The sum is formed exactly in integers (floats
+    are dyadic rationals) and rounded up once; inf past the float range.
+    """
     order = sorted(poles, key=lambda w: abs(w.real) + abs(w.imag))
-    im = [abs(Fraction(w.imag)) for w in order]
-    near = [(abs(Fraction(w.real)) + b) / b for w, b in zip(order, im)]
-    far = [1 / abs(Fraction(lead))]
-    for b in reversed(im):
-        far.append(far[-1] / b)
-    out, head = [], Fraction(1)
-    for k in range(len(order) + 1):
-        out.append(head * far[len(order) - k])
-        if k < len(order):
-            head *= near[k]
-    return out
+    values = [lead] + [x for w in order for x in (w.real, w.imag)]
+    shift = max(_dyadic(x)[1] for x in values)
 
+    def scaled(x: float) -> int:
+        p, k = _dyadic(abs(x))
+        return p << (shift - k)
 
-def _upper_float(x: Fraction) -> float:
-    """A float at least x >= 0; inf past the float range."""
+    n = len(order)
+    heads = [1]  # prod_(i < k) (|Re w_i| + |Im w_i|) 2^shift
+    for w in order:
+        heads.append(heads[-1] * (scaled(w.real) + scaled(w.imag)))
+    den = scaled(lead) << top
+    for w in order:
+        den *= scaled(w.imag)
+    # s_k = heads[k] 2^(shift (n + 1 - k)) / (den 2^-top)
+    num = sum(g * (heads[k] << (shift * (n + 1 - k))) for k, g in enumerate(gaps))
+    if pairs:
+        num += sum(g * (heads[k + 1] << (shift * (n - k))) for k, g in enumerate(gaps))
     try:
-        return float(x) * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _SUBNORMAL
+        return num / den * (1.0 + 2.0 * _UNIT_ROUNDOFF) + _SUBNORMAL
     except OverflowError:
         return math.inf
 
@@ -671,7 +684,7 @@ class RationalL2(GeneratorSpec):
 
         D~ = lead prod (u - w~_i) over the computed poles and N^ = lead
         sum_j a_j prod_(i < j) (u - w~_i) are expanded exactly (floats are
-        dyadic rationals).  With s_k >= sup |u|^k / |D~(u)| (_sup_bounds),
+        dyadic rationals).  With s_k >= sup |u|^k / |D~(u)| (_sup_sum),
         R^ - R = (N^ - N) / D~ + R (D - D~) / D~ gives ||R^ - R|| <= delta =
         alpha + eta ||R||, with eta = sum_k |(D - D~)_k| s_k and alpha =
         sqrt(pi) sum_k |(N^ - N)_k| (s_k + s_(k+1)), since |u|^k sqrt(1 +
@@ -687,16 +700,11 @@ class RationalL2(GeneratorSpec):
         poles = self._poles.tolist()
         lead = self.denominator[-1]
         d_re, d_im, e = _exact_newton_poly(poles, [0j] * len(poles) + [complex(lead)])
-        d_gap = _deviation(self.denominator, d_re, d_im, e)
+        eta = _sup_sum(*_deviation(self.denominator, d_re, d_im, e), poles, lead, False)
         n_re, n_im, e = _exact_newton_poly(poles, self._newton.tolist())
         p, k = _dyadic(lead)
         n_gap = _deviation(self.numerator, [a * p for a in n_re], [b * p for b in n_im], e + k)
-        eta = alpha = Fraction(0)
-        if any(d_gap) or any(n_gap):
-            s = _sup_bounds(poles, lead)
-            eta = sum(g * s_k for g, s_k in zip(d_gap, s))
-            alpha = sum(g * (s_k + s_next) for g, s_k, s_next in zip(n_gap, s, s[1:]))
-        eta, alpha = _upper_float(eta), _upper_float(alpha) * math.sqrt(math.pi) * (1.0 + 4.0 * u)
+        alpha = _sup_sum(*n_gap, poles, lead, True) * math.sqrt(math.pi) * (1.0 + 4.0 * u)
         one, zero = np.ones(1), np.zeros(1)
         with np.errstate(all="ignore"):
             diag, rounding = self._newton_sums(one, one, zero, zero)
@@ -862,6 +870,8 @@ class RationalL2(GeneratorSpec):
         return 4.0 * lead_num / lead_den, max(u_num, u_den)
 
     def pair_window(self, lp, bp, lq, bq, tol):
+        """Test reference, no production caller (ROADMAP item 7); see
+        GeneratorSpec.pair_window."""
         m, u0 = self._envelope_constants()
         power = self.decay_power
         with np.errstate(all="ignore"):

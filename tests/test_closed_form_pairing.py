@@ -235,13 +235,13 @@ DECAY_POINTS_8 = tuple(
 
 @pytest.mark.parametrize("rational", RATIONALS, ids=RATIONAL_IDS)
 def test_every_rational_pairs_in_closed_form(rational):
-    # one formula whatever the pole multiplicities and gaps; at HEAD of the
-    # residue rule the gap-1e-2 rational reported a bound of 8.9e-5
+    # one formula whatever the pole multiplicities and gaps (the residue
+    # pairing it replaces reported a bound of 8.9e-5 on the gap-1e-2 rational)
     gen = RationalL2(*rational)
     assert gen.closed_form
     assert wavelet_system._pairing(gen)[0] is wavelet_system._closed_form_pairs
     coarse = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-2)
-    fine = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-10)
+    fine = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-12)
     assert coarse.matrix.tobytes() == fine.matrix.tobytes()
     assert coarse.quad_error == fine.quad_error <= 1e-11
     assert_agree_with_quadrature(gen, list(DECAY_POINTS_8))
