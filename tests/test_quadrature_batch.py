@@ -363,9 +363,9 @@ def test_fixed_rule_at_half_the_step_agrees_within_the_bound(catalog_id, points)
 
 
 def halving_lower_truncation(lp, lq, scale, log_target):
-    """delta and its log bound as the SE-Sinc rule found them before: halve
-    delta from min(lp, lq) / e, one numpy pass at a time, until each
-    entry's bound is within the target."""
+    """delta and its log bound by plain halving, the reference for
+    _lower_truncation: halve delta from min(lp, lq) / e, one numpy pass at a
+    time, until each entry's bound is within the target."""
     log_lp, log_lq = np.log(lp), np.log(lq)
     delta = np.minimum(lp, lq) / math.e
     log_lower = np.empty(lp.size)
