@@ -486,6 +486,8 @@ class _Stencil:
     grid[j] and grid[j + 1] and is read as slope[j] * (x - grid[j]) +
     fp[j], with slope = diff(fp) / diff(grid): np.interp's search result
     and formula, in its order of operations.  The points outside read 0.
+    When every point is a hit, ``hits`` reads them all: a slice where their
+    nodes j step by one positive stride, else the index array j.
     """
 
     @staticmethod
@@ -502,12 +504,17 @@ class _Stencil:
         self.hit_at, self.hit_j = np.flatnonzero(hit), j[hit]
         self.line_at, self.line_j = line, j[line]
         self.line_dx = x[line] - grid[self.line_j]
+        self.hits = None if line.size else j  # every point read at once
+        if not line.size and j.size:
+            stride = int(j[1] - j[0]) if j.size > 1 else 1
+            if stride > 0 and (np.diff(j) == stride).all():
+                self.hits = slice(int(j[0]), int(j[-1]) + 1, stride)
 
-    def __call__(self, fp: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        """The values at x[start:stop]."""
-        if self.line_j.size == 0:  # every point an exact hit
-            return fp[self.hit_j]
-        out = np.empty(self.stop - self.start)
+    def __call__(self, fp: np.ndarray, slope: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """The values at x[start:stop]: fp read at ``hits`` when every point
+        is a hit, else written to ``out``, stop - start long, and returned."""
+        if self.hits is not None:
+            return fp[self.hits]
         out[self.hit_at] = fp[self.hit_j]
         out[self.line_at] = slope[self.line_j] * self.line_dx + fp[self.line_j]
         return out
@@ -524,12 +531,16 @@ def cascade_solve(
     dilated iterate by linear interpolation, with np.interp's values bit for
     bit (zero outside the grid).  Where each term's points lambda x - beta_k
     fall on the grid does not change between iterations, so it is searched
-    once per term, into a :class:`_Stencil`; an iteration forms the slopes
-    once for all terms and replays np.interp's formula.  The stencils are
-    kept while their points, summed over the terms, fit GRID_BUDGET, and
-    are otherwise built anew for each term in each iteration, so that what
-    they hold at once stays bounded.  Residuals are sup-norm
-    differences between consecutive iterates; growth by 10x over five
+    once per term, into a :class:`_Stencil`.  A term whose points all hit
+    nodes at one stride reads the iterate through a slice; where some term
+    interpolates, an iteration forms the slopes once for all terms and
+    replays np.interp's formula.  The terms accumulate through buffers
+    allocated once.  The stencils are kept while their points, summed over
+    the terms, fit GRID_BUDGET, and are otherwise built anew for each term
+    in each iteration, so that what they hold at once stays bounded.
+    Residuals are sup-norm differences between consecutive iterates; an
+    iterate past the float range, which leaves a residual that is not
+    finite, raises BadParameterError; growth by 10x over five
     consecutive iterations raises DivergingError (the signature of equations
     with no continuous fixed point).  For nonnegative real coefficients
     summing to lambda the final values are rescaled so the trapezoid
@@ -587,39 +598,64 @@ def cascade_solve(
     kept = None
     if inside <= GRID_BUDGET:
         kept = [_Stencil(grid, argument(beta)) for _, beta in iter_terms]
+    # slopes are formed only if some stencil interpolates; stencils built
+    # anew in each iteration are not known ahead, so they always get them
+    interpolates = kept is None or any(st.line_j.size for st in kept)
     step = np.diff(grid)
+    coeffs = [c for c, _ in iter_terms]
+    # the reads of the real and imaginary parts, each term's product c * read
+    # (then the difference of two iterates), and the next iterate, which
+    # takes turns with the current one
+    reads = [np.empty(count) for _ in range(1 if real_coeffs else 2)]
+    term = np.empty_like(values)
+    spare = np.empty_like(values)
 
     residuals: list[float] = []
-    for _ in range(iterations):
-        # np.interp reads the real and imaginary parts of complex values apart
-        parts = (values,) if real_coeffs else (values.real, values.imag)
-        new_values = np.zeros_like(values)
-        # silent like np.interp: repeated nodes give slopes x / 0, which are
-        # never read, and values past the float range are refused below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            slopes = [np.diff(fp) / step for fp in parts]
-            for k, (c, beta) in enumerate(iter_terms):
-                stencil = kept[k] if kept is not None else _Stencil(grid, argument(beta))
-                read = [stencil(fp, slope) for fp, slope in zip(parts, slopes)]
-                term = read[0] if real_coeffs else read[0] + 1.0j * read[1]
+    # silent like np.interp: repeated nodes give slopes x / 0, which are
+    # never read, and values past the float range are refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            # np.interp reads the real and imaginary parts of complex values apart
+            parts = (values,) if real_coeffs else (values.real, values.imag)
+            slopes = [np.diff(fp) / step for fp in parts] if interpolates else [None, None]
+            stencils = kept if kept is not None else (
+                _Stencil(grid, argument(beta)) for _, beta in iter_terms
+            )
+            new_values = spare
+            new_values.fill(0.0)
+            for c, stencil in zip(coeffs, stencils):
+                size = stencil.stop - stencil.start
+                product = term[:size]
+                if real_coeffs:
+                    np.multiply(c, stencil(values, slopes[0], reads[0][:size]), out=product)
+                else:  # c * (re + 1j * im), in that order of operations
+                    re, im = (
+                        stencil(fp, slope, out[:size]) for fp, slope, out in zip(parts, slopes, reads)
+                    )
+                    np.multiply(1.0j, im, out=product)
+                    np.add(re, product, out=product)
+                    np.multiply(c, product, out=product)
                 # outside the stencil the term adds c * 0, which changes
                 # nothing: sums that start at +0.0 never reach -0.0
-                new_values[stencil.start : stencil.stop] += c * term
-        if not np.isfinite(new_values).all():
-            raise BadParameterError(
-                "cascade values leave the float range (coefficients times the "
-                "support's reciprocal width overflow)"
-            )
-        residuals.append(float(np.max(np.abs(new_values - values))))
-        values = new_values
-        if len(residuals) >= 6:
-            recent = residuals[-6:]
-            growing = all(b > a for a, b in zip(recent, recent[1:]))
-            if growing and recent[-1] >= 10.0 * recent[0] > 0.0:
-                raise DivergingError(
-                    "cascade residuals grew 10x over five consecutive iterations; "
-                    "no continuous fixed point"
+                new_values[stencil.start : stencil.stop] += product
+            difference = np.subtract(new_values, values, out=term)
+            residual = float(np.abs(difference, out=reads[0]).max())
+            # any value past the float range makes the residual inf or nan
+            if not math.isfinite(residual) and not np.isfinite(new_values).all():
+                raise BadParameterError(
+                    "cascade values leave the float range (coefficients times the "
+                    "support's reciprocal width overflow)"
                 )
+            residuals.append(residual)
+            spare, values = values, new_values
+            if len(residuals) >= 6:
+                recent = residuals[-6:]
+                growing = all(b > a for a, b in zip(recent, recent[1:]))
+                if growing and recent[-1] >= 10.0 * recent[0] > 0.0:
+                    raise DivergingError(
+                        "cascade residuals grew 10x over five consecutive iterations; "
+                        "no continuous fixed point"
+                    )
 
     if real_nonneg:
         integral = float(

@@ -180,10 +180,35 @@ def _number(value, where: str) -> float:
         raise ParseError(f"{where}: integer past the float range") from None
 
 
+# the element types of a list that converts in one pass; bool is a type of its own
+_PLAIN_NUMBERS = {float, int}
+
+
 def _numbers(value, where: str) -> list:
+    """The floats of a JSON list of numbers.
+
+    A list of plain floats and ints converts in one pass.  Any other list
+    (a bool, a string, None, a nested list, an int past the float range)
+    goes value by value, and the first value that is not a number raises.
+    """
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of numbers")
+    if set(map(type, value)) <= _PLAIN_NUMBERS:
+        try:
+            return list(map(float, value))
+        except OverflowError:  # reported by the value-by-value path
+            pass
     return [_number(v, where) for v in value]
+
+
+def _float_array(value, where: str) -> np.ndarray:
+    """:func:`_numbers` as one float64 array, read from a plain list in one pass."""
+    if isinstance(value, list) and set(map(type, value)) <= _PLAIN_NUMBERS:
+        try:
+            return np.fromiter(value, np.float64, len(value))
+        except OverflowError:
+            pass
+    return np.array(_numbers(value, where), dtype=np.float64)
 
 
 def _number_pair(value, where: str) -> tuple:
@@ -251,11 +276,11 @@ def _sampled_to_dict(sampled: SampledFunction) -> dict:
 
 
 def _sampled_from_dict(doc: dict, where: str) -> SampledFunction:
-    values = _numbers(_require(doc, "values", where), f"{where} values")
+    values = _float_array(_require(doc, "values", where), f"{where} values")
     return SampledFunction(
         start=_number(_require(doc, "start", where), f"{where} start"),
         step=_number(_require(doc, "step", where), f"{where} step"),
-        values=np.array(values, dtype=np.float64),
+        values=values,
         support=_number_pair(_require(doc, "support", where), f"{where} support"),
     )
 

@@ -537,6 +537,15 @@ COMPLEX_NON_LATTICE = TwoScaleEquation(
     2.5, [(0.6 + 0.3j, 0.0), (1.2 - 0.6j, 0.7), (0.7 + 0.3j, 1.3)]
 )
 REPEATED_NODES = TwoScaleEquation(2.0, [(0.7, 1e6), (0.6, 1e6 + 3e-7), (0.7, 1e6 + 1e-6)])
+# a lattice equation with a negative coefficient, which forms signed zeros
+SIGNED_LATTICE = TwoScaleEquation(2.0, [(0.683, 0.0), (1.183, 1.0), (0.317, 2.0), (-0.183, 3.0)])
+# the outer terms hit nodes at stride 2; the middle one, at 0.3, interpolates
+MIXED = TwoScaleEquation(2.0, [(0.5, 0.0), (1.0, 0.3), (0.5, 2.0)])
+# a grid of step 2^-52 near 7/8, where 3x rounds to a multiple of 2^-51:
+# every point hits a node, but the nodes step by 2 and by 4
+UNEVEN_HITS = TwoScaleEquation(
+    3.0, [(0.9, 1.75 - 2.0**-45), (1.2, 1.75), (0.9, 1.75 + 2.0**-45)]
+)
 
 
 def stencils(eq, resolution):
@@ -556,6 +565,9 @@ class TestCascadeStencil:
             (COMPLEX_HAT, 2.0**-7, 20),
             (COMPLEX_NON_LATTICE, 0.01, 12),
             (REPEATED_NODES, 1e-11, 4),
+            (SIGNED_LATTICE, 2.0**-8, 30),
+            (MIXED, 2.0**-8, 30),
+            (UNEVEN_HITS, 2.0**-52, 12),
         ],
     )
     def test_matches_np_interp_bit_for_bit(self, eq, resolution, iterations):
@@ -566,12 +578,21 @@ class TestCascadeStencil:
         assert np.array(residuals).tobytes() == np.array(expected).tobytes()
 
     def test_lattice_and_non_lattice_branches(self):
-        # rham on a dyadic grid hits nodes only; the non-lattice equation
-        # mostly interpolates, with a few exact hits
-        assert all(st.line_j.size == 0 for st in stencils(preset("rham"), 2.0**-10))
+        # rham and hat on dyadic grids hit nodes only, at one stride, and read
+        # through slices; the non-lattice equation mostly interpolates, with
+        # a few exact hits
+        for eq, resolution in ((preset("rham"), 2.0**-10), (preset("hat"), 2.0**-8)):
+            assert all(isinstance(st.hits, slice) for st in stencils(eq, resolution))
         drawn = stencils(NON_LATTICE, 0.003)
-        assert all(st.line_j.size > 0 for st in drawn)
+        assert all(st.line_j.size > 0 and st.hits is None for st in drawn)
         assert any(st.line_j.size < st.stop - st.start for st in drawn)
+
+    def test_mixed_and_uneven_stencils(self):
+        reads = [type(st.hits) for st in stencils(MIXED, 2.0**-8)]
+        assert reads == [slice, type(None), slice]
+        for st in stencils(UNEVEN_HITS, 2.0**-52):
+            assert st.line_j.size == 0 and isinstance(st.hits, np.ndarray)
+            assert set(np.diff(st.hits).tolist()) == {2, 4}
 
     def test_divergence_keeps_its_message(self):
         eq = TwoScaleEquation(2.0, [(3.0, 0.0), (-1.0, 1.0)])

@@ -219,6 +219,71 @@ class TestSystemJson:
             ser.system_from_dict({"generator": {"kind": "hat"}, "points": []})
 
 
+# signed zeros, ints (one past 2^53 rounds), the float range's edge and subnormals
+PLAIN_NUMBERS = [-0.0, 0.0, 3, -7, 2**53 + 1, 10**30, 1e308, -1e308, 5e-324, -2.2250738585072014e-308]
+NOT_NUMBERS = [True, "1", None, [1.0], 10**400]
+
+
+def number_documents(bad):
+    """(document, parser, where) with ``bad`` in each kind of number list."""
+    sampled = {"kind": "sampled", "start": 0.0, "step": 1.0, "values": [0.0, 1.0, 0.0],
+               "support": [0.0, 2.0]}
+    rational = {"kind": "rational", "numerator": [1.0], "denominator": [1, 0, 1]}
+    return [
+        (at_origin({**sampled, "values": [0.0, bad, 0.0]}), ser.system_from_dict,
+         "generator values"),
+        (at_origin({**sampled, "support": [0.0, bad]}), ser.system_from_dict,
+         "generator support"),
+        (at_origin({**rational, "numerator": [1.0, bad]}), ser.system_from_dict,
+         "generator numerator"),
+        (at_origin({**rational, "denominator": [1, 0, bad]}), ser.system_from_dict,
+         "generator denominator"),
+        ({"lambda": 2.0, "terms": [{"c": [2.0, bad], "beta": 0.0}]}, ser.equation_from_dict,
+         "equation term 0 c"),
+    ]
+
+
+class TestNumberLists:
+    """Lists of plain floats and ints convert in one pass, others value by value."""
+
+    @staticmethod
+    def per_value(values):
+        return np.array([ser._number(v, "w") for v in values]).tobytes()
+
+    def test_one_pass_keeps_every_bit(self):
+        expected = self.per_value(PLAIN_NUMBERS)
+        parsed = ser._numbers(PLAIN_NUMBERS, "w")
+        assert {type(x) for x in parsed} == {float}
+        assert np.array(parsed).tobytes() == expected
+        assert ser._float_array(PLAIN_NUMBERS, "w").tobytes() == expected
+        for pair in ([-0.0, 5e-324], [3, -0.0], [1e308, 2**53 + 1]):
+            assert np.array(ser._number_pair(pair, "w")).tobytes() == self.per_value(pair)
+
+    def test_documents_keep_every_bit(self):
+        values = PLAIN_NUMBERS + [0.0]
+        doc = at_origin({"kind": "sampled", "start": 0.0, "step": 1.0, "values": values,
+                         "support": [-0.0, 5e-324]})
+        sampled = ser.system_from_dict(doc).generator.sampled
+        assert sampled.values.tobytes() == self.per_value(values)
+        assert np.array(sampled.support).tobytes() == self.per_value([-0.0, 5e-324])
+        gen = ser.system_from_dict(
+            at_origin({"kind": "rational", "numerator": [5e-324, -0.0, 3],
+                       "denominator": [1, 0, 2, 0, 1]})
+        )
+        assert np.array(gen.generator.numerator).tobytes() == self.per_value([5e-324, -0.0, 3])
+        eq = ser.equation_from_dict({"lambda": 2, "terms": [{"c": [2, 5e-324], "beta": 0}]})
+        assert eq.coefficients == (complex(2.0, 5e-324),)
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=["bool", "str", "none", "list", "big_int"])
+    def test_other_lists_keep_their_messages(self, bad):
+        for doc, parse, where in number_documents(bad):
+            with pytest.raises(ser.ParseError) as expected:
+                ser._number(bad, where)
+            with pytest.raises(ser.ParseError) as raised:
+                parse(doc)
+            assert str(raised.value) == str(expected.value)
+
+
 class TestReportsJson:
     def test_gram_report_shape(self):
         system = WaveletSystem(Hat(), [WaveletPoint(1, 0), WaveletPoint(2, 0)])
