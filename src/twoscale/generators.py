@@ -6,12 +6,13 @@ parameters has exactly the tags proved for it, derived from those parameters.
 Only ``SampledGenerator`` takes declared tags: its samples stand for a
 function the program does not know, whose properties they cannot decide.
 
-Generators whose ``closed_form`` is true (the Gaussian, the two-sided
-exponentials, every rational, and the band-limited catalog entries) pair
-exactly through ``pair_closed_form``.  The other catalog entries, sech and
-log_exp_ratio, pair in the Fourier domain by fixed-step rules whose step and
-truncation come from a priori error bounds
-(``CatalogGenerator.pair_fixed_rule``).  The time-side windows, kinks and
+Every kind but the sampled ones pairs its dilated translates through its
+own ``pair``: the Gaussian, the two-sided exponentials, every rational and
+the band-limited catalog entries by a closed form, and the other catalog
+entries, sech and log_exp_ratio, in the Fourier domain by fixed-step rules
+whose step and truncation come from a priori error bounds
+(``CatalogGenerator.pair_fixed_rule``).  Sampled generators pair in
+``wavelet_system``.  The time-side windows, kinks and
 ``GeneratorSpec.pair_quadrature`` remain only as the tests' reference.
 """
 
@@ -97,11 +98,9 @@ def normalize_tags(tags: Iterable[str]) -> frozenset:
 
 
 class GeneratorSpec:
-    """Base class: evaluation, support and pairing windows for one generator."""
+    """Base class: evaluation and pairing of one generator."""
 
     kind: str = "abstract"
-    # whether pair_closed_form gives every pairing of this generator
-    closed_form: bool = False
     # points where the generator is not smooth, in unit coordinates; the
     # panels of the reference quadrature break there (pair_quadrature)
     kinks: tuple = ()
@@ -157,21 +156,18 @@ class GeneratorSpec:
         edges = _breakpoints(kinks, origins, unit, lo, hi)
         return self.pair_integrand(lp, bp, lq, bq), lo, hi, edges, rounding, tail
 
-    def pair_closed_form(self, lp, bp, lq, bq) -> tuple:
-        """Exact pairings of the dilated translates at pairs of points, for the
-        generators whose ``closed_form`` is true.
+    def pair(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """Pairings of the dilated translates at pairs of points (arrays lp,
+        bp, lq, bq), each entry independent of the others.
 
-        Returns (values, error bounds) as float arrays.  The values are formed
-        in relative coordinates: they depend on the translations only through
-        the shift d = bp / lp - bq / lq (see _relative_shift).  The bounds cover
-        the rounding of every step, the rounding of d included; they do not
-        depend on a tolerance.
+        Returns (values, error bounds) as float arrays.  The closed forms are
+        formed in relative coordinates: they depend on the translations only
+        through the shift d = bp / lp - bq / lq (see _relative_shift), and
+        their bounds cover the rounding of every step, the rounding of d
+        included, whatever tol asks.  The fixed-step rules keep their
+        discretization and truncation errors within tol / 2.
         """
-        raise NotImplementedError(f"{self.kind} generator has no closed-form pairing")
-
-    def params(self) -> dict:
-        """Kind-specific JSON parameters (tags are serialized separately)."""
-        return {}
+        raise NotImplementedError(f"{self.kind} generator has no pairing of its own")
 
 
 def refuse_pairs(ok, lp, bp, lq, bq, what, error=BadParameterError) -> None:
@@ -301,7 +297,6 @@ class Gaussian(GeneratorSpec):
     """exp(-x^2); the pairing of two dilated translates is again a Gaussian."""
 
     kind = "gaussian"
-    closed_form = True
     tags = frozenset(
         {
             "schwartz",
@@ -317,7 +312,7 @@ class Gaussian(GeneratorSpec):
     def __call__(self, x):
         return np.exp(-np.square(np.asarray(x, dtype=np.float64)))
 
-    def pair_closed_form(self, lp, bp, lq, bq):
+    def pair(self, lp, bp, lq, bq, tol):
         """sqrt(pi / (lp^2 + lq^2)) exp(-(lp lq d)^2 / (lp^2 + lq^2)).
 
         Formed as sqrt(pi) / (M h) exp(-s^2), with M the larger dilation, m
@@ -372,7 +367,6 @@ class TwoSidedExp(GeneratorSpec):
     """exp(-n |x|) for a positive integer n."""
 
     kind = "two_sided_exp"
-    closed_form = True
     kinks = (0.0,)
     tags = frozenset(
         {
@@ -391,7 +385,7 @@ class TwoSidedExp(GeneratorSpec):
     def __call__(self, x):
         return np.exp(-self.n * np.abs(np.asarray(x, dtype=np.float64)))
 
-    def pair_closed_form(self, lp, bp, lq, bq):
+    def pair(self, lp, bp, lq, bq, tol):
         """Three exponential pieces, split at the kinks 0 and |d| of the two factors.
 
         With rates a = n lp, b = n lq and D = |d|, the pieces left of both
@@ -433,9 +427,6 @@ class TwoSidedExp(GeneratorSpec):
                 return (ends[: i.size] + ends[i.size :]) / rate[i]
 
             return _tail_window(lo, hi, np.ones(lo.size), tail, tol)
-
-    def params(self):
-        return {"n": self.n}
 
 
 def _two_sided_exp_pairing(a, b, dist):
@@ -600,7 +591,6 @@ class RationalL2(GeneratorSpec):
     """
 
     kind = "rational"
-    closed_form = True
 
     def __init__(self, numerator: Sequence[float], denominator: Sequence[float]):
         num = [float(c) for c in numerator]
@@ -725,7 +715,7 @@ class RationalL2(GeneratorSpec):
     def _newton_sums(self, lp, lq, d, dd) -> tuple:
         """(values, error bounds) of the pairings of the Newton form at
         dilations lp, lq and relative shift d (rounded by at most dd); see
-        pair_closed_form for the bounds' last two terms.
+        pair for the bounds' last two terms.
 
         With m = min(lp, lq), rho_p = m / lp, rho_q = m / lq and s = m y,
         the factor 1 / (lp (y - d) - w) is rho_p / (s - P) with the node
@@ -760,7 +750,7 @@ class RationalL2(GeneratorSpec):
         e^s - 1 with s = D times those errors plus a few u for the weights,
         the sums and the final scaling.  Where s <= 1/2, eps / (r - eps) <=
         2 eps / r and theta <= s + s^2; elsewhere the bound is the
-        Cauchy-Schwarz cap of pair_closed_form.  A (z - x) factor uses 2 eps
+        Cauchy-Schwarz cap of pair.  A (z - x) factor uses 2 eps
         / u >= |u - x| + eps / u, which turns its node error into a rounding
         error.
         """
@@ -843,7 +833,7 @@ class RationalL2(GeneratorSpec):
         error += _TINY
         return value, error
 
-    def pair_closed_form(self, lp, bp, lq, bq):
+    def pair(self, lp, bp, lq, bq, tol):
         """Each entry by the Newton form (_newton_sums), in blocks of at
         most _NODE_ENTRIES / n^2 entries.  The bound is the rounding bound
         plus the backward error of the computed poles and Newton
@@ -887,9 +877,6 @@ class RationalL2(GeneratorSpec):
 
             zero = np.zeros(lp.size)
             return _tail_window(zero, zero, radius, tail, tol)
-
-    def params(self):
-        return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
 
 
 class SampledGenerator(GeneratorSpec):
@@ -973,13 +960,6 @@ class RefinementGenerator(SampledGenerator):
         sampled, _ = cascade_solve(equation, self.resolution, self.iterations)
         super().__init__(sampled)
 
-    def params(self):
-        return {
-            "equation": None,  # filled by the serializer
-            "resolution": self.resolution,
-            "iterations": self.iterations,
-        }
-
 
 class _CatalogEntry:
     def __init__(
@@ -989,7 +969,7 @@ class _CatalogEntry:
         ft_support: tuple | None,
         ft_envelope: tuple | None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
         time_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        pair_closed_form: Callable | None = None,  # as GeneratorSpec.pair_closed_form
+        formula: Callable | None = None,  # as GeneratorSpec.pair, without tol
         fixed_rule: Callable | None = None,  # as _sech_rule, for the entries without one
     ):
         self.tags = tags
@@ -997,7 +977,7 @@ class _CatalogEntry:
         self.ft_support = ft_support
         self.ft_envelope = ft_envelope
         self.time_fn = time_fn
-        self.pair_closed_form = pair_closed_form
+        self.formula = formula
         self.fixed_rule = fixed_rule
 
 
@@ -1162,6 +1142,11 @@ def _annulus_tent_pairs(lp, bp, lq, bq) -> tuple:
 _WIDTH_FRACTIONS = 1.0 - 2.0 ** -np.arange(1.0, 9.0)
 # a pair whose fixed-step rule needs more nodes than this is refused
 NODE_BUDGET = 10**6
+# The fixed-step rules sum each entry's nodes in runs of at most this many,
+# and evaluate the runs in blocks of at most this many nodes, which bounds
+# their temporaries however many nodes an entry needs
+_SUM_RUN = 2**10
+_NODE_BLOCK = 2**14
 _LN2 = math.log(2.0)
 # digamma and trigamma at 1, 2 and 3
 _PSI = np.array([0.0, 1.0, 1.5]) - 0.5772156649015329
@@ -1355,7 +1340,7 @@ _CATALOG = {
         ft_support=(-0.5, 0.5),
         ft_envelope=None,
         time_fn=_sinc,
-        pair_closed_form=_box_pairs,
+        formula=_box_pairs,
     ),
     # tent on 1 <= |gamma| <= 2: compact frequency support vanishing near 0
     "ft_annulus_tent": _CatalogEntry(
@@ -1365,7 +1350,7 @@ _CATALOG = {
         ft=_ft_annulus_tent,
         ft_support=(-2.0, 2.0),
         ft_envelope=None,
-        pair_closed_form=_annulus_tent_pairs,
+        formula=_annulus_tent_pairs,
     ),
     # sech(pi x) is its own Fourier transform and is monotone on each side
     "sech": _CatalogEntry(
@@ -1409,7 +1394,6 @@ class CatalogGenerator(GeneratorSpec):
             ) from None
         self.catalog_id = catalog_id
         self._entry = entry
-        self.closed_form = entry.pair_closed_form is not None
         self.tags = entry.tags
 
     def __call__(self, x):
@@ -1422,10 +1406,65 @@ class CatalogGenerator(GeneratorSpec):
     def ft(self, gamma):
         return self._entry.ft(gamma)
 
-    def pair_closed_form(self, lp, bp, lq, bq):
-        if self._entry.pair_closed_form is None:
-            return super().pair_closed_form(lp, bp, lq, bq)
-        return self._entry.pair_closed_form(lp, bp, lq, bq)
+    def pair(self, lp, bp, lq, bq, tol):
+        """The entry's closed form, or else its fixed-step rule (pair_fixed_rule).
+
+        The rule's nodes of all entries form one flat grid, cut into runs of
+        at most _SUM_RUN consecutive nodes of one entry, and the runs go
+        through the folded products in blocks of at most _NODE_BLOCK nodes
+        (a longer run forms a block of its own).  Each run is summed alone
+        (np.add.reduceat, whose sum of a run depends only on the run), and
+        each entry is the math.fsum of its runs' sums.  So an entry depends
+        neither on the blocks nor on the other entries of the batch.  The
+        error bound is the rule's discretization and truncation bound plus
+        its rounding factor times the sum of |terms|, summed the same way,
+        with (_SUM_RUN + 1) u more for the sums: a run's plain sum is off by
+        at most (_SUM_RUN - 1) u times the sum of its moduli, to first
+        order, and fsum by u times the entry.  A non-finite term is a
+        BadParameterError naming both points.
+        """
+        if self._entry.formula is not None:
+            return self._entry.formula(lp, bp, lq, bq)
+        integrand, h, first, count, exponential, bound, rounding = self.pair_fixed_rule(
+            lp, bp, lq, bq, tol
+        )
+        runs = -(-count // _SUM_RUN)
+        entry = np.repeat(np.arange(lp.size), runs)
+        offset = (np.arange(entry.size) - np.repeat(np.cumsum(runs) - runs, runs)) * _SUM_RUN
+        run_first = first[entry] + offset
+        run_count = np.minimum(count[entry] - offset, _SUM_RUN)
+        run_end = np.cumsum(run_count)
+        sums = np.empty(entry.size)
+        moduli = np.empty(entry.size)
+        a = 0
+        while a < entry.size:
+            cap = (run_end[a - 1] if a else 0) + _NODE_BLOCK
+            b = max(a + 1, int(np.searchsorted(run_end, cap, side="right")))
+            size = run_count[a:b]
+            local = np.cumsum(size) - size
+            pair = np.repeat(entry[a:b], size)
+            k = np.arange(int(local[-1] + size[-1])) + np.repeat(run_first[a:b] - local, size)
+            weight = h[pair]
+            nodes = k * weight
+            if exponential:
+                nodes = np.exp(nodes)
+                weight *= nodes
+            else:
+                weight[k == 0] *= 0.5
+            terms = weight * integrand(nodes, pair)
+            finite = np.ones(lp.size, dtype=bool)
+            finite[pair[~np.isfinite(terms)]] = False
+            refuse_pairs(finite, lp, bp, lq, bq, "give a non-finite term of the fixed-step rule")
+            sums[a:b] = np.add.reduceat(terms, local)
+            moduli[a:b] = np.add.reduceat(np.abs(terms), local)
+            a = b
+        cuts = np.append(0, np.cumsum(runs)).tolist()
+        sums, moduli = sums.tolist(), moduli.tolist()
+        values = np.array([math.fsum(sums[i:j]) for i, j in zip(cuts, cuts[1:])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.array([math.fsum(moduli[i:j]) for i, j in zip(cuts, cuts[1:])])
+            errors = bound + (rounding + (_SUM_RUN + 1) * _UNIT_ROUNDOFF) * total
+        return values, errors
 
     def ft_pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Fourier-side products at pairs of points, folded onto gamma >= 0.
@@ -1466,7 +1505,7 @@ class CatalogGenerator(GeneratorSpec):
         of d (delta_d, see _relative_shift), of omega and of omega g, and of
         the cosine, (2 pi delta_d + 4 u |omega|) G + 2 u with G the largest
         node and u the unit roundoff, plus u for the product with each
-        weight; the kernel that sums the terms adds its own.  The bound also
+        weight; pair adds the rounding of the sums.  The bound also
         takes 2^-1073 per term for products that underflow, scale included,
         times the sum of the weights, which is at most 2 G.  The node counts
         are checked before any node is formed: a pair that needs more than
@@ -1523,6 +1562,3 @@ class CatalogGenerator(GeneratorSpec):
 
             zero = np.zeros(lp.size)
             return _tail_window(zero, zero, radius, tail, tol)
-
-    def params(self):
-        return {"id": self.catalog_id}

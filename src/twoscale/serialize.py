@@ -287,11 +287,19 @@ def _sampled_from_dict(doc: dict, where: str) -> SampledFunction:
 
 def generator_to_dict(gen: GeneratorSpec) -> dict:
     doc: dict = {"kind": gen.kind}
-    doc.update(gen.params())
-    if gen.kind == "refinement":
+    if gen.kind == "two_sided_exp":
+        doc["n"] = gen.n
+    elif gen.kind == "rational":
+        doc["numerator"] = list(gen.numerator)
+        doc["denominator"] = list(gen.denominator)
+    elif gen.kind == "refinement":
         doc["equation"] = equation_to_dict(gen.equation)
-    if gen.kind == "sampled":
+        doc["resolution"] = gen.resolution
+        doc["iterations"] = gen.iterations
+    elif gen.kind == "sampled":
         doc.update(_sampled_to_dict(gen.sampled))
+    elif gen.kind == "le_catalog":
+        doc["id"] = gen.catalog_id
     doc["tags"] = sorted(gen.tags)
     return doc
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
-from .generators import _TINY, CatalogGenerator, GeneratorSpec, SampledGenerator, refuse_pairs
+from .generators import _TINY, GeneratorSpec, SampledGenerator, refuse_pairs
 from .numerics import hermitian_eigen, integrate_adaptive
 from .refinement import GRID_BUDGET
 
@@ -121,16 +121,9 @@ class Verdict:
 # window ends included (a pair with more forms a block of its own), so the
 # temporaries of one pass stay bounded however many points the system has.
 _KNOT_BLOCK = 2**13
-# gram pairs a sampled or closed-form system's triangle this many entries at
-# a time, which bounds the per-entry arrays of the window test as well
+# gram pairs a system's triangle this many entries at a time, which bounds
+# the per-entry arrays of every pairing
 _PAIR_CHUNK = 2**16
-# and a fixed-step rule's this many, which bounds its arrays per entry
-_QUADRATURE_CHUNK = 2**6
-# The fixed-step rules sum each entry's nodes in runs of at most this many,
-# and evaluate the runs in blocks of at most this many nodes, which bounds
-# their temporaries however many nodes an entry needs
-_SUM_RUN = 2**10
-_NODE_BLOCK = 2**14
 # exact splitting passes before the per-entry fsum; for segments of a few
 # thousand pieces, three leave no remainder on pieces within a factor of
 # about 2^60 of the segment's largest
@@ -257,7 +250,7 @@ def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
     return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last]), knots - 1
 
 
-def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
+def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     """Exact pairings of many pairs of dilated translates of a linear interpolant.
 
     Each entry is (1/lambda_p) J(r, s), J(r, s) = int phi(y) phi(r y - s) dy,
@@ -281,9 +274,9 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     the two ends; dr = 0 and r beta_p is exact when the dilations are a
     power of two apart), underflow, at _TINY per Simpson piece and per unit
     of window width, and the rounding of the division by lambda_p.
-    Returns (values, error bounds) as float arrays, 0 for disjoint pairs;
-    tol is not used.  A pair whose key, windows, products or entry leave
-    the float range is a BadParameterError naming both points.
+    Returns (values, error bounds) as float arrays, 0 for disjoint pairs.
+    A pair whose key, windows or products leave the float range is a
+    BadParameterError naming both points.
     """
     s_lo, s_hi = gen.time_support()
     with np.errstate(over="ignore"):
@@ -347,7 +340,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
     dr = np.where(exact, 0.0, _UNIT_ROUNDOFF * r)
     ds = np.where(exact, 0.0, _UNIT_ROUNDOFF * np.abs(shift) + dr * np.abs(bp))
     ds += _UNIT_ROUNDOFF * np.abs(s)
-    # a bound past the float range is refused below with its entry
+    # a bound past the float range is refused with its entry (_pair)
     with np.errstate(over="ignore", invalid="ignore"):
         slope_term = gen.lipschitz * (3.0 * (1.0 + kr) * reach + 2.0 * radius)
         edges = 2.0 * reach * end_values
@@ -363,27 +356,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq, tol: float) -> tuple:
         moved = drift * gen.peak * (gen.lipschitz * (hi - lo) + 2.0 * gen.peak / r)
         value = pairing[inverse] / lp
         error = (rounding[inverse] + moved) / lp + _UNIT_ROUNDOFF * np.abs(value) + _TINY
-    refuse_pairs(
-        np.isfinite(value) & np.isfinite(error), lp, bp, lq, bq,
-        lambda k: f"give a Gram entry out of float range: {value[k]:g} "
-        f"with error bound {error[k]:g}",
-    )
     values[live], errors[live] = value, error
-    return values, errors
-
-
-def _closed_form_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
-    """Pairings of a generator with a closed form (GeneratorSpec.pair_closed_form).
-
-    The error bounds cover rounding only, whatever tol asks; an entry or a
-    bound past the float range is a BadParameterError naming both points.
-    """
-    values, errors = gen.pair_closed_form(lp, bp, lq, bq)
-    refuse_pairs(
-        np.isfinite(values) & np.isfinite(errors), lp, bp, lq, bq,
-        lambda k: f"give a Gram entry out of float range: {values[k]:g} "
-        f"with error bound {errors[k]:g}",
-    )
     return values, errors
 
 
@@ -399,63 +372,27 @@ def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
     return result.value, result.error_estimate + rounding * result.abs_integral + tail
 
 
-def _fixed_rule_pairs(gen: CatalogGenerator, lp, bp, lq, bq, tol: float) -> tuple:
-    """Pairings of a catalog generator without a closed form, by its fixed-step rule.
+def _pair(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
+    """Pairings of gen's dilated translates at pairs of points (arrays lp, bp,
+    lq, bq of the two points of each entry): (values, error bounds).
 
-    The nodes of all entries (see CatalogGenerator.pair_fixed_rule) form one
-    flat grid, cut into runs of at most _SUM_RUN consecutive nodes of one
-    entry, and the runs go through the folded products in blocks of at most
-    _NODE_BLOCK nodes (a longer run forms a block of its own).  Each run is
-    summed alone (np.add.reduceat, whose sum of a run depends only on the
-    run), and each entry is the math.fsum of its runs' sums.  So an entry
-    depends neither on the blocks nor on the other entries of the batch,
-    and gram and inner_product give the same bits.  The error bound is the
-    rule's discretization and truncation bound plus its rounding factor
-    times the sum of |terms|, summed the same way, with (_SUM_RUN + 1) u
-    more for the sums: a run's plain sum is off by at most (_SUM_RUN - 1) u
-    times the sum of its moduli, to first order, and fsum by u times the
-    entry.  A non-finite term, entry or bound is a BadParameterError naming
-    both points.
+    A sampled generator pairs exactly on merged knots (_sampled_pairs).
+    Every other generator pairs by its own ``pair``: a closed form (the
+    Gaussian, the two-sided exponentials, every rational and the
+    band-limited catalog entries), or for sech and log_exp_ratio a
+    fixed-step rule in the Fourier domain (CatalogGenerator.pair).  Every
+    bound is a priori, and only the fixed-step rules' depends on tol: no
+    pairing calls adaptive quadrature.  Each entry depends on its own two
+    points only, not on the others of the batch.  A tol that is not a
+    positive number is a BadParameterError before any pairing runs, and so
+    is an entry or bound past the float range, naming both points.
     """
-    integrand, h, first, count, exponential, bound, rounding = gen.pair_fixed_rule(
-        lp, bp, lq, bq, tol
-    )
-    runs = -(-count // _SUM_RUN)
-    entry = np.repeat(np.arange(lp.size), runs)
-    offset = (np.arange(entry.size) - np.repeat(np.cumsum(runs) - runs, runs)) * _SUM_RUN
-    run_first = first[entry] + offset
-    run_count = np.minimum(count[entry] - offset, _SUM_RUN)
-    run_end = np.cumsum(run_count)
-    sums = np.empty(entry.size)
-    moduli = np.empty(entry.size)
-    a = 0
-    while a < entry.size:
-        cap = (run_end[a - 1] if a else 0) + _NODE_BLOCK
-        b = max(a + 1, int(np.searchsorted(run_end, cap, side="right")))
-        size = run_count[a:b]
-        local = np.cumsum(size) - size
-        pair = np.repeat(entry[a:b], size)
-        k = np.arange(int(local[-1] + size[-1])) + np.repeat(run_first[a:b] - local, size)
-        weight = h[pair]
-        nodes = k * weight
-        if exponential:
-            nodes = np.exp(nodes)
-            weight *= nodes
-        else:
-            weight[k == 0] *= 0.5
-        terms = weight * integrand(nodes, pair)
-        finite = np.ones(lp.size, dtype=bool)
-        finite[pair[~np.isfinite(terms)]] = False
-        refuse_pairs(finite, lp, bp, lq, bq, "give a non-finite term of the fixed-step rule")
-        sums[a:b] = np.add.reduceat(terms, local)
-        moduli[a:b] = np.add.reduceat(np.abs(terms), local)
-        a = b
-    cuts = np.append(0, np.cumsum(runs)).tolist()
-    sums, moduli = sums.tolist(), moduli.tolist()
-    values = np.array([math.fsum(sums[i:j]) for i, j in zip(cuts, cuts[1:])])
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.array([math.fsum(moduli[i:j]) for i, j in zip(cuts, cuts[1:])])
-        errors = bound + (rounding + (_SUM_RUN + 1) * _UNIT_ROUNDOFF) * total
+    if not (tol > 0.0):  # NaN too; infinity passes
+        raise BadParameterError(f"tol must be a positive number, not {tol!r}")
+    if isinstance(gen, SampledGenerator):
+        values, errors = _sampled_pairs(gen, lp, bp, lq, bq)
+    else:
+        values, errors = gen.pair(lp, bp, lq, bq, tol)
     refuse_pairs(
         np.isfinite(values) & np.isfinite(errors), lp, bp, lq, bq,
         lambda k: f"give a Gram entry out of float range: {values[k]:g} "
@@ -464,48 +401,16 @@ def _fixed_rule_pairs(gen: CatalogGenerator, lp, bp, lq, bq, tol: float) -> tupl
     return values, errors
 
 
-def _pairing(gen: GeneratorSpec) -> tuple:
-    """The kernel that pairs gen's dilated translates, and how many entries it takes at once.
-
-    Every kernel maps (gen, lp, bp, lq, bq, tol), with arrays of the two
-    points of each entry, to (values, error bounds).  Sampled generators
-    pair exactly on merged knots; generators with a closed form
-    (``gen.closed_form``: the Gaussian, the two-sided exponentials, every
-    rational and the band-limited catalog entries) pair by it; the other
-    catalog generators (sech and log_exp_ratio) by their fixed-step rules in
-    the Fourier domain.  Every bound is a priori: no kernel calls adaptive
-    quadrature.
-    """
-    if isinstance(gen, SampledGenerator):
-        return _sampled_pairs, _PAIR_CHUNK
-    if gen.closed_form:
-        return _closed_form_pairs, _PAIR_CHUNK
-    return _fixed_rule_pairs, _QUADRATURE_CHUNK
-
-
 def inner_product(
     gen: GeneratorSpec, p: WaveletPoint, q: WaveletPoint, tol: float = 1.0e-10
 ) -> tuple:
     """L2 pairing of the dilated translates of gen at points p and q.
 
-    Returns (value, error bound).  Sampled (piecewise-linear) generators pair
-    exactly on the intersection of supports, as (1/lambda_p) J(r, s) of the
-    normalized key (see _sampled_pairs), with a bound on J's rounding, on
-    the rounding of r and s and on the division by lambda_p; generators with
-    a closed form pair by it, with a bound on its rounding (for a rational,
-    also on the backward error of its computed poles, see
-    RationalL2._backward_bound).  The other catalog generators (sech and
-    log_exp_ratio) pair in the Fourier domain, as a real cosine integral on
-    the half line, by a fixed-step rule whose step and truncation come from
-    a priori bounds: the error is the bound on the rule's discretization and
-    truncation plus the rounding of the phase and of the sum (see
-    CatalogGenerator.pair_fixed_rule).  No bound depends on tol except the
-    fixed-step rules'.  This is the one-pair call of the kernel that gram
-    runs on the whole matrix.
+    Returns (value, error bound): the one-entry call of _pair, which gram
+    runs on the whole triangle.
     """
     params = (np.array([v]) for v in (p.dilation, p.translation, q.dilation, q.translation))
-    kernel, _ = _pairing(gen)
-    values, errors = kernel(gen, *params, tol)
+    values, errors = _pair(gen, *params, tol)
     return complex(values[0]), float(errors[0])
 
 
@@ -536,13 +441,10 @@ def gram_report_from_matrix(matrix: np.ndarray, quad_error: float = 0.0) -> Gram
 def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
     """Gram matrix of the system.
 
-    The upper triangle is filled in batched passes of the generator's
-    pairing kernel (see _pairing) and mirrored, so the matrix is Hermitian
-    by construction; quad_error records the largest entrywise error bound.
-    A sampled generator's pass pairs each distinct normalized key (r, s)
-    once and scales it by each entry's 1/lambda_p, so its entries and
-    bounds are bit for bit those of pairing the normalized pairs one at a
-    time (inner_product).
+    The upper triangle is filled by _pair, _PAIR_CHUNK entries at a time,
+    and mirrored, so the matrix is Hermitian by construction and its
+    entries and bounds are bit for bit those of inner_product; quad_error
+    records the largest entrywise error bound.
     A system with more than GRID_BUDGET entries in its triangle is refused
     before anything is allocated for it.
     """
@@ -553,7 +455,6 @@ def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
             f"{n} points give {entries} Gram entries, beyond the budget of {GRID_BUDGET}"
         )
     gen = system.generator
-    kernel, chunk = _pairing(gen)
     # the upper triangle row by row, as np.triu_indices(n) gives it, at a
     # third of its cost
     rows, cols = np.nonzero(~np.tri(n, k=-1, dtype=bool))
@@ -561,10 +462,10 @@ def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
     beta = np.array([p.translation for p in system.points])
     values = np.zeros(rows.size, dtype=np.complex128)
     errors = np.empty(rows.size)
-    for start in range(0, rows.size, chunk):
-        part = slice(start, start + chunk)
+    for start in range(0, rows.size, _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
         i, j = rows[part], cols[part]
-        values[part], errors[part] = kernel(gen, lam[i], beta[i], lam[j], beta[j], tol)
+        values[part], errors[part] = _pair(gen, lam[i], beta[i], lam[j], beta[j], tol)
     matrix = np.zeros((n, n), dtype=np.complex128)
     matrix[rows, cols] = values
     matrix[cols, rows] = np.conjugate(values, out=values)

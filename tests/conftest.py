@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from twoscale import numerics, wavelet_system
 from twoscale.generators import Hat, SampledGenerator
 from twoscale.refinement import SampledFunction
 from twoscale.wavelet_system import WaveletPoint
@@ -68,3 +69,13 @@ def hat_gram_closed_form(points) -> np.ndarray:
                 pieces.append((b - a) / 6.0 * (fa + 4.0 * fm + fb))
             out[i, j] = out[j, i] = math.fsum(pieces)
     return out
+
+
+def forbid_adaptive_quadrature(monkeypatch):
+    """Make every call of adaptive quadrature, where the program looks it up, fail."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive quadrature has no production caller")
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", forbidden)
+    monkeypatch.setattr(wavelet_system, "integrate_adaptive", forbidden)

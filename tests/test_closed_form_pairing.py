@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forbid_adaptive_quadrature
 from twoscale import generators, wavelet_system
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp
 from twoscale.numerics import integrate_adaptive
@@ -87,7 +88,7 @@ def folded_quadrature(gen, lp, bp, lq, bq, tol):
 
 def assert_agree_with_quadrature(gen, points, tol=1e-12):
     params = pairs(points)
-    values, errors = gen.pair_closed_form(*params)
+    values, errors = gen.pair(*params, tol)
     if isinstance(gen, CatalogGenerator):
         quad, quad_errors = folded_quadrature(gen, *params, tol)
     else:
@@ -198,7 +199,7 @@ EXACT_POINTS = (
 )
 def test_bounds_hold_against_exact_formulas(gen, exact):
     params = pairs(list(EXACT_POINTS))
-    values, errors = gen.pair_closed_form(*params)
+    values, errors = gen.pair(*params, 1e-10)
     for k, (lp, bp, lq, bq) in enumerate(zip(*(v.tolist() for v in params))):
         # the shift, correctly rounded from its exact value
         d = float(Fraction(bp) / Fraction(lp) - Fraction(bq) / Fraction(lq))
@@ -218,7 +219,7 @@ def test_backward_bound_covers_inexact_poles(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda p: roots(p) * (1.0 + 1e-6))
     gen = RationalL2([1.0], [1.0, 0.0, 1.0])
     params = pairs(list(EXACT_POINTS))
-    values, errors = gen.pair_closed_form(*params)
+    values, errors = gen.pair(*params, 1e-10)
     misses = []
     for k, (lp, bp, lq, bq) in enumerate(zip(*(v.tolist() for v in params))):
         d = float(Fraction(bp) / Fraction(lp) - Fraction(bq) / Fraction(lq))
@@ -234,14 +235,15 @@ DECAY_POINTS_8 = tuple(
 
 
 @pytest.mark.parametrize("rational", RATIONALS, ids=RATIONAL_IDS)
-def test_every_rational_pairs_in_closed_form(rational):
+def test_every_rational_pairs_in_closed_form(monkeypatch, rational):
     # one formula whatever the pole multiplicities and gaps (the residue
-    # pairing it replaces reported a bound of 8.9e-5 on the gap-1e-2 rational)
+    # pairing it replaces reported a bound of 8.9e-5 on the gap-1e-2 rational),
+    # with a bound that does not depend on tol and no adaptive quadrature
     gen = RationalL2(*rational)
-    assert gen.closed_form
-    assert wavelet_system._pairing(gen)[0] is wavelet_system._closed_form_pairs
-    coarse = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-2)
-    fine = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-12)
+    with monkeypatch.context() as patch:
+        forbid_adaptive_quadrature(patch)
+        coarse = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-2)
+        fine = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-12)
     assert coarse.matrix.tobytes() == fine.matrix.tobytes()
     assert coarse.quad_error == fine.quad_error <= 1e-11
     assert_agree_with_quadrature(gen, list(DECAY_POINTS_8))
@@ -259,17 +261,17 @@ def test_closed_form_bound_does_not_depend_on_tol():
 
 
 @pytest.mark.parametrize("gen", CLOSED_FORM, ids=CLOSED_FORM_IDS)
-def test_gram_and_inner_product_use_the_closed_form(gen):
-    assert wavelet_system._pairing(gen)[0] is wavelet_system._closed_form_pairs
+def test_gram_takes_the_closed_form_whatever_tol(monkeypatch, gen):
+    forbid_adaptive_quadrature(monkeypatch)
     points = [P(1.0, 0.0), P(2.0, 1.0), P(0.5, -1.0)]
-    report = gram(WaveletSystem(gen, points))
-    values, errors = gen.pair_closed_form(*pairs(points))
-    assert report.quad_error == errors.max()
+    coarse = gram(WaveletSystem(gen, points), 1e-2)
+    fine = gram(WaveletSystem(gen, points), 1e-12)
+    values, errors = gen.pair(*pairs(points), 1e-12)
+    assert coarse.matrix.tobytes() == fine.matrix.tobytes()
+    assert coarse.quad_error == fine.quad_error == errors.max()
     rows, cols = np.triu_indices(len(points))
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        value, error = inner_product(gen, points[i], points[j])
-        assert value == report.matrix[i, j] == complex(values[k], 0.0)
-        assert error == errors[k]
+    assert coarse.matrix[rows, cols].real.tobytes() == values.tobytes()
+    assert not coarse.matrix.imag.any()
 
 
 def test_far_gaussian_origins_pair_in_relative_coordinates():

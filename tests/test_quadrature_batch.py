@@ -6,9 +6,9 @@ tests' reference, and it is tested here, bit for bit against the
 entry-by-entry reference, on every family with a time-domain form; the
 reference integrates time-side products of real generators in float64.
 
-sech and log_exp_ratio pair by fixed-step rules (wavelet_system.
-_fixed_rule_pairs): the trapezoidal rule and the SE-Sinc rule on the real
-cosine integral 2 / (lp lq) int_0^inf ft(g / lp) ft(g / lq) cos(omega g) dg,
+sech and log_exp_ratio pair by fixed-step rules (CatalogGenerator.pair):
+the trapezoidal rule and the SE-Sinc rule on the real cosine integral
+2 / (lp lq) int_0^inf ft(g / lp) ft(g / lq) cos(omega g) dg,
 with steps and truncations from a priori bounds.  Their oracles: the same
 rule at half the step over twice the range of nodes lies within each
 entry's bound; gram gives the bits of the entries paired one at a time,
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forbid_adaptive_quadrature
 from twoscale import generators, numerics, wavelet_system
 from twoscale.errors import BadParameterError, BudgetExceededError, NonConvergenceError
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
@@ -208,12 +209,11 @@ def triangle_params(points):
 def quadrature_triangle(gen, points, tol=1e-10):
     """Values and error bounds on the upper triangle, in one batch: by adaptive
     quadrature in time for a generator with a time-domain form, and for a
-    catalog generator by the Fourier-side kernel that gram uses (a fixed-step
+    catalog generator by the Fourier-side pairing that gram uses (a fixed-step
     rule, or the closed form of a band-limited entry)."""
-    kernel = wavelet_system._quadrature_pairs
     if isinstance(gen, CatalogGenerator):
-        kernel, _ = wavelet_system._pairing(gen)
-    return kernel(gen, *triangle_params(points), tol)
+        return gen.pair(*triangle_params(points), tol)
+    return wavelet_system._quadrature_pairs(gen, *triangle_params(points), tol)
 
 
 def triangle_matrix(values, n):
@@ -353,9 +353,9 @@ FIXED_RULE_POINTS = (
 
 @pytest.mark.parametrize("points", FIXED_RULE_POINTS, ids=("decay-8", "spread"))
 @pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
-def test_fixed_rule_at_half_the_step_agrees_within_the_bound(catalog_id, points):
+def test_fixed_rule_at_half_the_step_agrees_within_the_bound(monkeypatch, catalog_id, points):
     gen = CatalogGenerator(catalog_id)
-    assert wavelet_system._pairing(gen)[0] is wavelet_system._fixed_rule_pairs
+    forbid_adaptive_quadrature(monkeypatch)
     values, errors = quadrature_triangle(gen, list(points))
     oracle = half_step_entries(gen, list(points))
     assert np.all(np.abs(values - oracle) <= errors)
@@ -403,13 +403,11 @@ def test_lower_truncation_starts_near_its_halving_count(dilations, tol):
 
 @pytest.mark.parametrize("block", (1, 7, 10**6))
 @pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
-def test_fixed_rule_gram_is_inner_product_bit_for_bit(monkeypatch, catalog_id, block):
+def test_fixed_rule_node_blocks_leave_bits_unchanged(monkeypatch, catalog_id, block):
     gen, points = CatalogGenerator(catalog_id), list(DECAY_POINTS_8)
     rows, cols = np.triu_indices(len(points))
     alone = [inner_product(gen, points[i], points[j]) for i, j in zip(rows, cols)]
-    # blocks of any size, and passes of five entries
-    monkeypatch.setattr(wavelet_system, "_NODE_BLOCK", block)
-    monkeypatch.setattr(wavelet_system, "_QUADRATURE_CHUNK", 5)
+    monkeypatch.setattr(generators, "_NODE_BLOCK", block)
     report = gram(WaveletSystem(gen, points))
     values = [value for value, _ in alone]
     assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
@@ -524,11 +522,7 @@ def test_folded_gram_is_real_at_half_the_evaluations(
     oracle = sum(full_line_pair(gen, points[i], points[j], 1e-10)[2] for i, j in zip(rows, cols))
     assert oracle == full_line_evaluations
     sizes = record_fourier_calls(monkeypatch)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("integrate_adaptive called")
-
-    monkeypatch.setattr(wavelet_system, "integrate_adaptive", forbidden)
+    forbid_adaptive_quadrature(monkeypatch)
     report = gram(WaveletSystem(gen, points))
     assert np.all(report.matrix.imag == 0.0)
     assert 0 < sum(sizes) <= full_line_evaluations // 4

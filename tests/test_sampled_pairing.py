@@ -270,15 +270,6 @@ def test_blocks_leave_bits_unchanged(monkeypatch, block, gen, points):
         assert 1 < blocks < distinct
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 100])
-def test_pair_chunks_leave_bits_unchanged(monkeypatch, chunk):
-    expected = gram(WaveletSystem(Hat(), HAT_LATTICE_57))
-    monkeypatch.setattr(wavelet_system, "_PAIR_CHUNK", chunk)
-    report = gram(WaveletSystem(Hat(), HAT_LATTICE_57))
-    assert report.matrix.tobytes() == expected.matrix.tobytes()
-    assert report.quad_error == expected.quad_error
-
-
 def test_disjoint_pairs_never_reach_interp(monkeypatch):
     gen = Hat()
     overlapping = [

@@ -10,9 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_gram_closed_form, hat_gram_closed_form, smooth_bump_generator
+from conftest import (
+    forbid_adaptive_quadrature,
+    gaussian_gram_closed_form,
+    hat_gram_closed_form,
+    smooth_bump_generator,
+)
 from twoscale import numerics, wavelet_system
-from twoscale.errors import DuplicatePointError
+from twoscale.errors import BadParameterError, DuplicatePointError
 from twoscale.generators import (
     CatalogGenerator,
     Gaussian,
@@ -661,14 +666,86 @@ NO_QUADRATURE_IDS = (
 )
 
 
+DECAY_POINTS_8 = [P(*pt) for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))]
+
+
 @pytest.mark.parametrize("gen", NO_QUADRATURE, ids=NO_QUADRATURE_IDS)
 def test_no_generator_reaches_adaptive_quadrature(monkeypatch, gen):
-    def refuse(*args, **kwargs):
-        raise AssertionError("adaptive quadrature has no production caller")
-
-    monkeypatch.setattr(numerics, "integrate_adaptive", refuse)
-    monkeypatch.setattr(wavelet_system, "integrate_adaptive", refuse)
-    points = [P(*pt) for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))]
-    report = gram(WaveletSystem(gen, points), 1e-10)
+    forbid_adaptive_quadrature(monkeypatch)
+    report = gram(WaveletSystem(gen, DECAY_POINTS_8), 1e-10)
     assert report.quad_error <= 1e-10
 
+
+# one generator of every kind, and a rational with a double pole
+EVERY_KIND_IDS = (
+    "hat", "refinement", "sampled", "gaussian", "exp1", "rational", "double-pole",
+    "sech", "log_exp_ratio", "ft_box", "ft_annulus_tent",
+)
+EVERY_KIND = tuple(NO_QUADRATURE[NO_QUADRATURE_IDS.index(name)] for name in EVERY_KIND_IDS)
+
+
+@pytest.mark.parametrize("chunk", (1, 7, None), ids=("chunk-1", "chunk-7", "default"))
+@pytest.mark.parametrize("gen", EVERY_KIND, ids=EVERY_KIND_IDS)
+def test_gram_is_inner_product_bit_for_bit(monkeypatch, gen, chunk):
+    # every entry depends on its own two points only, whatever else gram
+    # pairs in the same pass
+    n = len(DECAY_POINTS_8)
+    rows, cols = np.triu_indices(n)
+    alone = [inner_product(gen, DECAY_POINTS_8[i], DECAY_POINTS_8[j]) for i, j in zip(rows, cols)]
+    if chunk is not None:
+        monkeypatch.setattr(wavelet_system, "_PAIR_CHUNK", chunk)
+    report = gram(WaveletSystem(gen, DECAY_POINTS_8))
+    values = np.array([value for value, _ in alone])
+    expected = np.zeros((n, n), dtype=np.complex128)
+    expected[rows, cols] = values
+    expected[cols, rows] = np.conjugate(values)
+    assert report.matrix.tobytes() == expected.tobytes()
+    assert report.quad_error == max(error for _, error in alone)
+
+
+@pytest.mark.parametrize("tol", (0.0, -1.0, math.nan), ids=("zero", "negative", "nan"))
+@pytest.mark.parametrize("gen", EVERY_KIND, ids=EVERY_KIND_IDS)
+def test_tol_that_is_not_positive_is_refused_before_any_pairing(monkeypatch, gen, tol):
+    # a negative tol once kept the fixed-step rules' window search doubling
+    # forever; no pairing may run, so a missing check fails here at once
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a pairing ran")
+
+    monkeypatch.setattr(wavelet_system, "_sampled_pairs", forbidden)
+    monkeypatch.setattr(type(gen), "pair", forbidden)
+    message = f"^tol must be a positive number, not {tol!r}$"
+    with pytest.raises(BadParameterError, match=message):
+        gram(WaveletSystem(gen, [P(1, 0), P(2, 1)]), tol)
+    with pytest.raises(BadParameterError, match=message):
+        inner_product(gen, P(1, 0), P(2, 1), tol)
+
+
+SPIKE = SampledGenerator(
+    SampledFunction(start=0.0, step=1.0, values=np.array([0.0, 1e153, 0.0]), support=(0.0, 2.0))
+)
+
+
+@pytest.mark.parametrize(
+    "via,gen,p,q,named,bound",
+    (
+        # gram meets the diagonal entry of the first point first
+        ("gram", Gaussian(), P(5e-324, 0), P(1, 0), (P(5e-324, 0), P(5e-324, 0)), "nan"),
+        ("gram", SPIKE, P(1, 0), P(1e-5, 0), (P(1e-5, 0), P(1e-5, 0)), "inf"),
+        # the two points in the caller's order
+        ("inner_product", Gaussian(), P(1e-323, 0), P(5e-324, 0), (P(1e-323, 0), P(5e-324, 0)), "nan"),
+        ("inner_product", SPIKE, P(2e-5, 0), P(1e-5, 0), (P(2e-5, 0), P(1e-5, 0)), "inf"),
+    ),
+    ids=("gaussian-gram", "sampled-gram", "gaussian-pair", "sampled-pair"),
+)
+def test_entry_past_the_float_range_is_refused_naming_both_points(via, gen, p, q, named, bound):
+    a, b = named
+    message = (
+        f"points ({a.dilation:g}, {a.translation:g}) and ({b.dilation:g}, {b.translation:g}) "
+        f"give a Gram entry out of float range: inf with error bound {bound}"
+    )
+    with pytest.raises(BadParameterError) as refused:
+        if via == "gram":
+            gram(WaveletSystem(gen, [p, q]))
+        else:
+            inner_product(gen, p, q)
+    assert str(refused.value) == message
