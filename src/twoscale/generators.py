@@ -112,8 +112,8 @@ class GeneratorSpec:
     def pair_integrand(self, lp, bp, lq, bq) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Products of the dilated translates at pairs of points (arrays lp, bp, lq, bq).
 
-        The returned function maps nodes x, and for each node the index of
-        its pair, to the product values at those nodes.
+        The returned function maps nodes x, and the index of each node's
+        pair (an array, or one index for all), to the product values there.
         """
 
         def integrand(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -842,10 +842,8 @@ class RationalL2(GeneratorSpec):
         by ||R||^2 / sqrt(lp lq)."""
         d, dd = _relative_shift(lp, bp, lq, bq)
         block = self._block
+        values, errors = np.empty(lp.size), np.empty(lp.size)
         with np.errstate(all="ignore"):
-            if lp.size <= block:
-                return self._newton_sums(lp, lq, d, dd)
-            values, errors = np.empty(lp.size), np.empty(lp.size)
             for s in range(0, lp.size, block):
                 part = slice(s, s + block)
                 values[part], errors[part] = self._newton_sums(lp[part], lq[part], d[part], dd[part])

@@ -82,7 +82,8 @@ class WaveletSystem:
 
 @dataclass(frozen=True, eq=False)
 class GramReport:
-    """Hermitian Gram matrix with its spectrum and quadrature error budget."""
+    """Hermitian Gram matrix with its spectrum and the largest bound on the
+    error of an entry (quad_error)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -276,7 +277,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     of window width, and the rounding of the division by lambda_p.
     Returns (values, error bounds) as float arrays, 0 for disjoint pairs.
     A pair whose key, windows or products leave the float range is a
-    BadParameterError naming both points.
+    BadParameterError naming both points, in the caller's order.
     """
     s_lo, s_hi = gen.time_support()
     with np.errstate(over="ignore"):
@@ -288,6 +289,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
                 raise BadParameterError(
                     f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
                 )
+    caller = (lp, bp, lq, bq)
     swap = (lq < lp) | ((lq == lp) & (bq < bp))
     lp, lq = np.where(swap, lq, lp), np.where(swap, lp, lq)
     bp, bq = np.where(swap, bq, bp), np.where(swap, bp, bq)
@@ -297,7 +299,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
         s = bq - shift
         lo_q, hi_q = (s_lo + s) / r, (s_hi + s) / r
     refuse_pairs(
-        np.isfinite(lo_q) & np.isfinite(hi_q), lp, bp, lq, bq,
+        np.isfinite(lo_q) & np.isfinite(hi_q), *caller,
         "normalize to a key r = lambda_q / lambda_p, s = beta_q - r beta_p out of float range",
     )
     # the window in y, with Python's max and min: the first argument wins ties
@@ -316,7 +318,7 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         size = 6.0 * gen.peak * gen.peak * (khi - klo)
     refuse_pairs(
-        np.isfinite(size)[inverse], lp, bp, lq, bq,
+        np.isfinite(size)[inverse], *(v[live] for v in caller),
         "overlap where products of the sampled values leave the float range",
     )
     first, count = _candidate_knots(gen, kr, ks, klo, khi)
@@ -361,15 +363,24 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
 
 
 def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
-    """Pairings of an unbounded generator at pairs of points, by one batch of
-    adaptive quadratures in time.
+    """Pairings of an unbounded generator at pairs of points, by adaptive
+    quadrature in time, one entry at a time.
 
     Test reference, no production caller (ROADMAP item 7): the tests compare
     every time-side closed form against it.
     """
-    integrand, lo, hi, edges, rounding, tail = gen.pair_quadrature(lp, bp, lq, bq, tol)
-    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
-    return result.value, result.error_estimate + rounding * result.abs_integral + tail
+    integrand, lo, hi, (points, owners), rounding, tail = gen.pair_quadrature(
+        lp, bp, lq, bq, tol
+    )
+    values, errors = [], []
+    for k in range(lp.size):
+        result = integrate_adaptive(
+            lambda x, k=k: integrand(x, k), lo[k], hi[k], 0.5 * tol,
+            breakpoints=points[owners == k],
+        )
+        values.append(result.value)
+        errors.append(result.error_estimate + rounding[k] * result.abs_integral + tail[k])
+    return np.array(values), np.array(errors)
 
 
 def _pair(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
@@ -476,10 +487,10 @@ def gram(system: WaveletSystem, tol: float = 1.0e-10) -> GramReport:
 def numeric_verdict(report: GramReport) -> Verdict:
     """Classify a Gram report by its relative spectral gap.
 
-    Dependent requires both a gap at or below DEPENDENCE_THRESHOLD and a
-    quadrature budget small enough to trust it; a 100x hysteresis band
-    separates IndependentNumeric from Inconclusive.  These outcomes are
-    numerical evidence, not proof.
+    Dependent requires both a gap at or below DEPENDENCE_THRESHOLD and
+    entry error bounds (quad_error) small enough to trust it; a 100x
+    hysteresis band separates IndependentNumeric from Inconclusive.  These
+    outcomes are numerical evidence, not proof.
     """
     gap = report.relative_gap
     budget_ok = report.quad_error <= 0.1 * report.sigma_max * DEPENDENCE_THRESHOLD
@@ -581,8 +592,8 @@ def certify(system: WaveletSystem) -> Certificate | None:
 def analyze(system: WaveletSystem, tol: float = 1.0e-10) -> Verdict:
     """Certificate first, numerics second.
 
-    A matched rule yields IndependentCertified without any quadrature;
-    otherwise the Gram spectrum decides.
+    A matched rule yields IndependentCertified without forming the Gram
+    matrix; otherwise the Gram spectrum decides.
     """
     certificate = certify(system)
     if certificate is not None:

@@ -1,7 +1,7 @@
 """Closed-form pairings of the analytic generators against quadrature and exact formulas.
 
 Every closed form must agree with adaptive quadrature within the sum of the
-two error bounds (the batched kernel in time; for the catalog entries, the
+two error bounds (in time, one integral per entry; for the catalog entries, the
 folded Fourier-side integral that their quadrature path took before they
 paired in closed form), and with exact references within its own bound
 (plus the reference's rounding), at ordinary, huge and tiny dilations and
@@ -75,15 +75,19 @@ def folded_quadrature(gen, lp, bp, lq, bq, tol):
     kinks = [k * lam for k in FT_KINKS[gen.catalog_id] for lam in (lp, lq)]
     zero = np.zeros(lp.size)
     points, owners = generators._breakpoints(kinks, (zero,), np.minimum(lp, lq), zero, hi)
-    right = points > 0.0
-    result = integrate_adaptive(
-        gen.ft_pair_integrand(lp, bp, lq, bq), zero, hi, 0.5 * tol,
-        breakpoints=(points[right], owners[right]),
-    )
+    integrand = gen.ft_pair_integrand(lp, bp, lq, bq)
     _, shift_rounding = generators._relative_shift(lp, bp, lq, bq)
     omega = 2.0 * math.pi * (bp / lp - bq / lq)
     rounding = (2.0 * math.pi * shift_rounding + 4.0 * U * np.abs(omega)) * hi + 2.0 * U
-    return result.value, result.error_estimate + rounding * result.abs_integral + tail
+    values, errors = [], []
+    for k in range(lp.size):
+        result = integrate_adaptive(
+            lambda g, k=k: integrand(g, k), 0.0, hi[k], 0.5 * tol,
+            breakpoints=points[(owners == k) & (points > 0.0)],
+        )
+        values.append(result.value)
+        errors.append(result.error_estimate + rounding[k] * result.abs_integral + tail[k])
+    return np.array(values), np.array(errors)
 
 
 def assert_agree_with_quadrature(gen, points, tol=1e-12):

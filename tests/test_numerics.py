@@ -17,6 +17,36 @@ def composite_simpson(f, a, b, n=4096):
     return h / 3.0 * (fx[0] + fx[-1] + 4.0 * fx[1:-1:2].sum() + 2.0 * fx[2:-1:2].sum())
 
 
+def nan_above_half(x):
+    return np.where(x > 0.5, np.nan, 1.0)
+
+
+def nan_in_two_gaps(x):
+    # first met in the second round, in a left half and in a right half
+    gaps = (np.abs(x - 0.15) < 0.002) | (np.abs(x - 0.65) < 0.002)
+    return np.where(gaps, np.nan, np.abs(x - 0.37))
+
+
+def kink(x):
+    return np.abs(x - 1.0 / 3.0)
+
+
+# (f, a, b, tol, max_evals, error, message, integrand calls made)
+FAILING = (
+    # stalls: [1, 1 + 64 eps] bisects three times down to panels of the
+    # bisection floor, and the rounding estimate of each is still above tol
+    (np.ones_like, 1.0, 1.0 + 64.0 * np.finfo(float).eps, 1e-40, 400, NonConvergenceError,
+     r"quadrature stalled at error 1\.262e-29 > tol 1\.000e-40$", 4),
+    # one panel splits per round, until the budget of 100 evaluations is spent
+    (kink, 0.0, 1.0, 1e-15, 100, NonConvergenceError,
+     r"evaluation budget 100 exhausted at error 9\.545e-03 > tol 1\.000e-15$", 3),
+    (nan_above_half, 0.0, 1.0, 1e-10, 400, ValueError,
+     r"non-finite integrand value near x=(np\.float64\()?0\.6038924775039493\b", 1),
+    (nan_in_two_gaps, 0.0, 1.0, 1e-12, 400, ValueError,
+     r"non-finite integrand value near x=(np\.float64\()?0\.1485387121556507\b", 2),
+)
+
+
 class TestIntegrateAdaptive:
     def test_constant(self):
         res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 2.0, 1e-14)
@@ -78,13 +108,6 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(np.sin, 0.0, 1.0, 0.0)
 
-    def test_non_finite_integrand_is_typed_error(self):
-        def bad(x):
-            return np.where(x > 0.5, np.nan, 1.0)
-
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate_adaptive(bad, 0.0, 1.0, 1e-10)
-
     def test_one_integrand_call_per_round(self):
         calls = []
 
@@ -119,12 +142,51 @@ class TestIntegrateAdaptive:
         assert abs(res.value) <= 1e-12
         assert abs(res.abs_integral - 4.0) <= 1e-12
 
-    def test_stall_is_non_convergence(self):
-        # [1, 1 + 64 eps] bisects three times down to panels of the bisection
-        # floor, and the rounding estimate of each is still above tol
-        b = 1.0 + 64.0 * np.finfo(float).eps
-        with pytest.raises(NonConvergenceError, match="stalled"):
-            integrate_adaptive(np.ones_like, 1.0, b, 1e-40)
+    @pytest.mark.parametrize(
+        "failing", FAILING, ids=("stall", "budget", "non-finite", "non-finite-later")
+    )
+    def test_failing_integral_raises_its_own_error(self, failing):
+        f, a, b, tol, max_evals, error, message, rounds = failing
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        with pytest.raises(error, match=f"^{message}"):
+            integrate_adaptive(counted, a, b, tol, max_evals=max_evals)
+        assert len(calls) == rounds
+
+    def test_breakpoints_within_the_floor_are_dropped(self):
+        # 0.5 + 4e-16 and 0.5 + 8e-16 fall within the bisection floor of 0.5
+        # and 1 - 1e-16 within that of b: all three are dropped; 0.5 + 2.2e-15
+        # is then measured from 0.5, not from them, and kept
+        cluster = [0.5, 0.5 + 4e-16, 0.5 + 8e-16, 0.5 + 2.2e-15, 0.9, 1.0 - 1e-16]
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.abs(x - 0.5)
+
+        res = integrate_adaptive(f, 0.0, 1.0, 1e-12, breakpoints=cluster)
+        assert calls[0] == 4 * 15
+        kept = integrate_adaptive(f, 0.0, 1.0, 1e-12, breakpoints=[0.5, 0.5 + 2.2e-15, 0.9])
+        assert res == kept
+
+    def test_integrand_that_turns_complex_keeps_its_imaginary_part(self):
+        # every node of the first rounds lies right of 0.001, where the root is
+        # real; the later rounds reach left of it
+        kinds = []
+
+        def root(x):
+            y = np.emath.sqrt(x - 0.001)
+            kinds.append(np.iscomplexobj(y))
+            return y
+
+        res = integrate_adaptive(root, 0.0, 1.0, 1e-9)
+        assert not kinds[0] and kinds[-1]
+        assert isinstance(res.value, complex)
+        assert abs(res.value - (0.999**1.5 + 0.001**1.5 * 1j) * 2.0 / 3.0) <= res.error_estimate
 
     def test_determinism_bit_identical(self):
         f = lambda x: np.exp(-x * x) * np.cos(3 * x)

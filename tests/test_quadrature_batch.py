@@ -1,10 +1,12 @@
-"""Batched pairings of unbounded generators without a closed form, against references.
+"""Quadrature and fixed-step pairings of unbounded generators, against references.
 
-gram pairs every generator with a time-domain form in closed form now.  The
-adaptive quadrature kernel (wavelet_system._quadrature_pairs) stays as the
-tests' reference, and it is tested here, bit for bit against the
-entry-by-entry reference, on every family with a time-domain form; the
-reference integrates time-side products of real generators in float64.
+gram pairs every generator with a time-domain form in closed form now.
+Adaptive quadrature in time (wavelet_system._quadrature_pairs, one
+integral per entry) stays as the tests' reference for those closed forms.
+It is tested here, bit for bit, against windows, panel edges and error
+terms rebuilt one entry at a time from the point pair alone, on every
+family with a time-domain form; the products of real generators are
+integrated in float64.
 
 sech and log_exp_ratio pair by fixed-step rules (CatalogGenerator.pair):
 the trapezoidal rule and the SE-Sinc rule on the real cosine integral
@@ -27,75 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forbid_adaptive_quadrature
-from twoscale import generators, numerics, wavelet_system
-from twoscale.errors import BadParameterError, BudgetExceededError, NonConvergenceError
+from twoscale import generators, wavelet_system
+from twoscale.errors import BadParameterError, BudgetExceededError
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
 from twoscale.wavelet_system import WaveletSystem, gram, inner_product
 
-_EPS = float(np.finfo(np.float64).eps)
 _UNIT_ROUNDOFF = 2.0**-53
 
-# The quadrature, windows and pairing as they ran one entry at a time, each
-# integral with its own integrand calls.
-
-
-def reference_panels(f, lo, hi):
-    h = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + h[:, None] * numerics._NODES
-    fx = np.asarray(f(x.ravel()))
-    fx = fx.astype(np.complex128 if np.iscomplexobj(fx) else np.float64).reshape(x.shape)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError(f"non-finite integrand value near x={x[~np.isfinite(fx)][0]!r}")
-    value = h * (fx * numerics._WK).sum(axis=1)
-    err = np.abs(value - h * (fx * numerics._WG).sum(axis=1))
-    resabs = np.abs(h) * (np.abs(fx) * numerics._WK).sum(axis=1)
-    resasc = np.abs(h) * (np.abs(fx - (value / (hi - lo))[:, None]) * numerics._WK).sum(axis=1)
-    small = 200.0 * err < resasc
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=small)
-    err = np.where(resasc != 0.0, resasc * ratio**1.5, err)
-    return value, np.maximum(err, 4.0 * _EPS * resabs), resabs
-
-
-def reference_integrate(f, a, b, tol, max_evals=10**6, breakpoints=()):
-    """(value, error, integral of |f|, evaluations) of one integral."""
-    if not (a < b):
-        raise ValueError("integration bounds must satisfy a < b")
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
-    edges = [a]
-    for x in sorted({float(x) for x in breakpoints if a < x < b}):
-        if min(x - edges[-1], b - x) > 8.0 * _EPS * max(abs(x), 1.0):
-            edges.append(x)
-    edges.append(b)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    value, err, resabs = reference_panels(f, lo, hi)
-    evaluations = 15 * lo.size
-    while (total := math.fsum(err)) > tol:
-        splittable = hi - lo > 8.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-        split = splittable & (err > tol * (hi - lo) / (b - a))
-        if not split.any():
-            split = splittable & (err > 0.0)
-        if not split.any():
-            raise NonConvergenceError(f"quadrature stalled at error {total:.3e} > tol {tol:.3e}")
-        if evaluations + 30 * int(split.sum()) > max_evals:
-            raise NonConvergenceError(
-                f"evaluation budget {max_evals} exhausted at error {total:.3e} > tol {tol:.3e}"
-            )
-        keep, mid = ~split, 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        new_value, new_err, new_resabs = reference_panels(f, new_lo, new_hi)
-        evaluations += 15 * new_lo.size
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        value = np.concatenate([value[keep], new_value])
-        err = np.concatenate([err[keep], new_err])
-        resabs = np.concatenate([resabs[keep], new_resabs])
-    if np.iscomplexobj(value):
-        value = complex(math.fsum(value.real), math.fsum(value.imag))
-    else:
-        value = math.fsum(value)
-    return value, total, math.fsum(resabs), evaluations
+# The windows and pairing as they ran one entry at a time.
 
 
 def reference_tail_window(lo, hi, radius, tail, tol):
@@ -159,7 +102,7 @@ def reference_geometric_edges(origins, unit, lo, hi):
     return edges
 
 
-def reference_pair(gen, p, q, tol, calls=None):
+def reference_pair(gen, p, q, tol):
     """inner_product of an unbounded generator by quadrature in time, one entry at a time."""
     lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
     lo, hi, tail = reference_window(gen, p, q, tol)
@@ -170,14 +113,8 @@ def reference_pair(gen, p, q, tol, calls=None):
     edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
     edges += reference_geometric_edges((bp / lp, bq / lq), 1.0 / max(lp, lq), lo, hi)
     rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(bp) + abs(bq))
-
-    def counted(x):
-        if calls is not None:
-            calls.append(x.size)
-        return integrand(x)
-
-    value, err, abs_integral, _ = reference_integrate(counted, lo, hi, 0.5 * tol, breakpoints=edges)
-    return value, err + rounding * abs_integral + tail
+    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
+    return result.value, result.error_estimate + rounding * result.abs_integral + tail
 
 
 def reference_gram(gen, points, tol):
@@ -207,7 +144,7 @@ def triangle_params(points):
 
 
 def quadrature_triangle(gen, points, tol=1e-10):
-    """Values and error bounds on the upper triangle, in one batch: by adaptive
+    """Values and error bounds on the upper triangle, as arrays: by adaptive
     quadrature in time for a generator with a time-domain form, and for a
     catalog generator by the Fourier-side pairing that gram uses (a fixed-step
     rule, or the closed form of a band-limited entry)."""
@@ -287,24 +224,6 @@ def test_gram_matches_entry_by_entry_bitwise(case):
 )
 def test_fixed_systems_match_bitwise(gen, points):
     assert_same_bits(gen, list(points))
-
-
-@pytest.mark.parametrize("block", (1, 7, 10**6))
-@pytest.mark.parametrize(
-    "gen,points",
-    (
-        (RationalL2([1.0], [1.0, 0.0, 1.0]), DECAY_POINTS_8[:5]),
-        (TwoSidedExp(1), DECAY_POINTS_8[:4]),
-        (DOUBLE_POLE, DECAY_POINTS_8[:3]),
-    ),
-    ids=("lorentz", "exp1", "double-pole"),
-)
-def test_panel_block_leaves_bytes_unchanged(monkeypatch, block, gen, points):
-    before = quadrature_triangle(gen, points)
-    monkeypatch.setattr(numerics, "_PANEL_BLOCK", block)
-    after = quadrature_triangle(gen, points)
-    assert after[0].tobytes() == before[0].tobytes()
-    assert after[1].tobytes() == before[1].tobytes()
 
 
 @pytest.mark.parametrize("gen", (DOUBLE_POLE,), ids=("double-pole",))
@@ -492,8 +411,8 @@ def full_line_pair(gen, p, q, tol):
 
     edges = [k * pt.dilation for k in FT_KINKS[gen.catalog_id] for pt in (p, q)]
     edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
-    value, err, _, count = reference_integrate(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
-    return value, err + tail, count
+    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
+    return result.value, result.error_estimate + tail, result.evaluations
 
 
 @pytest.mark.parametrize("catalog_id", catalog_ids())
@@ -546,146 +465,6 @@ def record_fourier_calls(monkeypatch):
     return sizes
 
 
-def record_quadrature_calls(monkeypatch):
-    """Node counts of the integrand calls made by quadrature (windows make none here)."""
-    sizes = []
-    factory = generators.GeneratorSpec.pair_integrand
-
-    def recording(self, *params):
-        integrand = factory(self, *params)
-
-        def wrapped(x, pair):
-            sizes.append(x.size)
-            return integrand(x, pair)
-
-        return wrapped
-
-    monkeypatch.setattr(generators.GeneratorSpec, "pair_integrand", recording)
-    return sizes
-
-
-def test_one_integrand_call_per_round(monkeypatch):
-    gen = RationalL2([1.0], [1.0, 0.0, 1.0])
-    points = list(DECAY_POINTS_8)
-    # alone, entry k makes one call per round
-    rounds = []
-    for i in range(len(points)):
-        for j in range(i, len(points)):
-            calls = []
-            reference_pair(gen, points[i], points[j], 1e-10, calls)
-            rounds.append(calls)
-    per_round = [
-        sum(calls[r] for calls in rounds if r < len(calls))
-        for r in range(max(len(calls) for calls in rounds))
-    ]
-    sizes = record_quadrature_calls(monkeypatch)
-    monkeypatch.setattr(numerics, "_PANEL_BLOCK", 10**6)
-    quadrature_triangle(gen, points, 1e-10)
-    assert sizes == per_round
-    # in blocks, each round's nodes come in calls of at most one block each
-    sizes.clear()
-    monkeypatch.setattr(numerics, "_PANEL_BLOCK", 256)
-    quadrature_triangle(gen, points, 1e-10)
-    block = 15 * 256
-    expected = []
-    for nodes in per_round:
-        expected += [block] * (nodes // block) + [nodes % block] * (nodes % block > 0)
-    assert max(per_round) > block and sizes == expected
-
-
-def batch_of(fs, a, b, tol, max_evals=10**6, dtype=np.complex128):
-    """integrate_adaptive on the integrals fs[k] over [a[k], b[k]] as one batch
-    whose integrand has the given dtype."""
-
-    def f(x, owner):
-        out = np.empty(x.size, dtype=dtype)
-        for k, fk in enumerate(fs):
-            mine = owner == k
-            out[mine] = fk(x[mine])
-        return out
-
-    return integrate_adaptive(f, np.array(a), np.array(b), np.array(tol), max_evals=max_evals)
-
-
-def nan_above_half(x):
-    return np.where(x > 0.5, np.nan, 1.0)
-
-
-def nan_in_two_gaps(x):
-    # first met in the second round, in a left half and in a right half
-    gaps = (np.abs(x - 0.15) < 0.002) | (np.abs(x - 0.65) < 0.002)
-    return np.where(gaps, np.nan, np.abs(x - 0.37))
-
-
-def kink(x):
-    return np.abs(x - 1.0 / 3.0)
-
-
-FAILING = (
-    # stalls: the rounding estimate stays above tol down to the bisection floor
-    (np.ones_like, 1.0, 1.0 + 64.0 * _EPS, 1e-40, 400, NonConvergenceError),
-    # one panel splits per round, until the budget of 100 evaluations is spent
-    (kink, 0.0, 1.0, 1e-15, 100, NonConvergenceError),
-    (nan_above_half, 0.0, 1.0, 1e-10, 400, ValueError),
-    (nan_in_two_gaps, 0.0, 1.0, 1e-12, 400, ValueError),
-)
-
-
-@pytest.mark.parametrize("position", (0, 1, 2))
-@pytest.mark.parametrize(
-    "failing", FAILING, ids=("stall", "budget", "non-finite", "non-finite-later")
-)
-def test_failing_integral_raises_its_own_error(position, failing):
-    f, a, b, tol, max_evals, error = failing
-    with pytest.raises(error) as alone:
-        reference_integrate(f, a, b, tol, max_evals=max_evals)
-    fs, lo, hi, tols = [np.cos, np.exp], [0.0, -1.0], [2.0, 1.0], [1e-12, 1e-12]
-    fs.insert(position, f)
-    lo.insert(position, a)
-    hi.insert(position, b)
-    tols.insert(position, tol)
-    with pytest.raises(error) as batch:
-        batch_of(fs, lo, hi, tols, max_evals=max_evals)
-    assert str(batch.value) == str(alone.value)
-
-
-def test_lowest_failing_integral_is_reported():
-    # the budget runs out in a later round than the non-finite value shows
-    fs = [np.cos, kink, nan_above_half]
-    with pytest.raises(NonConvergenceError, match="budget") as batch:
-        batch_of(fs, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1e-12, 1e-15, 1e-10], max_evals=100)
-    with pytest.raises(NonConvergenceError) as alone:
-        reference_integrate(kink, 0.0, 1.0, 1e-15, max_evals=100)
-    assert str(batch.value) == str(alone.value)
-
-
-def test_batch_values_are_those_of_each_integral_alone():
-    # a batch with a complex integral is complex throughout, and its real
-    # integrals are those taken alone in complex arithmetic; a real batch
-    # is real throughout
-    a, b, tol = [0.0, -1.0, 0.0], [2.0, 1.0, 3.0], [1e-12, 1e-9, 1e-11]
-    for dtype, fs in (
-        (np.complex128, [np.cos, lambda x: np.abs(x - 0.3), lambda x: np.exp(1j * x)]),
-        (np.float64, [np.cos, lambda x: np.abs(x - 0.3), lambda x: np.exp(-x)]),
-    ):
-        batch = batch_of(fs, a, b, tol, dtype=dtype)
-        assert batch.value.dtype == dtype
-        evaluations = 0
-        for k, f in enumerate(fs):
-
-            def typed(x, f=f):
-                return np.asarray(f(x), dtype=dtype)
-
-            alone = integrate_adaptive(typed, a[k], b[k], tol[k])
-            value, error, abs_integral, count = reference_integrate(typed, a[k], b[k], tol[k])
-            assert batch.value[k] == alone.value == value
-            assert batch.error_estimate[k] == alone.error_estimate == error
-            assert batch.abs_integral[k] == alone.abs_integral == abs_integral
-            assert alone.evaluations == count
-            evaluations += count
-        assert batch.evaluations == evaluations
-
-
 def test_gaussian_window_collapse_names_both_points():
     # the window's radius vanishes in rounding next to a centre near 2e299;
     # gram pairs these points in closed form (test_closed_form_pairing)
@@ -694,38 +473,3 @@ def test_gaussian_window_collapse_names_both_points():
     pair = (np.array([v]) for v in (2.47, 1.1, 3.11, 1e300))
     with pytest.raises(BadParameterError, match="pairing window"):
         wavelet_system._quadrature_pairs(Gaussian(), *pair, 1e-10)
-
-
-def test_breakpoints_within_the_floor_seed_as_alone():
-    # 0.5 + 4e-16 and 0.5 + 8e-16 fall within the bisection floor of 0.5 and
-    # are dropped; 0.5 + 2.2e-15 is then measured from 0.5, not from them
-    cluster = [0.5, 0.5 + 4e-16, 0.5 + 8e-16, 0.5 + 2.2e-15, 0.9, 1.0 - 1e-16]
-    fs = [lambda x: np.abs(x - 0.5), np.cos]
-    points = np.array(cluster + [0.25, 0.5])
-    owner = np.array([0] * len(cluster) + [1, 1])
-    batch = integrate_adaptive(
-        lambda x, k: np.where(k == 0, fs[0](x), fs[1](x)), np.zeros(2), np.ones(2), 1e-12,
-        breakpoints=(points, owner),
-    )
-    for k, edges in enumerate((cluster, [0.25, 0.5])):
-        value, error, _, count = reference_integrate(fs[k], 0.0, 1.0, 1e-12, breakpoints=edges)
-        assert (batch.value[k], batch.error_estimate[k]) == (value, error)
-    first = reference_integrate(fs[0], 0.0, 1.0, 1e-12, breakpoints=cluster)[3]
-    assert batch.evaluations == first + count
-
-
-@pytest.mark.parametrize("block", (1, 256))
-def test_integrand_that_turns_complex_keeps_its_imaginary_part(monkeypatch, block):
-    # every node of the first rounds lies right of 0.001, where the root is
-    # real; the later rounds reach left of it, in some of their blocks
-    monkeypatch.setattr(numerics, "_PANEL_BLOCK", block)
-
-    def root(x):
-        return np.emath.sqrt(x - 0.001)
-
-    result = integrate_adaptive(root, 0.0, 1.0, 1e-9)
-    assert isinstance(result.value, complex)
-    assert abs(result.value - (0.999**1.5 + 0.001**1.5 * 1j) * 2.0 / 3.0) <= result.error_estimate
-    if block == 256:  # one call per round, as the reference makes
-        value, error, _, count = reference_integrate(root, 0.0, 1.0, 1e-9)
-        assert (result.value, result.error_estimate, result.evaluations) == (value, error, count)

@@ -1,6 +1,7 @@
 """The whole-Gram sampled pairing against the entry-by-entry reference, bit for bit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoscale import wavelet_system
+from twoscale.errors import BadParameterError
 from twoscale.generators import Hat, RefinementGenerator, SampledGenerator
 from twoscale.refinement import SampledFunction, preset
 from twoscale.wavelet_system import WaveletPoint as P
@@ -387,3 +389,20 @@ def test_segment_fsums_pass_zeros_and_non_finite_pieces_through():
     assert wavelet_system._segment_fsums(pieces[:4], np.array([0, 2])).tolist() == [0.0, 0.0]
     got = wavelet_system._segment_fsums(pieces, np.array([0, 2, 5]))
     assert got.tolist() == [0.0, 0.5, math.inf]
+
+
+@pytest.mark.parametrize(
+    "gen,p,q,what",
+    (
+        (Hat(), P(1e300, 0), P(1e-300, 0), "normalize to a key"),
+        (Hat(), P(1e-300, 0), P(1e300, 0), "normalize to a key"),
+        (sampled([0.0, 1e200, 0.0]), P(2, 0), P(1, 0), "overlap where products"),
+        (sampled([0.0, 1e200, 0.0]), P(1, 0), P(2, 0), "overlap where products"),
+    ),
+    ids=("key-larger-first", "key-smaller-first", "overlap-larger-first", "overlap-smaller-first"),
+)
+def test_refusals_name_the_points_in_the_callers_order(gen, p, q, what):
+    # the pairing swaps each pair to smaller dilation first, the message does not
+    named = f"points ({p.dilation:g}, {p.translation:g}) and ({q.dilation:g}, {q.translation:g})"
+    with pytest.raises(BadParameterError, match=f"^{re.escape(named)} {what}"):
+        inner_product(gen, p, q)
