@@ -160,13 +160,15 @@ def integrate_adaptive(
     within the bisection floor of the last edge kept, or of b, would seed a
     panel too narrow to evaluate and is dropped.
 
-    Raises ValueError unless a < b and tol > 0, or at a non-finite
-    integrand value; NonConvergenceError if the next round would exceed
-    max_evals evaluations, or if no panel that could lower the estimate can
-    be split.
+    Raises ValueError unless a < b, b - a is finite and tol > 0, or at a
+    non-finite integrand value; NonConvergenceError if the next round would
+    exceed max_evals evaluations, or if no panel that could lower the
+    estimate can be split.
     """
     if not (a < b):
         raise ValueError("integration bounds must satisfy a < b")
+    if not math.isfinite(float(b) - float(a)):
+        raise ValueError("integration bounds must be finite, with b - a in float range")
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
     a, b, tol = float(a), float(b), float(tol)

@@ -157,6 +157,106 @@ class TestIntegrateAdaptive:
             integrate_adaptive(counted, a, b, tol, max_evals=max_evals)
         assert len(calls) == rounds
 
+    @pytest.mark.parametrize("where", ("at-the-bounds", "beyond-the-bounds"))
+    @pytest.mark.parametrize(
+        "failing", FAILING, ids=("stall", "budget", "non-finite", "non-finite-later")
+    )
+    def test_edges_at_or_beyond_the_bounds_change_no_failure(self, failing, where):
+        f, a, b, tol, max_evals, error, _, _ = failing
+        edges = [a, b] if where == "at-the-bounds" else [a - 1.0, b + 1.0, -math.inf]
+        raised = []
+        for breakpoints in ((), edges):
+            calls = []
+
+            def counted(x):
+                calls.append(x.size)
+                return f(x)
+
+            with pytest.raises(error) as info:
+                integrate_adaptive(
+                    counted, a, b, tol, max_evals=max_evals, breakpoints=breakpoints
+                )
+            raised.append((str(info.value), calls))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize(
+        "a,b,message",
+        (
+            (1.0, 0.0, "must satisfy a < b"),
+            (1.0, 1.0, "must satisfy a < b"),
+            (math.nan, 1.0, "must satisfy a < b"),
+            (0.0, math.nan, "must satisfy a < b"),
+            (-math.inf, 0.0, "must be finite"),
+            (0.0, math.inf, "must be finite"),
+            # finite bounds whose width overflows
+            (-1e308, 1e308, "must be finite"),
+        ),
+    )
+    def test_bounds_are_refused_before_any_call(self, a, b, message):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x * x)
+
+        with pytest.raises(ValueError, match=f"^integration bounds {message}"):
+            integrate_adaptive(f, a, b, 1e-10)
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-8, -math.inf, math.nan))
+    def test_tolerance_is_refused_before_any_call(self, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.cos(x)
+
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            integrate_adaptive(f, 0.0, 1.0, tol)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "dtype,kind",
+        (
+            (np.float32, float),
+            (np.float64, float),
+            (np.complex64, complex),
+            (np.complex128, complex),
+        ),
+        ids=("float32", "float64", "complex64", "complex128"),
+    )
+    def test_value_type_follows_the_integrand(self, dtype, kind):
+        # a real integrand is summed in float64 and a complex one in complex128,
+        # so a narrow one gives the bits of its values widened first
+        def narrow(x):
+            y = np.exp(1j * x) if kind is complex else np.cos(x)
+            return y.astype(dtype)
+
+        def wide(x):
+            return narrow(x).astype(np.complex128 if kind is complex else np.float64)
+
+        res = integrate_adaptive(narrow, 0.0, 2.0, 1e-6)
+        assert type(res.value) is kind
+        assert res == integrate_adaptive(wide, 0.0, 2.0, 1e-6)
+
+    @pytest.mark.parametrize(
+        "breakpoints",
+        (
+            [0.9, 0.5, 0.25],
+            [0.25, 0.5, 0.5, 0.9, 0.25],
+            (0.25, 0.5, 0.9),
+            np.array([0.9, 0.25, 0.5]),
+            [-2.0, 0.0, 0.25, 0.5, 0.9, 1.0, 3.0],
+        ),
+        ids=("reversed", "repeated", "tuple", "array", "with-edges-beyond"),
+    )
+    def test_breakpoints_are_a_set_of_interior_edges(self, breakpoints):
+        # only the set of edges strictly inside (a, b) matters, not their
+        # order, their repeats or their container
+        f = lambda x: np.abs(x - 0.5) + np.abs(x - 0.9) * np.sqrt(np.abs(x - 0.25))
+        res = integrate_adaptive(f, 0.0, 1.0, 1e-10, breakpoints=breakpoints)
+        assert res == integrate_adaptive(f, 0.0, 1.0, 1e-10, breakpoints=[0.25, 0.5, 0.9])
+
     def test_breakpoints_within_the_floor_are_dropped(self):
         # 0.5 + 4e-16 and 0.5 + 8e-16 fall within the bisection floor of 0.5
         # and 1 - 1e-16 within that of b: all three are dropped; 0.5 + 2.2e-15
