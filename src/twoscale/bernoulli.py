@@ -84,7 +84,8 @@ def threshold(n: int) -> float:
     """Contraction cutoff 2^(-1/(n+1)) below which no C^n solution exists."""
     if n < 0:
         raise BadParameterError("smoothness order must be nonnegative")
-    return 2.0 ** (-1.0 / (n + 1))
+    # -1 / (n + 1) divides the integers exactly: a float n + 1 would overflow for huge n
+    return 2.0 ** (-1 / (n + 1))
 
 
 def smoothness_verdict(alpha: float, n: int) -> SmoothnessVerdict:

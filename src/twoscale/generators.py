@@ -12,8 +12,15 @@ the band-limited catalog entries by a closed form, and the other catalog
 entries, sech and log_exp_ratio, in the Fourier domain by fixed-step rules
 whose step and truncation come from a priori error bounds
 (``CatalogGenerator.pair_fixed_rule``).  Sampled generators pair in
-``wavelet_system``.  The time-side windows, kinks and
-``GeneratorSpec.pair_quadrature`` remain only as the tests' reference.
+``wavelet_system``.
+
+The time-side truncation windows (``pair_window`` of ``Gaussian``,
+``TwoSidedExp`` and ``RationalL2``) and ``GeneratorSpec.pair_integrand``
+have no production caller (ROADMAP item 7).  Their users are the tests'
+time-side quadrature reference, ``tests/conftest.py::reference_pairs``, and
+the benchmark's tracer (``benchmark/tracing.py``), which wraps them.  Each
+window is a tuple (lo, hi, tail) of arrays, one entry per pair of points:
+the interval [lo, hi] and a bound on the integral of |product| outside it.
 """
 
 from __future__ import annotations
@@ -101,9 +108,6 @@ class GeneratorSpec:
     """Base class: evaluation and pairing of one generator."""
 
     kind: str = "abstract"
-    # points where the generator is not smooth, in unit coordinates; the
-    # panels of the reference quadrature break there (pair_quadrature)
-    kinks: tuple = ()
     tags: frozenset  # closed under implication (normalize_tags)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -114,47 +118,14 @@ class GeneratorSpec:
 
         The returned function maps nodes x, and the index of each node's
         pair (an array, or one index for all), to the product values there.
+        No production caller: the tests' time-side reference
+        (tests/conftest.py::reference_pairs) and the benchmark's tracer use it.
         """
 
         def integrand(x: np.ndarray, pair: np.ndarray) -> np.ndarray:
             return self(lp[pair] * x - bp[pair]) * np.conj(self(lq[pair] * x - bq[pair]))
 
         return integrand
-
-    def pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
-        """Truncation intervals (lo, hi) plus analytic tail bounds, one per
-        pair of points.  The time-side windows are a test reference with no
-        production caller (ROADMAP item 7), see pair_quadrature."""
-        raise NotImplementedError(
-            f"{self.kind} generator has unbounded support but no tail model"
-        )
-
-    def pair_quadrature(self, lp, bp, lq, bq, tol: float) -> tuple:
-        """What quadrature needs to pair the dilated translates at pairs of points.
-
-        Test reference, no production caller (ROADMAP item 7): every time-side
-        closed form is compared against the quadrature it feeds
-        (wavelet_system._quadrature_pairs).  Returns (integrand, lo, hi, breakpoints, rounding, tail): the pair
-        products, the truncation windows, the panel edges (flat points and
-        the pair of each), and per pair the factor on the integral of
-        |product| and the tail bound that go into the error bound.  In time
-        the rounding of lambda x - beta costs 4 eps (1 + |beta_p| + |beta_q|)
-        times the integral of |product| (not of the product, which may
-        cancel).  The declared kinks are edges, and so are geometric edges
-        around each factor's origin beta / lambda on the scale of the
-        narrower factor.
-        """
-        window = self.pair_window(lp, bp, lq, bq, tol)
-        with np.errstate(all="ignore"):  # overflow to inf, as in scalar arithmetic
-            origins = (bp / lp, bq / lq)
-            kinks = [(k + beta) / lam for k in self.kinks for lam, beta in ((lp, bp), (lq, bq))]
-            rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + np.abs(bp) + np.abs(bq))
-            unit = 1.0 / np.maximum(lp, lq)
-        if not all(np.isfinite(a).all() for a in origins):
-            raise BadParameterError("a point maps the generator's origin out of float range")
-        lo, hi, tail = _checked_window(window, lp, bp, lq, bq)
-        edges = _breakpoints(kinks, origins, unit, lo, hi)
-        return self.pair_integrand(lp, bp, lq, bq), lo, hi, edges, rounding, tail
 
     def pair(self, lp, bp, lq, bq, tol: float) -> tuple:
         """Pairings of the dilated translates at pairs of points (arrays lp,
@@ -243,38 +214,6 @@ def _checked_window(window: tuple, lp, bp, lq, bq) -> tuple:
     return window
 
 
-def _breakpoints(kinks: list, origins: tuple, unit: np.ndarray, lo, hi) -> tuple:
-    """Panel edges of each pair: its kinks, and each origin a with the points
-    a +- unit * 2^k, k >= 0, out to the window.  Test reference, no
-    production caller (ROADMAP item 7), see GeneratorSpec.pair_quadrature.
-
-    Panels then widen geometrically away from each factor's origin, so a
-    product feature of width about ``unit`` cannot hide between the nodes
-    of one panel spanning the whole truncation window.  Returns the points,
-    flat, and the index of each point's pair.
-    """
-    pair = np.arange(unit.size)
-    # math.log2, not np.log2: the step counts are those of the scalar rule
-    log_unit = np.array([math.log2(u) for u in unit.tolist()])
-    points, owners = list(kinks), [pair] * len(kinks)
-    for a in origins:
-        with np.errstate(over="ignore"):
-            reach = np.maximum(a - lo, hi - a)
-        if not np.isfinite(reach).all():
-            raise BadParameterError("a pairing window reaches out of float range")
-        count = np.zeros(unit.size, dtype=np.int64)
-        far = np.flatnonzero(reach > unit)
-        log_reach = np.array([math.log2(r) for r in reach[far].tolist()])
-        count[far] = np.ceil(log_reach - log_unit[far])
-        owner = np.repeat(pair, count)
-        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-        with np.errstate(over="ignore"):
-            steps = unit[owner] * 2.0**k
-            points += [a, a[owner] - steps, a[owner] + steps]
-        owners += [pair, owner, owner]
-    return np.concatenate(points), np.concatenate(owners)
-
-
 def _exp(x: np.ndarray) -> np.ndarray:
     """math.exp of each element: np.exp may differ in the last bit, and the
     tail bounds, which decide the windows, stay those of the scalar rule."""
@@ -342,8 +281,9 @@ class Gaussian(GeneratorSpec):
         return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
-        """Test reference, no production caller (ROADMAP item 7); see
-        GeneratorSpec.pair_window."""
+        """Truncation windows (lo, hi, tail) of the pairs of points, for the
+        tests' time-side quadrature reference; no production caller (see
+        the module docstring)."""
         with np.errstate(all="ignore"):
             rate = lp * lp + lq * lq
             center = (lp * bp + lq * bq) / rate
@@ -367,7 +307,6 @@ class TwoSidedExp(GeneratorSpec):
     """exp(-n |x|) for a positive integer n."""
 
     kind = "two_sided_exp"
-    kinks = (0.0,)
     tags = frozenset(
         {
             "faster_than_polynomial_decay",
@@ -412,8 +351,9 @@ class TwoSidedExp(GeneratorSpec):
         return value, error
 
     def pair_window(self, lp, bp, lq, bq, tol):
-        """Test reference, no production caller (ROADMAP item 7); see
-        GeneratorSpec.pair_window."""
+        """Truncation windows (lo, hi, tail) of the pairs of points, for the
+        tests' time-side quadrature reference; no production caller (see
+        the module docstring)."""
         integrand = self.pair_integrand(lp, bp, lq, bq)
         with np.errstate(all="ignore"):
             lo = np.minimum(bp / lp, bq / lq)
@@ -858,8 +798,9 @@ class RationalL2(GeneratorSpec):
         return 4.0 * lead_num / lead_den, max(u_num, u_den)
 
     def pair_window(self, lp, bp, lq, bq, tol):
-        """Test reference, no production caller (ROADMAP item 7); see
-        GeneratorSpec.pair_window."""
+        """Truncation windows (lo, hi, tail) of the pairs of points, for the
+        tests' time-side quadrature reference; no production caller (see
+        the module docstring)."""
         m, u0 = self._envelope_constants()
         power = self.decay_power
         with np.errstate(all="ignore"):
@@ -964,15 +905,13 @@ class _CatalogEntry:
         self,
         tags: frozenset,
         ft: Callable[[np.ndarray], np.ndarray],
-        ft_support: tuple | None,
-        ft_envelope: tuple | None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
+        ft_envelope: tuple | None = None,  # (K, rate, start): |ft| <= K exp(-rate|g|) beyond start
         time_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         formula: Callable | None = None,  # as GeneratorSpec.pair, without tol
         fixed_rule: Callable | None = None,  # as _sech_rule, for the entries without one
     ):
         self.tags = tags
         self.ft = ft
-        self.ft_support = ft_support
         self.ft_envelope = ft_envelope
         self.time_fn = time_fn
         self.formula = formula
@@ -1327,7 +1266,6 @@ _CATALOG = {
     "log_exp_ratio": _CatalogEntry(
         tags=frozenset({"ft_le_combination", "noncompact_support"}),
         ft=_ft_log_exp_ratio,
-        ft_support=None,
         ft_envelope=(1.0, 0.5, 12.0),
         fixed_rule=_log_exp_ratio_rule,
     ),
@@ -1335,8 +1273,6 @@ _CATALOG = {
     "ft_box": _CatalogEntry(
         tags=frozenset({"ft_compact_support", "noncompact_support"}),
         ft=_ft_box,
-        ft_support=(-0.5, 0.5),
-        ft_envelope=None,
         time_fn=_sinc,
         formula=_box_pairs,
     ),
@@ -1346,8 +1282,6 @@ _CATALOG = {
             {"ft_vanishes_near_zero", "ft_compact_support", "noncompact_support"}
         ),
         ft=_ft_annulus_tent,
-        ft_support=(-2.0, 2.0),
-        ft_envelope=None,
         formula=_annulus_tent_pairs,
     ),
     # sech(pi x) is its own Fourier transform and is monotone on each side
@@ -1363,7 +1297,6 @@ _CATALOG = {
             }
         ),
         ft=_sech,
-        ft_support=None,
         ft_envelope=(2.0, math.pi, 0.0),
         time_fn=_sech,
         fixed_rule=_sech_rule,
@@ -1544,11 +1477,9 @@ class CatalogGenerator(GeneratorSpec):
         )
 
     def ft_pair_window(self, lp, bp, lq, bq, tol: float) -> tuple:
+        """Fourier-side windows (-R, R, tail) of the entries with a fixed-step
+        rule, from the envelope of their transform."""
         with np.errstate(all="ignore"):
-            if self._entry.ft_support is not None:
-                lo, hi = self._entry.ft_support
-                reach = max(abs(lo), abs(hi)) * np.minimum(lp, lq)
-                return -reach, reach, np.zeros(lp.size)
             k, rate, start = self._entry.ft_envelope
             pair_rate = rate * (1.0 / lp + 1.0 / lq)
             prefactor = 2.0 * k * k / (lp * lq)

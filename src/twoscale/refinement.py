@@ -44,7 +44,6 @@ __all__ = [
     "preset",
     "GRID_BUDGET",
     "check_grid_budget",
-    "truncated_product",
 ]
 
 _NORMALIZATION_TOL = 1.0e-10
@@ -70,26 +69,6 @@ def check_grid_budget(points: float, iterations: float = 1, unit: str = "iterati
 def _count(n: float) -> str:
     # integers exactly: they may lie beyond the float range
     return str(n) if isinstance(n, int) else f"{n:.6g}"
-
-
-def truncated_product(depths: np.ndarray, level, dtype=np.float64) -> np.ndarray:
-    """Per-point products of the first depths[i] factors of an infinite product.
-
-    ``level(active)`` is called once per level j = 1, 2, ... up to the
-    deepest point, in order, and returns level j's factors at the points
-    where ``active`` (depths >= j) holds.  Each point's factors are
-    multiplied in one after another, so its value does not depend on the
-    other points.  ``depths`` holds whole numbers as floats; points x the
-    largest depth is checked against GRID_BUDGET before the loop, which also
-    refuses an infinite depth.
-    """
-    max_depth = float(np.max(depths, initial=0.0))
-    check_grid_budget(depths.size, max_depth, "levels")
-    values = np.ones(depths.size, dtype=dtype)
-    for j in range(1, int(max_depth) + 1):
-        active = depths >= j
-        values[active] *= level(active)
-    return values
 
 
 @dataclass(frozen=True)
@@ -421,14 +400,17 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
         bound *= np.abs(values)
         return bound
 
+    max_depth = float(np.max(depths, initial=0.0))
+    check_grid_budget(depths.size, max_depth, "levels")
     scaled = points.copy()
-
-    def level(active):
-        scaled[active] /= lam
-        return folded(scaled[active])
-
     # a real mask gives a real product: its imaginary part is exactly 0
-    values = truncated_product(depths, level, np.float64 if folded.real else np.complex128)
+    values = np.ones(points.size, dtype=np.float64 if folded.real else np.complex128)
+    # level by level, each point's factors multiplied in one after another,
+    # so its value does not depend on the other points
+    for j in range(1, int(max_depth) + 1):
+        active = depths >= j
+        scaled[active] /= lam
+        values[active] *= folded(scaled[active])
     values[~nonzero] = 1.0
     return values, depths, tails
 

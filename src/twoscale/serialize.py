@@ -382,6 +382,8 @@ def load_json(text: str):
         ) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the parser's depth
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 # ------------------------------------------------------------------ reports

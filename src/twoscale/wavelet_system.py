@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadParameterError, BudgetExceededError, DuplicatePointError
 from .generators import _TINY, GeneratorSpec, SampledGenerator, refuse_pairs
+# integrate_adaptive is not called here: benchmark/tracing.py wraps it under this name
 from .numerics import hermitian_eigen, integrate_adaptive
 from .refinement import GRID_BUDGET
 
@@ -360,27 +361,6 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
         error = (rounding[inverse] + moved) / lp + _UNIT_ROUNDOFF * np.abs(value) + _TINY
     values[live], errors[live] = value, error
     return values, errors
-
-
-def _quadrature_pairs(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:
-    """Pairings of an unbounded generator at pairs of points, by adaptive
-    quadrature in time, one entry at a time.
-
-    Test reference, no production caller (ROADMAP item 7): the tests compare
-    every time-side closed form against it.
-    """
-    integrand, lo, hi, (points, owners), rounding, tail = gen.pair_quadrature(
-        lp, bp, lq, bq, tol
-    )
-    values, errors = [], []
-    for k in range(lp.size):
-        result = integrate_adaptive(
-            lambda x, k=k: integrand(x, k), lo[k], hi[k], 0.5 * tol,
-            breakpoints=points[owners == k],
-        )
-        values.append(result.value)
-        errors.append(result.error_estimate + rounding[k] * result.abs_integral + tail[k])
-    return np.array(values), np.array(errors)
 
 
 def _pair(gen: GeneratorSpec, lp, bp, lq, bq, tol: float) -> tuple:

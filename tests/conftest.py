@@ -3,9 +3,12 @@ import math
 import numpy as np
 
 from twoscale import numerics, wavelet_system
-from twoscale.generators import Hat, SampledGenerator
+from twoscale.generators import Hat, SampledGenerator, TwoSidedExp, _checked_window
+from twoscale.numerics import integrate_adaptive
 from twoscale.refinement import SampledFunction
 from twoscale.wavelet_system import WaveletPoint
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def smooth_bump_generator(tags=("schwartz",), count=4097):
@@ -79,3 +82,51 @@ def forbid_adaptive_quadrature(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate_adaptive", forbidden)
     monkeypatch.setattr(wavelet_system, "integrate_adaptive", forbidden)
+
+
+def geometric_edges(origins, unit, lo, hi):
+    """Each origin a with the points a +- unit * 2^k, k >= 0, out to [lo, hi].
+
+    Panels then widen geometrically away from each factor's origin, so a
+    product feature of width about ``unit`` cannot hide between the nodes
+    of one panel spanning the whole truncation window.
+    """
+    edges = []
+    for a in origins:
+        reach = max(a - lo, hi - a)
+        count = math.ceil(math.log2(reach) - math.log2(unit)) if reach > unit else 0
+        steps = unit * 2.0 ** np.arange(count)
+        edges.extend([a, *(a - steps), *(a + steps)])
+    return edges
+
+
+def reference_pairs(gen, lp, bp, lq, bq, tol):
+    """Pairings of a Gaussian, TwoSidedExp or RationalL2 at pairs of points
+    (arrays lp, bp, lq, bq), by adaptive quadrature in time, one entry at a
+    time: (values, error bounds) as arrays.
+
+    The reference for every time-side closed form.  Each entry integrates
+    the product of its two factors (``pair_integrand``) over the
+    generator's truncation window (``pair_window``, an empty or non-finite
+    one refused by ``_checked_window``, naming both points).  Panels break
+    at the kink of exp(-n|x|) under each factor, and at geometric edges
+    around each factor's origin beta / lambda on the scale of the narrower
+    factor.  The bound adds the window's tail and the rounding of
+    lambda x - beta, 4 u (1 + |beta_p| + |beta_q|) for each factor times the
+    integral of |product| (not of the product, which may cancel).
+    """
+    kinks = (0.0,) if isinstance(gen, TwoSidedExp) else ()
+    values, errors = [], []
+    for a, b, c, d in zip(lp.tolist(), bp.tolist(), lq.tolist(), bq.tolist()):
+        one = tuple(np.array([v]) for v in (a, b, c, d))
+        lo, hi, tail = (v.item() for v in _checked_window(gen.pair_window(*one, tol), *one))
+        edges = [(k + beta) / lam for k in kinks for lam, beta in ((a, b), (c, d))]
+        edges += geometric_edges((b / a, d / c), 1.0 / max(a, c), lo, hi)
+        integrand = gen.pair_integrand(*one)
+        result = integrate_adaptive(
+            lambda x: integrand(x, 0), lo, hi, 0.5 * tol, breakpoints=edges
+        )
+        rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(b) + abs(d))
+        values.append(result.value)
+        errors.append(result.error_estimate + rounding * result.abs_integral + tail)
+    return np.array(values), np.array(errors)

@@ -171,6 +171,21 @@ class TestBernoulliCommands:
             "verdict": "RuledOut",
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["bernoulli-threshold"], ["bernoulli-verdict", "--alpha", "0.6"]),
+        ids=("threshold", "verdict"),
+    )
+    def test_huge_order_is_a_result(self, capsys, argv):
+        # n + 1 is past the float range: the exponent -1 / (n + 1) is formed
+        # from the integers, and 2^(-1/(n+1)) rounds to 1
+        n = 10**400
+        code, out, err = run_cli(capsys, *argv, "--n", str(n))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["n"] == n and doc["threshold"] == 1.0
+        assert doc.get("verdict", "RuledOut") == "RuledOut"
+
     def test_fourier_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "bernoulli-fourier", "--alpha", "0.5",
@@ -480,6 +495,24 @@ class TestProcessContract:
         doc = json.loads(err)
         assert doc["error"] == "ParseError"
         assert doc["line"] == 2
+
+    @pytest.mark.parametrize(
+        "command,prefix",
+        (
+            ("analyze", '{"generator": {"kind": "gaussian"}, "points": '),
+            ("refine-solve", '{"lambda": 2, "terms": '),
+        ),
+        ids=("system", "equation"),
+    )
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path, command, prefix):
+        # 1,100 nested lists, past the depth the JSON parser recurses to
+        path = tmp_path / "nested.json"
+        path.write_text(prefix + "[" * 1100 + "]" * 1100 + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ParseError", "message": "invalid JSON: nested too deeply"
+        }
 
     @pytest.mark.parametrize(
         "command,doc,error",

@@ -1,11 +1,11 @@
 """Closed-form pairings of the analytic generators against quadrature and exact formulas.
 
 Every closed form must agree with adaptive quadrature within the sum of the
-two error bounds (in time, one integral per entry; for the catalog entries, the
-folded Fourier-side integral that their quadrature path took before they
-paired in closed form), and with exact references within its own bound
-(plus the reference's rounding), at ordinary, huge and tiny dilations and
-translations.
+two error bounds (in time, one integral per entry, tests/conftest.py::
+reference_pairs; for the catalog entries, the folded Fourier-side integral
+that their quadrature path took before they paired in closed form), and with
+exact references within its own bound (plus the reference's rounding), at
+ordinary, huge and tiny dilations and translations.
 """
 
 import math
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forbid_adaptive_quadrature
-from twoscale import generators, wavelet_system
+from conftest import forbid_adaptive_quadrature, geometric_edges, reference_pairs
+from twoscale import generators
 from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
@@ -62,31 +62,31 @@ def pairs(points):
     return lam[rows], beta[rows], lam[cols], beta[cols]
 
 
-# the kinks of the band-limited transforms, panel edges of the folded integral
+# the kinks of the band-limited transforms on gamma >= 0, panel edges of the
+# folded integral; each transform vanishes past its last kink
 FT_KINKS = {"ft_box": (0.5,), "ft_annulus_tent": (1.0, 1.5, 2.0)}
 
 
 def folded_quadrature(gen, lp, bp, lq, bq, tol):
     """The catalog pairing 2 / (lp lq) int_0^R ft(g / lp) ft(g / lq) cos(omega g) dg
-    by adaptive quadrature: panels break at the kinks of both factors and at
-    geometric edges right of 0 on the narrower factor's scale, and the error
-    covers the tail past R and the rounding of the phase."""
-    _, hi, tail = gen.ft_pair_window(lp, bp, lq, bq, tol)
-    kinks = [k * lam for k in FT_KINKS[gen.catalog_id] for lam in (lp, lq)]
-    zero = np.zeros(lp.size)
-    points, owners = generators._breakpoints(kinks, (zero,), np.minimum(lp, lq), zero, hi)
+    by adaptive quadrature, R the last kink times min(lp, lq): panels break
+    at the kinks of both factors and at geometric edges right of 0 on the
+    narrower factor's scale, and the error covers the rounding of the phase."""
+    kinks = FT_KINKS[gen.catalog_id]
+    hi = max(kinks) * np.minimum(lp, lq)
     integrand = gen.ft_pair_integrand(lp, bp, lq, bq)
     _, shift_rounding = generators._relative_shift(lp, bp, lq, bq)
     omega = 2.0 * math.pi * (bp / lp - bq / lq)
     rounding = (2.0 * math.pi * shift_rounding + 4.0 * U * np.abs(omega)) * hi + 2.0 * U
     values, errors = [], []
     for k in range(lp.size):
+        edges = [c * lam for c in kinks for lam in (lp[k], lq[k])]
+        edges += geometric_edges((0.0,), min(lp[k], lq[k]), 0.0, hi[k])
         result = integrate_adaptive(
-            lambda g, k=k: integrand(g, k), 0.0, hi[k], 0.5 * tol,
-            breakpoints=points[(owners == k) & (points > 0.0)],
+            lambda g, k=k: integrand(g, k), 0.0, hi[k], 0.5 * tol, breakpoints=edges
         )
         values.append(result.value)
-        errors.append(result.error_estimate + rounding[k] * result.abs_integral + tail[k])
+        errors.append(result.error_estimate + rounding[k] * result.abs_integral)
     return np.array(values), np.array(errors)
 
 
@@ -96,7 +96,7 @@ def assert_agree_with_quadrature(gen, points, tol=1e-12):
     if isinstance(gen, CatalogGenerator):
         quad, quad_errors = folded_quadrature(gen, *params, tol)
     else:
-        quad, quad_errors = wavelet_system._quadrature_pairs(gen, *params, tol)
+        quad, quad_errors = reference_pairs(gen, *params, tol)
     assert np.all(np.abs(quad.imag) <= quad_errors)
     miss = np.abs(values - quad.real)
     assert np.all(miss <= errors + quad_errors), (miss, errors, quad_errors)
@@ -136,6 +136,21 @@ FAR_AND_NEAR = (
 @pytest.mark.parametrize("points", FAR_AND_NEAR, ids=("far-beta", "tiny-lambda", "huge-lambda", "spread"))
 @pytest.mark.parametrize("gen", CLOSED_FORM, ids=CLOSED_FORM_IDS)
 def test_closed_forms_agree_with_quadrature_far_out(gen, points):
+    assert_agree_with_quadrature(gen, list(points), tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "gen,points",
+    (
+        # F1: the kink of exp(-|x|) at beta/lambda between the nodes of a panel
+        (TwoSidedExp(1), (P(1.0, -0.9), P(1.5, 0.2))),
+        # F4: products far narrower than the truncation window
+        (RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]), (P(1, 0), P(2, 0))),
+        (RationalL2([1.0], [1.0, 0.0, 1.0]), (P(1000, 3e6), P(1000, 3e6 + 0.5))),
+    ),
+    ids=("F1", "F4-odd", "F4-far"),
+)
+def test_closed_forms_agree_with_quadrature_on_old_failures(gen, points):
     assert_agree_with_quadrature(gen, list(points), tol=1e-10)
 
 

@@ -1,12 +1,10 @@
 """Quadrature and fixed-step pairings of unbounded generators, against references.
 
-gram pairs every generator with a time-domain form in closed form now.
-Adaptive quadrature in time (wavelet_system._quadrature_pairs, one
-integral per entry) stays as the tests' reference for those closed forms.
-It is tested here, bit for bit, against windows, panel edges and error
-terms rebuilt one entry at a time from the point pair alone, on every
-family with a time-domain form; the products of real generators are
-integrated in float64.
+gram pairs every generator with a time-domain form in closed form.
+Adaptive quadrature in time, one integral per entry
+(tests/conftest.py::reference_pairs), is the reference for those closed
+forms (tests/test_closed_form_pairing.py); here it is checked against gram
+on a double pole, and it refuses a window that collapses in rounding.
 
 sech and log_exp_ratio pair by fixed-step rules (CatalogGenerator.pair):
 the trapezoidal rule and the SE-Sinc rule on the real cosine integral
@@ -28,17 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forbid_adaptive_quadrature
-from twoscale import generators, wavelet_system
+from conftest import forbid_adaptive_quadrature, geometric_edges, reference_pairs
+from twoscale import generators
 from twoscale.errors import BadParameterError, BudgetExceededError
-from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
+from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, catalog_ids
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
 from twoscale.wavelet_system import WaveletSystem, gram, inner_product
 
-_UNIT_ROUNDOFF = 2.0**-53
-
-# The windows and pairing as they ran one entry at a time.
+# The Fourier-side windows as they ran one entry at a time.
 
 
 def reference_tail_window(lo, hi, radius, tail, tol):
@@ -48,40 +44,11 @@ def reference_tail_window(lo, hi, radius, tail, tol):
 
 
 def reference_window(gen, p, q, tol):
+    """The Fourier-side window (-R, R, tail) of a catalog generator."""
     lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
-    if isinstance(gen, Gaussian):
-        rate = lp * lp + lq * lq
-        center = (lp * bp + lq * bq) / rate
-        try:
-            cross = (lp * bq - lq * bp) ** 2 / rate
-        except OverflowError:
-            cross = math.inf
-        peak = math.exp(-cross)
-        start = max(1.0, 1.0 / math.sqrt(rate))
-        return reference_tail_window(
-            center, center, start, lambda r: peak * math.exp(-rate * r * r) / (rate * r), tol
-        )
-    if isinstance(gen, TwoSidedExp):
-        lo, hi = sorted((bp / lp, bq / lq))
-        rate = gen.n * (lp + lq)
-
-        def tail(r):
-            x = np.array([lo - r, hi + r])
-            return float(np.sum(np.abs(gen(lp * x - bp) * gen(lq * x - bq)))) / rate
-
-        return reference_tail_window(lo, hi, 1.0, tail, tol)
-    if isinstance(gen, RationalL2):
-        m, u0 = gen._envelope_constants()
-        power = gen.decay_power
-        radius = max(1.0, 2.0 * abs(bp) / lp, 2.0 * abs(bq) / lq, 2.0 * u0 / lp, 2.0 * u0 / lq)
-        prefactor = m * m * (4.0 / (lp * lq)) ** power
-        return reference_tail_window(
-            0.0, 0.0, radius, lambda r: 2.0 * prefactor * r ** (1 - 2 * power) / (2 * power - 1),
-            tol,
-        )
     entry = gen._entry
-    if entry.ft_support is not None:
-        reach = max(abs(entry.ft_support[0]), abs(entry.ft_support[1])) * min(lp, lq)
+    if entry.ft_envelope is None:  # band-limited: the transform vanishes past its last kink
+        reach = max(FT_KINKS[gen.catalog_id]) * min(lp, lq)
         return -reach, reach, 0.0
     k, rate, start = entry.ft_envelope
     pair_rate = rate * (1.0 / lp + 1.0 / lq)
@@ -90,49 +57,6 @@ def reference_window(gen, p, q, tol):
         0.0, 0.0, max(1.0, start * max(lp, lq)),
         lambda r: prefactor * math.exp(-pair_rate * r) / pair_rate, tol,
     )
-
-
-def reference_geometric_edges(origins, unit, lo, hi):
-    edges = []
-    for a in origins:
-        reach = max(a - lo, hi - a)
-        count = math.ceil(math.log2(reach) - math.log2(unit)) if reach > unit else 0
-        steps = unit * 2.0 ** np.arange(count)
-        edges.extend([a, *(a - steps), *(a + steps)])
-    return edges
-
-
-def reference_pair(gen, p, q, tol):
-    """inner_product of an unbounded generator by quadrature in time, one entry at a time."""
-    lp, bp, lq, bq = p.dilation, p.translation, q.dilation, q.translation
-    lo, hi, tail = reference_window(gen, p, q, tol)
-
-    def integrand(x):
-        return gen(lp * x - bp) * np.conj(gen(lq * x - bq))
-
-    edges = [(k + pt.translation) / pt.dilation for k in gen.kinks for pt in (p, q)]
-    edges += reference_geometric_edges((bp / lp, bq / lq), 1.0 / max(lp, lq), lo, hi)
-    rounding = 8.0 * _UNIT_ROUNDOFF * (1.0 + abs(bp) + abs(bq))
-    result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
-    return result.value, result.error_estimate + rounding * result.abs_integral + tail
-
-
-def reference_gram(gen, points, tol):
-    """Matrix, quad_error and the upper triangle's error bounds (row by row)
-    as the entry-by-entry loop filled them."""
-    n = len(points)
-    matrix = np.zeros((n, n), dtype=np.complex128)
-    worst = 0.0
-    errors = []
-    for i in range(n):
-        for j in range(i, n):
-            value, err = reference_pair(gen, points[i], points[j], tol)
-            value = complex(value)  # as inner_product returns it
-            matrix[i, j] = value
-            matrix[j, i] = np.conj(value)
-            worst = max(worst, err)
-            errors.append(err)
-    return matrix, worst, np.array(errors)
 
 
 def triangle_params(points):
@@ -145,12 +69,13 @@ def triangle_params(points):
 
 def quadrature_triangle(gen, points, tol=1e-10):
     """Values and error bounds on the upper triangle, as arrays: by adaptive
-    quadrature in time for a generator with a time-domain form, and for a
-    catalog generator by the Fourier-side pairing that gram uses (a fixed-step
-    rule, or the closed form of a band-limited entry)."""
+    quadrature in time for a generator with a time-domain form
+    (reference_pairs), and for a catalog generator by the Fourier-side
+    pairing that gram uses (a fixed-step rule, or the closed form of a
+    band-limited entry)."""
     if isinstance(gen, CatalogGenerator):
         return gen.pair(*triangle_params(points), tol)
-    return wavelet_system._quadrature_pairs(gen, *triangle_params(points), tol)
+    return reference_pairs(gen, *triangle_params(points), tol)
 
 
 def triangle_matrix(values, n):
@@ -163,67 +88,13 @@ def triangle_matrix(values, n):
     return matrix
 
 
-def assert_same_bits(gen, points, tol=1e-10):
-    matrix, worst, reference_errors = reference_gram(gen, points, tol)
-    values, errors = quadrature_triangle(gen, points, tol)
-    assert triangle_matrix(values, len(points)).tobytes() == matrix.tobytes()
-    assert errors.tobytes() == reference_errors.tobytes()
-    quad_error = np.fmax.reduce(errors, initial=0.0)
-    assert np.float64(quad_error).tobytes() == np.float64(worst).tobytes()
-
-
 # double poles at +-i, which np.roots returns about 1e-8 apart
 DOUBLE_POLE = RationalL2([1.0], [1.0, 0.0, 2.0, 0.0, 1.0])
-GENERATORS = (
-    Gaussian(),
-    TwoSidedExp(1),
-    TwoSidedExp(2),
-    RationalL2([1.0], [1.0, 0.0, 1.0]),
-    RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]),
-    DOUBLE_POLE,
-)
-GENERATOR_IDS = ("gaussian", "exp1", "exp2", "lorentz", "odd", "double-pole")
 FIXED_RULE_IDS = ("sech", "log_exp_ratio")
 DECAY_POINTS_8 = tuple(
     P(*pt)
     for pt in ((1, 0), (2, 1), (3, -1), (1, 1), (2, 0), (2, 3), (4, 2), (0.5, 1))
 )
-
-
-@st.composite
-def systems(draw):
-    gen = draw(st.sampled_from(GENERATORS))
-    count = draw(st.integers(2, 6))
-    dilations = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]) | st.floats(0.25, 4.0)
-    translations = st.integers(-3, 3).map(float) | st.floats(-3.0, 3.0)
-    points = draw(
-        st.lists(st.tuples(dilations, translations), min_size=count, max_size=count, unique=True)
-    )
-    tol = draw(st.sampled_from([1e-10, 1e-8]))
-    return gen, [P(lam, beta) for lam, beta in points], tol
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(case=systems())
-def test_gram_matches_entry_by_entry_bitwise(case):
-    gen, points, tol = case
-    assert_same_bits(gen, points, tol)
-
-
-@pytest.mark.parametrize(
-    "gen,points",
-    (
-        # F1: the kink of exp(-|x|) at beta/lambda between the nodes of a panel
-        (TwoSidedExp(1), (P(1.0, -0.9), P(1.5, 0.2))),
-        # F4: products far narrower than the truncation window
-        (RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]), (P(1, 0), P(2, 0))),
-        (RationalL2([1.0], [1.0, 0.0, 1.0]), (P(1000, 3e6), P(1000, 3e6 + 0.5))),
-        *((gen, DECAY_POINTS_8) for gen in GENERATORS),
-    ),
-    ids=("F1", "F4-odd", "F4-far", *(f"{name}-8" for name in GENERATOR_IDS)),
-)
-def test_fixed_systems_match_bitwise(gen, points):
-    assert_same_bits(gen, list(points))
 
 
 @pytest.mark.parametrize("gen", (DOUBLE_POLE,), ids=("double-pole",))
@@ -410,7 +281,7 @@ def full_line_pair(gen, p, q, tol):
         return scale * ft(g / lp) * np.conj(ft(g / lq)) * np.exp(-2.0j * np.pi * shift * g)
 
     edges = [k * pt.dilation for k in FT_KINKS[gen.catalog_id] for pt in (p, q)]
-    edges += reference_geometric_edges((0.0,), min(lp, lq), lo, hi)
+    edges += geometric_edges((0.0,), min(lp, lq), lo, hi)
     result = integrate_adaptive(integrand, lo, hi, 0.5 * tol, breakpoints=edges)
     return result.value, result.error_estimate + tail, result.evaluations
 
@@ -472,4 +343,4 @@ def test_gaussian_window_collapse_names_both_points():
         quadrature_triangle(Gaussian(), [P(2.47, 1.1), P(3.11, 1e300)])
     pair = (np.array([v]) for v in (2.47, 1.1, 3.11, 1e300))
     with pytest.raises(BadParameterError, match="pairing window"):
-        wavelet_system._quadrature_pairs(Gaussian(), *pair, 1e-10)
+        reference_pairs(Gaussian(), *pair, 1e-10)
