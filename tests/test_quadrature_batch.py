@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from conftest import forbid_adaptive_quadrature, geometric_edges, reference_pairs
 from twoscale import generators
 from twoscale.errors import BadParameterError, BudgetExceededError
-from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, catalog_ids
+from twoscale.generators import CatalogGenerator, Gaussian, RationalL2, TwoSidedExp, catalog_ids
 from twoscale.numerics import integrate_adaptive
 from twoscale.wavelet_system import WaveletPoint as P
 from twoscale.wavelet_system import WaveletSystem, gram, inner_product
@@ -105,6 +105,30 @@ def test_gram_agrees_with_quadrature(gen):
     rows, cols = np.triu_indices(len(points))
     miss = np.abs(report.matrix[rows, cols] - values)
     assert np.all(miss <= report.quad_error + errors)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    (
+        Gaussian(),
+        TwoSidedExp(1),
+        TwoSidedExp(2),
+        RationalL2([1.0], [1.0, 0.0, 1.0]),
+        RationalL2([0.0, 1.0], [1.0, 0.0, 1.0]),
+        DOUBLE_POLE,
+    ),
+    ids=("gaussian", "exp1", "exp2", "lorentz", "odd", "double-pole"),
+)
+def test_gram_agrees_with_quadrature_on_decay_8(gen):
+    # every entry of the whole 8-point system, the reference running on each
+    # family with a time-domain form
+    points = list(DECAY_POINTS_8)
+    values, errors = quadrature_triangle(gen, points)
+    report = gram(WaveletSystem(gen, points))
+    rows, cols = np.triu_indices(len(points))
+    assert np.all(np.abs(values.imag) <= errors)
+    miss = np.abs(report.matrix[rows, cols] - values)
+    assert np.all(miss <= report.quad_error + errors), (miss, report.quad_error, errors)
 
 
 def half_step_entries(gen, points, tol=1e-10):
