@@ -818,13 +818,29 @@ class RationalL2(GeneratorSpec):
             return _tail_window(zero, zero, radius, tail, tol)
 
 
+def _exact_differences(a: np.ndarray) -> tuple:
+    """a[1:] - a[:-1], and where it is exact: the residual of Knuth's TwoSum
+    is 0 (never where the difference overflows, whose residual is NaN)."""
+    d = a[1:] - a[:-1]
+    z = d - a[1:]
+    residual = (a[1:] - (d - z)) + (-a[:-1] - z)
+    return d, residual == 0.0
+
+
 class SampledGenerator(GeneratorSpec):
     """Linearly interpolated samples on a finite support.
 
     Pairs exactly: the product of two dilated translates of a linear
-    interpolant is piecewise quadratic between the merged sample knots.
-    ``tags`` declares properties of the function the samples stand for;
-    the Gram matrix is that of the interpolant.
+    interpolant is piecewise quadratic between the merged knots where
+    either factor may bend.  ``breaks`` holds the sorted grid indices of
+    those knots: both grid ends, and every interior node but those where
+    the two knot differences are exact and equal and so are the two value
+    differences, so that both slopes there are exactly equal and removing
+    the node leaves the interpolant unchanged (exact knot removal; Lyche
+    and Morken, IMA J. Numer. Anal. 8, 1988).  A node with an inexact or
+    overflowing difference stays a break.  ``tags`` declares properties of
+    the function the samples stand for; the Gram matrix is that of the
+    interpolant.
     """
 
     kind = "sampled"
@@ -859,6 +875,12 @@ class SampledGenerator(GeneratorSpec):
         # paired, since their squares overflow
         with np.errstate(over="ignore"):
             self.lipschitz = float(np.max(np.abs(np.diff(self.values)))) / sampled.step
+        straight = np.ones(self.values.size - 2, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in (self.grid, self.values):
+                d, exact = _exact_differences(a)
+                straight &= exact[:-1] & exact[1:] & (d[:-1] == d[1:])
+        self.breaks = np.concatenate(([0], np.flatnonzero(~straight) + 1, [self.values.size - 1]))
         self.tags = normalize_tags({"compact_support", *tags})
 
     def __call__(self, x):

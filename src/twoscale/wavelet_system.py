@@ -167,20 +167,23 @@ def _segment_fsums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _candidate_knots(gen: SampledGenerator, r, s, lo, hi) -> tuple:
-    """First index and count of the candidate knots of each window, in two rows.
+    """First position in gen.breaks and count of the candidate knots of each
+    window, in two rows.
 
-    Row 0 holds the grid knots t_k of the factor phi(y), row 1 the knots
-    (t_k + s) / r of phi(r y - s).  The candidates are the grid indices
-    between the clipped preimages of the window ends: every knot strictly
-    inside the window, and a few on or past its ends, which _pair_block
-    clips onto those ends.
+    Row 0 holds the break knots t_k of the factor phi(y), row 1 the knots
+    (t_k + s) / r of phi(r y - s).  The grid indices between the clipped
+    preimages of the window ends are widened to the break at or below the
+    first and the break at or above the last, and the candidates are the
+    breaks in that range: every break knot strictly inside the window, and
+    a few on or past its ends, which _pair_block clips onto those ends.
     """
     start, step = gen.sampled.start, gen.sampled.step
     last = gen.values.size - 1
     # the preimages of lo and hi under each factor's argument y and r y - s
     index = np.clip((np.stack([lo, r * lo - s, hi, r * hi - s]) - start) / step, 0, last)
-    first = np.floor(index[:2]).astype(np.int64)
-    return first, np.ceil(index[2:]).astype(np.int64) - first + 1
+    # breaks holds both grid ends, so both searches land inside it
+    first = np.searchsorted(gen.breaks, np.floor(index[:2]), side="right") - 1
+    return first, np.searchsorted(gen.breaks, np.ceil(index[2:])) - first + 1
 
 
 def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
@@ -188,7 +191,10 @@ def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
     and the number of Simpson pieces.
 
     Rows 0 and 1 of first and count hold the candidate knots of phi(y) and
-    of phi(r y - s) (see _candidate_knots).
+    of phi(r y - s) as positions in gen.breaks (see _candidate_knots); the
+    knots are gen.grid[gen.breaks[k]].  Both factors are evaluated by
+    np.interp on the full grid, so a grid node left out of breaks bends
+    neither of them.
     """
     m = lo.size
     # merged knots tagged (key index, position): complex numbers sort
@@ -209,9 +215,9 @@ def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
     k = np.arange(inner - m) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
     x = tagged.imag[m:inner]
     own = int(counts[:m].sum())
-    x[:own] = gen.grid[k[:own]]
-    np.add(gen.grid[k[own:]], np.repeat(s, count[1]), out=x[own:])
-    np.divide(x[own:], np.repeat(r, count[1]), out=x[own:])
+    x[:] = gen.grid[gen.breaks[k]]
+    x[own:] += np.repeat(s, count[1])
+    x[own:] /= np.repeat(r, count[1])
     np.maximum(x, np.repeat(np.tile(lo, 2), counts), out=x)
     np.minimum(x, np.repeat(np.tile(hi, 2), counts), out=x)
     tagged.sort(kind="stable")
@@ -262,14 +268,18 @@ def _sampled_pairs(gen: SampledGenerator, lp, bp, lq, bq) -> tuple:
     entries with overlapping supports are keyed by (r, s), and J is formed
     once per distinct key (one np.unique), in blocks of at most _KNOT_BLOCK
     merged knots.  Between consecutive knots of the merged set
-    {t_i} U {(t_i + s) / r} the product is quadratic, so Simpson's rule on
-    each piece is exact, and J is the correctly rounded sum (math.fsum) of
-    its pieces.  Every entry is, bit for bit, what pairing its own key
-    alone and dividing by lambda_p gives.
+    {t_i} U {(t_i + s) / r}, t_i over the break nodes gen.grid[gen.breaks]
+    (where the interpolant may bend), the product is quadratic, so
+    Simpson's rule on each piece is exact, and J is the correctly rounded
+    sum (math.fsum) of its pieces.  Every entry is, bit for bit, what
+    pairing its own key alone and dividing by lambda_p gives.
 
     The error bound charges J's rounding by the one-pair formula at the
     points (1, 0) and (r, s): value rounding, and the slope times the
-    rounding of the argument r y - s and of the knots and midpoints.  It
+    rounding of the argument r y - s and of the knots and midpoints.  The
+    factors are evaluated by np.interp on the full grid whatever the knots,
+    so each of these terms holds on any knot set that holds the breaks, and
+    fewer pieces only lower the underflow charge.  It
     adds the rounding of r and s, which moves r y - s by at most
     drift = reach dr + ds on the window and each window end by at most
     drift / r (slope times drift over the window, peak^2 times drift / r at

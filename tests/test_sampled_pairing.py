@@ -1,7 +1,9 @@
 """The whole-Gram sampled pairing against the entry-by-entry reference, bit for bit."""
 
+import functools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,8 +31,23 @@ def normalized(p, q):
     return p.dilation, p.translation, r, shift, q.translation - shift
 
 
-def window_knots(gen, lp, bp, lq, bq):
-    """Merged knots of phi(lp x - bp) phi(lq x - bq), or None for disjoint supports."""
+@functools.lru_cache(maxsize=None)
+def oracle_breaks(gen):
+    """Grid indices where the interpolant bends, in exact rational arithmetic: both
+    ends, and every interior node whose neighbours' slopes differ."""
+    t = [Fraction(x) for x in gen.grid.tolist()]
+    v = [Fraction(x) for x in gen.values.tolist()]
+    bends = [
+        k
+        for k in range(1, len(t) - 1)
+        if (v[k] - v[k - 1]) * (t[k + 1] - t[k]) != (v[k + 1] - v[k]) * (t[k] - t[k - 1])
+    ]
+    return np.array([0, *bends, len(t) - 1])
+
+
+def window_knots(gen, lp, bp, lq, bq, nodes):
+    """Merged knots of phi(lp x - bp) phi(lq x - bq) at the grid indices nodes (sorted,
+    both grid ends included), or None for disjoint supports."""
     s_lo, s_hi = gen.time_support()
     lo = max((s_lo + bp) / lp, (s_lo + bq) / lq)
     hi = min((s_hi + bp) / lp, (s_hi + bq) / lq)
@@ -40,24 +57,29 @@ def window_knots(gen, lp, bp, lq, bq):
     last = gen.values.size - 1
     knots = [np.array([lo, hi])]
     for lam, beta in ((lp, bp), (lq, bq)):
-        # only the grid indices whose knots can fall inside the window
+        # only the nodes whose knots can fall inside the window
         first, stop = np.clip((np.array([lam * lo, lam * hi]) - beta - start) / step, 0, last)
-        x = (start + step * np.arange(math.floor(first), math.ceil(stop) + 1) + beta) / lam
+        k = nodes[(nodes >= math.floor(first)) & (nodes <= math.ceil(stop))]
+        x = (start + step * k + beta) / lam
         knots.append(x[(x > lo) & (x < hi)])
     return np.unique(np.concatenate(knots))
 
 
-def reference_knots(gen, p, q):
+def reference_knots(gen, p, q, nodes=None):
     """Merged knots in y of the normalized pair phi(y) phi(r y - s), or None (one pair
-    at a time)."""
+    at a time), at the grid indices nodes: by default the oracle's breaks."""
     _, _, r, _, s = normalized(p, q)
-    return window_knots(gen, 1.0, 0.0, r, s)
+    return window_knots(gen, 1.0, 0.0, r, s, oracle_breaks(gen) if nodes is None else nodes)
 
 
-def reference_pair(gen, p, q):
+def reference_pair(gen, p, q, nodes=None):
     """Exact pairing of two dilated translates of a linear interpolant, one pair at a time:
-    J(r, s) = int phi(y) phi(r y - s) dy on the normalized pair's knots, over lambda_p."""
-    xs = reference_knots(gen, p, q)
+    J(r, s) = int phi(y) phi(r y - s) dy on the normalized pair's knots, over lambda_p.
+
+    The knots come from the grid indices nodes, by default the oracle's breaks, which
+    is what gram pairs on bit for bit.  Any superset of the breaks gives the same
+    integral up to rounding, and a bound that holds as it stands."""
+    xs = reference_knots(gen, p, q, nodes)
     if xs is None:
         return 0.0 + 0.0j, 0.0
     s_lo, s_hi = gen.time_support()
@@ -91,6 +113,11 @@ def reference_pair(gen, p, q):
     return complex(value, 0.0), error
 
 
+def grid_reference_pair(gen, p, q):
+    """reference_pair on every grid node, the knots of the pairing before breaks."""
+    return reference_pair(gen, p, q, np.arange(gen.values.size))
+
+
 def reference_gram(gen, points):
     """Matrix and quad_error as the entry-by-entry loop filled them."""
     n = len(points)
@@ -106,6 +133,8 @@ def reference_gram(gen, points):
 
 
 def assert_same_bits(gen, points):
+    # the reference pairs on the exact breaks, gram on its own
+    assert gen.breaks.tobytes() == oracle_breaks(gen).tobytes()
     matrix, worst = reference_gram(gen, points)
     if not np.linalg.eigvalsh(matrix).max() > 0.0:
         with pytest.raises(ValueError, match="no positive spectrum"):
@@ -205,6 +234,78 @@ COLLAPSED_KEY = [P(1.0, 0.0), P(2.0**50, 2.0**50 * 1.0e-11)]
 )
 def test_fixed_cases_match_reference_bitwise(gen, points):
     assert_same_bits(gen, points)
+
+
+def exactly_straight(gen, a, b):
+    """Whether every grid node between a and b lies on the chord from node a to node b."""
+    t = [Fraction(x) for x in gen.grid[a : b + 1].tolist()]
+    v = [Fraction(x) for x in gen.values[a : b + 1].tolist()]
+    rise, run = v[-1] - v[0], t[-1] - t[0]
+    return all((v[k] - v[0]) * run == rise * (t[k] - t[0]) for k in range(len(t)))
+
+
+@pytest.mark.parametrize(
+    "gen,breaks",
+    [
+        pytest.param(RefinementGenerator(preset("hat"), 2.0**-10), 43, id="hat-cascade"),
+        pytest.param(RefinementGenerator(preset("rham"), 2.0**-8), 513, id="rham"),
+        pytest.param(Hat(), 3, id="hat"),
+        # 0.1 k is not exactly uniform: the exact breaks are both ends, the
+        # corner at node 20 and 16 bends by an ulp of the ramp's slope; 15
+        # straight nodes stay breaks, their differences inexact or unequal
+        pytest.param(
+            sampled(np.concatenate([np.zeros(20), np.arange(30.0)]), start=0.3, step=0.1),
+            34,
+            id="step-0.1",
+        ),
+        # differences past the float range: no warning, every node a break
+        pytest.param(sampled([0.0, 1.5e308, -1.5e308, 0.0]), 4, id="huge"),
+        pytest.param(
+            sampled([-1.5e308, -1.5e308, 0.0, 1.5e308, 1.5e308]), 4, id="huge-straight"
+        ),
+    ],
+)
+def test_breaks_hold_every_bend_and_skip_only_straight_nodes(gen, breaks):
+    got = gen.breaks
+    assert got[0] == 0 and got[-1] == gen.values.size - 1 and (np.diff(got) > 0).all()
+    assert got.size == breaks
+    # every node whose slopes differ is a break
+    assert set(oracle_breaks(gen).tolist()) <= set(got.tolist())
+    # between consecutive breaks the interpolant is one straight piece
+    assert all(exactly_straight(gen, a, b) for a, b in zip(got[:-1], got[1:]) if b > a + 1)
+
+
+@st.composite
+def straight_runs(draw):
+    """Dyadic samples of a piecewise-linear function with straight runs, and points."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(-8, 8)), min_size=1, max_size=8))
+    runs[0] = (max(runs[0][0], 2), runs[0][1])  # one straight node at least
+    scale = 2.0 ** -draw(st.integers(0, 6))
+    increments = np.repeat([c * scale for _, c in runs], [n for n, _ in runs])
+    values = np.concatenate([[0.0], np.cumsum(increments)])
+    start = 0.25 * draw(st.integers(-8, 8))
+    gen = sampled(values, start, 2.0 ** draw(st.integers(-6, 1)))
+    s_lo, s_hi = gen.time_support()
+    anchor = draw(st.floats(s_lo, s_hi))
+    points = {}
+    for _ in range(draw(st.integers(1, 4))):
+        lam = 2.0 ** draw(st.floats(-2.0, 2.0))
+        beta = lam * anchor - draw(st.floats(s_lo, s_hi))
+        points[(lam, beta)] = P(lam, beta)
+    return gen, list(points.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=straight_runs())
+def test_break_knots_agree_with_every_grid_knot(case):
+    gen, points = case
+    assert gen.breaks.size < gen.values.size
+    for i, p in enumerate(points):
+        for q in points[i:]:
+            value, error = reference_pair(gen, p, q)
+            grid_value, grid_error = grid_reference_pair(gen, p, q)
+            assert abs(value - grid_value) <= error + grid_error
+            assert inner_product(gen, p, q) == (value, error)
 
 
 def test_window_few_ulps_wide_is_live():
@@ -333,7 +434,7 @@ def test_candidates_past_the_window_ends_reach_interp_once(monkeypatch):
         COLLAPSED_ENDS, np.array([r]), np.array([s]), xs[:1], xs[-1:]
     )
     a, n = first[1, 0], count[1, 0]
-    x = (COLLAPSED_ENDS.grid[a : a + n] + s) / r
+    x = (COLLAPSED_ENDS.grid[COLLAPSED_ENDS.breaks[a : a + n]] + s) / r
     # long runs of candidates of phi(r y - s) on or past both ends of the window
     assert (x <= xs[0]).sum() > 50 and (x >= xs[-1]).sum() > 50
     calls = []
