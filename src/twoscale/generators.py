@@ -6,13 +6,13 @@ parameters has exactly the tags proved for it, derived from those parameters.
 Only ``SampledGenerator`` takes declared tags: its samples stand for a
 function the program does not know, whose properties they cannot decide.
 
-Every kind but the sampled ones pairs its dilated translates through its
-own ``pair``: the Gaussian, the two-sided exponentials, every rational and
-the band-limited catalog entries by a closed form, and the other catalog
-entries, sech and log_exp_ratio, in the Fourier domain by fixed-step rules
-whose step and truncation come from a priori error bounds
-(``CatalogGenerator.pair_fixed_rule``).  Sampled generators pair in
-``wavelet_system``.
+Every kind pairs its dilated translates through its own ``pair``: the
+sampled ones exactly on the merged break knots of their interpolant, the
+Gaussian, the two-sided exponentials, every rational and the band-limited
+catalog entries by a closed form, and the other catalog entries, sech and
+log_exp_ratio, in the Fourier domain by fixed-step rules whose step and
+truncation come from a priori error bounds
+(``CatalogGenerator.pair_fixed_rule``).
 
 The time-side truncation windows (``pair_window`` of ``Gaussian``,
 ``TwoSidedExp`` and ``RationalL2``) and ``GeneratorSpec.pair_integrand``
@@ -135,7 +135,8 @@ class GeneratorSpec:
         formed in relative coordinates: they depend on the translations only
         through the shift d = bp / lp - bq / lq (see _relative_shift), and
         their bounds cover the rounding of every step, the rounding of d
-        included, whatever tol asks.  The fixed-step rules keep their
+        included, whatever tol asks; so do the exact pairings of sampled
+        generators (SampledGenerator.pair).  The fixed-step rules keep their
         discretization and truncation errors within tol / 2.
         """
         raise NotImplementedError(f"{self.kind} generator has no pairing of its own")
@@ -152,6 +153,17 @@ def refuse_pairs(ok, lp, bp, lq, bq, what, error=BadParameterError) -> None:
         raise error(
             f"points ({lp[k]:g}, {bp[k]:g}) and ({lq[k]:g}, {bq[k]:g}) {detail}"
         )
+
+
+def _blocks(sizes: np.ndarray, cap: int):
+    """Slices that cut consecutive items into blocks whose sizes sum to at
+    most cap; an item larger than cap forms a block of its own."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < ends.size:
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + cap, side="right")))
+        yield slice(a, b)
+        a = b
 
 
 def _relative_shift(lp, bp, lq, bq) -> tuple:
@@ -388,9 +400,10 @@ def _poly_eval(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
 # that every modulus stays above it and a result that underflows costs no
 # more than u times its bound
 _FLOOR = 2.0**-1000
-# Entries per block of a rational pairing, divided by the square of the
-# number of poles: a block holds a few arrays of 8 poles^2 complex numbers
-# per entry
+# A rational pairing runs in blocks of at most this many entries times the
+# square of the number of poles (an entry alone forms a block when that
+# square exceeds it): a block holds a few arrays of 8 poles^2 complex
+# numbers per entry
 _NODE_ENTRIES = 2**16
 
 
@@ -595,7 +608,6 @@ class RationalL2(GeneratorSpec):
         self._depth_up = 4.0 * depth * (1.0 + 16.0 * u) / im_low
         self._rounding = (24 * depth + 2 * self._newton.size + 6 * n + 24) * u
         self._rounding += self._tau * depth * (1.0 + 16.0 * u)
-        self._block = max(1, _NODE_ENTRIES // n**2)
         # the diagonal entry that _backward_bound needs is paired with neither
         # the backward term nor the Cauchy-Schwarz cap
         self._backward, self._norm_square = 0.0, math.inf
@@ -781,11 +793,9 @@ class RationalL2(GeneratorSpec):
         |value| + t^2 / sqrt(lp lq), since Cauchy-Schwarz bounds every entry
         by ||R||^2 / sqrt(lp lq)."""
         d, dd = _relative_shift(lp, bp, lq, bq)
-        block = self._block
         values, errors = np.empty(lp.size), np.empty(lp.size)
         with np.errstate(all="ignore"):
-            for s in range(0, lp.size, block):
-                part = slice(s, s + block)
+            for part in _blocks(np.full(lp.size, self._poles.size**2), _NODE_ENTRIES):
                 values[part], errors[part] = self._newton_sums(lp[part], lq[part], d[part], dd[part])
         return values, errors
 
@@ -827,20 +837,154 @@ def _exact_differences(a: np.ndarray) -> tuple:
     return d, residual == 0.0
 
 
+# Sampled pairings run in blocks of at most this many candidate knots,
+# window ends included (a pair with more forms a block of its own), so the
+# temporaries of one pass stay bounded however many points the system has.
+_KNOT_BLOCK = 2**13
+# exact splitting passes before the per-entry fsum; for segments of a few
+# thousand pieces, three leave no remainder on pieces within a factor of
+# about 2^60 of the segment's largest
+_EXTRACTIONS = 3
+
+
+def _segment_fsums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment pieces[starts[s]:starts[s + 1]], with fewer addends.
+
+    Each pass splits every piece into a multiple of eps * sigma, where the
+    power of two sigma is at least (n + 2) times the segment's largest piece,
+    and an exact remainder.  The n multiples then add up exactly in any
+    order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008, ExtractVector),
+    so a segment reaches fsum as its pass sums plus the few nonzero
+    remainders: the same exact total, hence the same correctly rounded sum
+    (fsum skips zeros of either sign).  Blocks with a non-finite piece go to
+    fsum as they are.
+    """
+    rest = pieces.copy()
+    count = np.diff(np.append(starts, pieces.size))
+    heads = []
+    if np.isfinite(pieces).all():
+        headroom = np.ceil(np.log2(count + 2.0)).astype(np.int64)
+        for _ in range(_EXTRACTIONS):
+            if not rest.any():
+                break
+            exponent = np.frexp(np.maximum.reduceat(np.abs(rest), starts))[1] + headroom
+            # sigma must be finite and the grid eps * sigma a float
+            usable = (exponent >= -1021) & (exponent <= 1023)
+            sigma = np.repeat(np.ldexp(1.0, np.where(usable, exponent, 0)), count)
+            part = np.where(np.repeat(usable, count), (sigma + rest) - sigma, 0.0)
+            rest -= part
+            heads.append(np.add.reduceat(part, starts))
+    heads = np.array(heads).T.tolist() if heads else [[] for _ in starts]
+    kept = np.flatnonzero(rest)
+    tails = rest[kept].tolist()
+    bounds = np.searchsorted(kept, np.append(starts, pieces.size)).tolist()
+    return np.array([math.fsum(h + tails[i:j]) for h, i, j in zip(heads, bounds, bounds[1:])])
+
+
+def _candidate_knots(gen: SampledGenerator, r, s, lo, hi) -> tuple:
+    """First position in gen.breaks and count of the candidate knots of each
+    window, in two rows.
+
+    Row 0 holds the break knots t_k of the factor phi(y), row 1 the knots
+    (t_k + s) / r of phi(r y - s).  The grid indices between the clipped
+    preimages of the window ends are widened to the break at or below the
+    first and the break at or above the last, and the candidates are the
+    breaks in that range: every break knot strictly inside the window, and
+    a few on or past its ends, which _pair_block clips onto those ends.
+    """
+    start, step = gen.sampled.start, gen.sampled.step
+    last = gen.values.size - 1
+    # the preimages of lo and hi under each factor's argument y and r y - s
+    index = np.clip((np.stack([lo, r * lo - s, hi, r * hi - s]) - start) / step, 0, last)
+    # breaks holds both grid ends, so both searches land inside it
+    first = np.searchsorted(gen.breaks, np.floor(index[:2]), side="right") - 1
+    return first, np.searchsorted(gen.breaks, np.ceil(index[2:])) - first + 1
+
+
+def _pair_block(gen: SampledGenerator, r, s, lo, hi, first, count) -> tuple:
+    """J(r, s) on [lo, hi] for one block of distinct keys, |product| at lo plus at hi,
+    and the number of Simpson pieces.
+
+    Rows 0 and 1 of first and count hold the candidate knots of phi(y) and
+    of phi(r y - s) as positions in gen.breaks (see _candidate_knots); the
+    knots are gen.grid[gen.breaks[k]].  Both factors are evaluated by
+    np.interp on the full grid, so a grid node left out of breaks bends
+    neither of them.
+    """
+    m = lo.size
+    # merged knots tagged (key index, position): complex numbers sort
+    # lexicographically, and the four runs below (window starts, candidate knots
+    # of phi(y), of phi(r y - s), window ends) are each sorted already, so a
+    # stable (run-merging) sort puts every key's knots in order at once
+    inner = m + int(count.sum())
+    tagged = np.empty(inner + m, dtype=np.complex128)
+    ids = np.arange(m)
+    tagged.real[:m] = tagged.real[inner:] = ids
+    tagged.imag[:m] = lo
+    tagged.imag[inner:] = hi
+    # the candidate knots, key by key, t_k then (t_k + s) / r, clipped into
+    # the window: one on or past an end becomes that end and is dropped
+    # below as a repeat of the end's tag
+    counts = count.ravel()
+    tagged.real[m:inner] = np.repeat(np.tile(ids, 2), counts)
+    k = np.arange(inner - m) + np.repeat(first.ravel() - (np.cumsum(counts) - counts), counts)
+    x = tagged.imag[m:inner]
+    own = int(counts[:m].sum())
+    x[:] = gen.grid[gen.breaks[k]]
+    x[own:] += np.repeat(s, count[1])
+    x[own:] /= np.repeat(r, count[1])
+    np.maximum(x, np.repeat(np.tile(lo, 2), counts), out=x)
+    np.minimum(x, np.repeat(np.tile(hi, 2), counts), out=x)
+    tagged.sort(kind="stable")
+    repeated = np.flatnonzero(tagged[1:] == tagged[:-1]) + 1
+    knots = 2 + count.sum(axis=0) - np.bincount(tagged.real[repeated].astype(np.intp), minlength=m)
+    ys = np.delete(tagged.imag, repeated)
+    # pieces between consecutive knots; the piece that would straddle two
+    # keys is made empty (its right end moved onto its left end) and left
+    # out of the sums
+    first = np.cumsum(knots) - knots
+    last = first + knots - 1
+    left = ys[:-1]
+    width = ys[1:].copy()
+    width[last[:-1]] = left[last[:-1]]
+    mid = left + width
+    mid *= 0.5
+    width -= left
+    at = [np.repeat(v, knots) for v in (r, s)]
+
+    def product(y: np.ndarray, r, s) -> np.ndarray:
+        # y lies inside both supports up to rounding, so np.interp clamps to
+        # the end samples instead of dropping to zero just past a grid end
+        g = np.interp(y, gen.grid, gen.values)
+        u = r * y
+        u -= s
+        g *= np.interp(u, gen.grid, gen.values)
+        return g
+
+    g_knot = product(ys, *at)
+    g = product(mid, *(v[:-1] for v in at))
+    # Simpson: width / 6 * (g(left) + 4 g(mid) + g(right)), in that order
+    g *= 4.0
+    g += g_knot[:-1]
+    g += g_knot[1:]
+    width /= 6.0
+    width *= g
+    width[last[:-1]] = 0.0
+    return _segment_fsums(width, first), np.abs(g_knot[first]) + np.abs(g_knot[last]), knots - 1
+
+
 class SampledGenerator(GeneratorSpec):
     """Linearly interpolated samples on a finite support.
 
-    Pairs exactly: the product of two dilated translates of a linear
-    interpolant is piecewise quadratic between the merged knots where
-    either factor may bend.  ``breaks`` holds the sorted grid indices of
-    those knots: both grid ends, and every interior node but those where
-    the two knot differences are exact and equal and so are the two value
-    differences, so that both slopes there are exactly equal and removing
-    the node leaves the interpolant unchanged (exact knot removal; Lyche
-    and Morken, IMA J. Numer. Anal. 8, 1988).  A node with an inexact or
-    overflowing difference stays a break.  ``tags`` declares properties of
-    the function the samples stand for; the Gram matrix is that of the
-    interpolant.
+    ``breaks`` holds the sorted grid indices of the knots where the
+    interpolant may bend, which pair merges: both grid ends, and every
+    interior node but those where the two knot differences are exact and
+    equal and so are the two value differences, so that both slopes there
+    are exactly equal and removing the node leaves the interpolant unchanged
+    (exact knot removal; Lyche and Morken, IMA J. Numer. Anal. 8, 1988).  A
+    node with an inexact or overflowing difference stays a break.  ``tags``
+    declares properties of the function the samples stand for; the Gram
+    matrix is that of the interpolant.
     """
 
     kind = "sampled"
@@ -890,6 +1034,113 @@ class SampledGenerator(GeneratorSpec):
     def time_support(self) -> tuple:
         """Closed support interval, clipped to the sample grid."""
         return self._support
+
+    def pair(self, lp, bp, lq, bq, tol):
+        """Exact pairings on merged knots; as for the closed forms, tol is unused.
+
+        Each entry is (1/lambda_p) J(r, s), J(r, s) = int phi(y) phi(r y - s) dy,
+        with p the point of smaller dilation (of the two of equal dilation, the
+        one of smaller translation), r = lambda_q / lambda_p >= 1 and
+        s = beta_q - r beta_p: the substitution y = lambda_p x - beta_p.  The
+        entries with overlapping supports are keyed by (r, s), and J is formed
+        once per distinct key (one np.unique), in blocks of at most _KNOT_BLOCK
+        merged knots.  Between consecutive knots of the merged set
+        {t_i} U {(t_i + s) / r}, t_i over the break nodes grid[breaks], the
+        product is quadratic, so Simpson's rule on each piece is exact, and J
+        is the correctly rounded sum (math.fsum) of its pieces.  Every entry
+        is, bit for bit, what pairing its own key alone and dividing by
+        lambda_p gives.
+
+        The error bound charges J's rounding by the one-pair formula at the
+        points (1, 0) and (r, s): value rounding, and the slope times the
+        rounding of the argument r y - s and of the knots and midpoints.  The
+        factors are evaluated by np.interp on the full grid whatever the knots,
+        so each of these terms holds on any knot set that holds the breaks, and
+        fewer pieces only lower the underflow charge.  It
+        adds the rounding of r and s, which moves r y - s by at most
+        drift = reach dr + ds on the window and each window end by at most
+        drift / r (slope times drift over the window, peak^2 times drift / r at
+        the two ends; dr = 0 and r beta_p is exact when the dilations are a
+        power of two apart), underflow, at _TINY per Simpson piece and per unit
+        of window width, and the rounding of the division by lambda_p.
+        Returns (values, error bounds) as float arrays, 0 for disjoint pairs.
+        A pair whose key, windows or products leave the float range is a
+        BadParameterError naming both points, in the caller's order.
+        """
+        s_lo, s_hi = self.time_support()
+        with np.errstate(over="ignore"):
+            for lam, beta in ((lp, bp), (lq, bq)):
+                # an element whose support in x reaches 2^1023 is out of float range
+                far = np.maximum(np.abs(s_lo + beta), np.abs(s_hi + beta)) / lam
+                bad = np.flatnonzero(~(far < 2.0**1023))
+                if bad.size:
+                    raise BadParameterError(
+                        f"point ({lam[bad[0]]:g}, {beta[bad[0]]:g}) maps the support out of float range"
+                    )
+        caller = (lp, bp, lq, bq)
+        swap = (lq < lp) | ((lq == lp) & (bq < bp))
+        lp, lq = np.where(swap, lq, lp), np.where(swap, lp, lq)
+        bp, bq = np.where(swap, bq, bp), np.where(swap, bp, bq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = lq / lp
+            shift = r * bp
+            s = bq - shift
+            lo_q, hi_q = (s_lo + s) / r, (s_hi + s) / r
+        refuse_pairs(
+            np.isfinite(lo_q) & np.isfinite(hi_q), *caller,
+            "normalize to a key r = lambda_q / lambda_p, s = beta_q - r beta_p out of float range",
+        )
+        # the window in y, with Python's max and min: the first argument wins ties
+        lo = np.where(lo_q > s_lo, lo_q, s_lo)
+        hi = np.where(hi_q < s_hi, hi_q, s_hi)
+        values, errors = np.zeros((2, lo.size))
+        live = np.flatnonzero(hi > lo)
+        lp, bp, lq, bq, r, shift, s, lo, hi = (v[live] for v in (lp, bp, lq, bq, r, shift, s, lo, hi))
+        key = np.empty(live.size, dtype=np.complex128)
+        key.real, key.imag = r, s
+        _, first_of, inverse = np.unique(key, return_index=True, return_inverse=True)
+        kr, ks, klo, khi = r[first_of], s[first_of], lo[first_of], hi[first_of]
+        # every product, Simpson sum, piece and partial sum of J is at most
+        # 6 peak^2 (hi - lo) in size
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = 6.0 * self.peak * self.peak * (khi - klo)
+        refuse_pairs(
+            np.isfinite(size)[inverse], *(v[live] for v in caller),
+            "overlap where products of the sampled values leave the float range",
+        )
+        first, count = _candidate_knots(self, kr, ks, klo, khi)
+        pairing, end_values, pieces = np.empty((3, kr.size))
+        for b in _blocks(2 + count.sum(axis=0), _KNOT_BLOCK):
+            pairing[b], end_values[b], pieces[b] = _pair_block(
+                self, kr[b], ks[b], klo[b], khi[b], first[:, b], count[:, b]
+            )
+        reach = np.maximum(np.abs(klo), np.abs(khi))
+        radius = max(abs(s_lo), abs(s_hi))
+        # |r - r*| and |s - s*| against the exact key; r and r beta_p are exact
+        # when the dilations differ by a power of two (equal mantissas)
+        exact = np.frexp(lp)[0] == np.frexp(lq)[0]
+        dr = np.where(exact, 0.0, _UNIT_ROUNDOFF * r)
+        ds = np.where(exact, 0.0, _UNIT_ROUNDOFF * np.abs(shift) + dr * np.abs(bp))
+        ds += _UNIT_ROUNDOFF * np.abs(s)
+        # a bound past the float range is refused with its entry (_pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (1 + r) reach first: r overflows 3 (1 + r) only where reach is tiny
+            slope_term = self.lipschitz * (3.0 * ((1.0 + kr) * reach) + 2.0 * radius)
+            edges = 2.0 * reach * end_values
+            rounding = _UNIT_ROUNDOFF * (
+                (khi - klo) * self.peak * (16.0 * self.peak + slope_term) + edges + np.abs(pairing)
+            )
+            # a subnormal product or piece rounds by up to 2^-1075, which costs
+            # a piece of width w at most (w + 1) 2^-1075, a quarter of the charge
+            rounding += _TINY * (pieces + (khi - klo))
+            # on the window r y - s moves by at most drift = reach dr + ds, and
+            # each of its two ends by at most drift / r
+            drift = reach[inverse] * dr + ds
+            moved = drift * self.peak * (self.lipschitz * (hi - lo) + 2.0 * self.peak / r)
+            value = pairing[inverse] / lp
+            error = (rounding[inverse] + moved) / lp + _UNIT_ROUNDOFF * np.abs(value) + _TINY
+        values[live], errors[live] = value, error
+        return values, errors
 
 
 class Hat(SampledGenerator):
@@ -1102,10 +1353,12 @@ _WIDTH_FRACTIONS = 1.0 - 2.0 ** -np.arange(1.0, 9.0)
 # a pair whose fixed-step rule needs more nodes than this is refused
 NODE_BUDGET = 10**6
 # The fixed-step rules sum each entry's nodes in runs of at most this many,
-# and evaluate the runs in blocks of at most this many nodes, which bounds
-# their temporaries however many nodes an entry needs
+# evaluate the runs in blocks of at most this many nodes, and are set up for
+# this many entries at a time, which bounds their temporaries however many
+# nodes an entry needs and however many entries a batch has
 _SUM_RUN = 2**10
 _NODE_BLOCK = 2**14
+_RULE_ENTRIES = 2**12
 _LN2 = math.log(2.0)
 # digamma and trigamma at 1, 2 and 3
 _PSI = np.array([0.0, 1.0, 1.5]) - 0.5772156649015329
@@ -1362,22 +1615,29 @@ class CatalogGenerator(GeneratorSpec):
     def pair(self, lp, bp, lq, bq, tol):
         """The entry's closed form, or else its fixed-step rule (pair_fixed_rule).
 
-        The rule's nodes of all entries form one flat grid, cut into runs of
-        at most _SUM_RUN consecutive nodes of one entry, and the runs go
-        through the folded products in blocks of at most _NODE_BLOCK nodes
-        (a longer run forms a block of its own).  Each run is summed alone
-        (np.add.reduceat, whose sum of a run depends only on the run), and
-        each entry is the math.fsum of its runs' sums.  So an entry depends
-        neither on the blocks nor on the other entries of the batch.  The
-        error bound is the rule's discretization and truncation bound plus
-        its rounding factor times the sum of |terms|, summed the same way,
-        with (_SUM_RUN + 1) u more for the sums: a run's plain sum is off by
-        at most (_SUM_RUN - 1) u times the sum of its moduli, to first
-        order, and fsum by u times the entry.  A non-finite term is a
-        BadParameterError naming both points.
+        The rule is set up for _RULE_ENTRIES entries at a time, and their
+        nodes form one flat grid, cut into runs of at most _SUM_RUN
+        consecutive nodes of one entry; the runs go through the folded
+        products in blocks of at most _NODE_BLOCK nodes (a longer run forms a
+        block of its own).  Each run is summed alone (np.add.reduceat, whose
+        sum of a run depends only on the run), and each entry is the
+        math.fsum of its runs' sums.  So an entry depends neither on the
+        blocks nor on the other entries of the batch.  The error bound is the
+        rule's discretization and truncation bound plus its rounding factor
+        times the sum of |terms|, summed the same way, with (_SUM_RUN + 1) u
+        more for the sums: a run's plain sum is off by at most (_SUM_RUN - 1)
+        u times the sum of its moduli, to first order, and fsum by u times
+        the entry.  A non-finite term is a BadParameterError naming both points.
         """
         if self._entry.formula is not None:
             return self._entry.formula(lp, bp, lq, bq)
+        values, errors = np.empty(lp.size), np.empty(lp.size)
+        for e in _blocks(np.ones(lp.size, dtype=np.int64), _RULE_ENTRIES):
+            values[e], errors[e] = self._rule_pairs(lp[e], bp[e], lq[e], bq[e], tol)
+        return values, errors
+
+    def _rule_pairs(self, lp, bp, lq, bq, tol) -> tuple:
+        """The fixed-step rule's pairings of one block of entries (see pair)."""
         integrand, h, first, count, exponential, bound, rounding = self.pair_fixed_rule(
             lp, bp, lq, bq, tol
         )
@@ -1386,17 +1646,12 @@ class CatalogGenerator(GeneratorSpec):
         offset = (np.arange(entry.size) - np.repeat(np.cumsum(runs) - runs, runs)) * _SUM_RUN
         run_first = first[entry] + offset
         run_count = np.minimum(count[entry] - offset, _SUM_RUN)
-        run_end = np.cumsum(run_count)
-        sums = np.empty(entry.size)
-        moduli = np.empty(entry.size)
-        a = 0
-        while a < entry.size:
-            cap = (run_end[a - 1] if a else 0) + _NODE_BLOCK
-            b = max(a + 1, int(np.searchsorted(run_end, cap, side="right")))
-            size = run_count[a:b]
+        sums, moduli = np.empty((2, entry.size))
+        for b in _blocks(run_count, _NODE_BLOCK):
+            size = run_count[b]
             local = np.cumsum(size) - size
-            pair = np.repeat(entry[a:b], size)
-            k = np.arange(int(local[-1] + size[-1])) + np.repeat(run_first[a:b] - local, size)
+            pair = np.repeat(entry[b], size)
+            k = np.arange(int(local[-1] + size[-1])) + np.repeat(run_first[b] - local, size)
             weight = h[pair]
             nodes = k * weight
             if exponential:
@@ -1408,9 +1663,8 @@ class CatalogGenerator(GeneratorSpec):
             finite = np.ones(lp.size, dtype=bool)
             finite[pair[~np.isfinite(terms)]] = False
             refuse_pairs(finite, lp, bp, lq, bq, "give a non-finite term of the fixed-step rule")
-            sums[a:b] = np.add.reduceat(terms, local)
-            moduli[a:b] = np.add.reduceat(np.abs(terms), local)
-            a = b
+            sums[b] = np.add.reduceat(terms, local)
+            moduli[b] = np.add.reduceat(np.abs(terms), local)
         cuts = np.append(0, np.cumsum(runs)).tolist()
         sums, moduli = sums.tolist(), moduli.tolist()
         values = np.array([math.fsum(sums[i:j]) for i, j in zip(cuts, cuts[1:])])

@@ -268,6 +268,19 @@ def test_every_rational_pairs_in_closed_form(monkeypatch, rational):
     assert_agree_with_quadrature(gen, list(DECAY_POINTS_8))
 
 
+@pytest.mark.parametrize("entries", (1, 3, 7), ids=("alone", "3-per-block", "7-per-block"))
+@pytest.mark.parametrize("rational", (RATIONALS[3], TRIPLE), ids=("mixed", "triple"))
+def test_rational_blocks_leave_bits_unchanged(monkeypatch, rational, entries):
+    # a block holds _NODE_ENTRIES / poles^2 entries, and at least one
+    gen, points = RationalL2(*rational), list(DECAY_POINTS_8)
+    rows, cols = np.triu_indices(len(points))
+    alone = [inner_product(gen, points[i], points[j]) for i, j in zip(rows, cols)]
+    monkeypatch.setattr(generators, "_NODE_ENTRIES", entries * gen._poles.size**2)
+    report = gram(WaveletSystem(gen, points))
+    assert report.matrix[rows, cols].real.tobytes() == np.array([v.real for v, _ in alone]).tobytes()
+    assert report.quad_error == max(error for _, error in alone)
+
+
 def test_closed_form_bound_does_not_depend_on_tol():
     points = [P(1, 0), P(1, 0.1), P(1, 0.2), P(1.1, 0), P(2, 0), P(2, 0.3)]
     gen = RationalL2([1.0], [1.0, 0.0, 0.0, 0.0, 1.0])

@@ -215,17 +215,38 @@ def test_lower_truncation_starts_near_its_halving_count(dilations, tol):
     assert log_lower.tobytes() == reference[1].tobytes()
 
 
-@pytest.mark.parametrize("block", (1, 7, 10**6))
+@pytest.mark.parametrize(
+    "limit,block",
+    (("_NODE_BLOCK", 1), ("_NODE_BLOCK", 7), ("_NODE_BLOCK", 10**6),
+     ("_RULE_ENTRIES", 1), ("_RULE_ENTRIES", 5)),
+    ids=("1", "7", "1000000", "entries-1", "entries-5"),
+)
 @pytest.mark.parametrize("catalog_id", FIXED_RULE_IDS)
-def test_fixed_rule_node_blocks_leave_bits_unchanged(monkeypatch, catalog_id, block):
+def test_fixed_rule_node_blocks_leave_bits_unchanged(monkeypatch, catalog_id, limit, block):
     gen, points = CatalogGenerator(catalog_id), list(DECAY_POINTS_8)
     rows, cols = np.triu_indices(len(points))
     alone = [inner_product(gen, points[i], points[j]) for i, j in zip(rows, cols)]
-    monkeypatch.setattr(generators, "_NODE_BLOCK", block)
+    monkeypatch.setattr(generators, limit, block)
     report = gram(WaveletSystem(gen, points))
     values = [value for value, _ in alone]
     assert report.matrix.tobytes() == triangle_matrix(values, len(points)).tobytes()
     assert report.quad_error == max(error for _, error in alone)
+
+
+def test_fixed_rule_set_up_memory_stays_bounded_in_the_entries():
+    # 200 points, 20,100 entries: the rule set up for all entries at once
+    # held about 0.85 kB an entry and peaked at 18 MiB here
+    rng = np.random.default_rng(0)
+    dilations, translations = rng.choice([1.0, 2.0, 4.0], 200), rng.uniform(-3.0, 3.0, 200)
+    points = dict.fromkeys(zip(dilations.tolist(), translations.tolist()))
+    system = WaveletSystem(CatalogGenerator("log_exp_ratio"), [P(*p) for p in points])
+    tracemalloc.start()
+    try:
+        gram(system, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @st.composite

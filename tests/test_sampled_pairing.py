@@ -10,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoscale import wavelet_system
 from twoscale.errors import BadParameterError
-from twoscale.generators import Hat, RefinementGenerator, SampledGenerator
+from twoscale.generators import (
+    Hat,
+    RefinementGenerator,
+    SampledGenerator,
+    _candidate_knots,
+    _segment_fsums,
+)
 from twoscale.refinement import SampledFunction, preset
 from twoscale.wavelet_system import WaveletPoint as P
 from twoscale.wavelet_system import WaveletSystem, gram, inner_product
@@ -96,7 +101,7 @@ def reference_pair(gen, p, q, nodes=None):
     # the one-pair rounding bound at the points (1, 0) and (r, s)
     reach = max(abs(lo), abs(hi))
     radius = max(abs(s_lo), abs(s_hi))
-    slope_term = gen.lipschitz * (3.0 * (1.0 + r) * reach + 2.0 * radius)
+    slope_term = gen.lipschitz * (3.0 * ((1.0 + r) * reach) + 2.0 * radius)
     edges = 2.0 * reach * float(abs(g_knot[0]) + abs(g_knot[-1]))
     rounding = _UNIT_ROUNDOFF * (
         (hi - lo) * gen.peak * (16.0 * gen.peak + slope_term) + edges + abs(pairing)
@@ -358,7 +363,7 @@ def distinct_keys(gen, points):
 def test_blocks_leave_bits_unchanged(monkeypatch, block, gen, points):
     expected = gram(WaveletSystem(gen, points))
     distinct = len(distinct_keys(gen, points))
-    monkeypatch.setattr(wavelet_system, "_KNOT_BLOCK", block)
+    monkeypatch.setattr("twoscale.generators._KNOT_BLOCK", block)
     calls = []
     interp = np.interp
     monkeypatch.setattr(np, "interp", lambda x, *a: calls.append(x.size) or interp(x, *a))
@@ -430,7 +435,7 @@ def test_candidates_past_the_window_ends_reach_interp_once(monkeypatch):
     xs = reference_knots(COLLAPSED_ENDS, p, q)
     expected = reference_pair(COLLAPSED_ENDS, p, q)
     _, _, r, _, s = normalized(p, q)
-    first, count = wavelet_system._candidate_knots(
+    first, count = _candidate_knots(
         COLLAPSED_ENDS, np.array([r]), np.array([s]), xs[:1], xs[-1:]
     )
     a, n = first[1, 0], count[1, 0]
@@ -474,7 +479,7 @@ def test_segment_fsums_match_fsum_bitwise(segs):
     pieces = np.concatenate(segs)
     starts = np.cumsum([0] + [v.size for v in segs[:-1]])
     expected = [math.fsum(v.tolist()) for v in segs]
-    got = wavelet_system._segment_fsums(pieces, starts)
+    got = _segment_fsums(pieces, starts)
     assert np.array(expected).tobytes() == got.tobytes()
 
 
@@ -482,13 +487,13 @@ def test_segment_fsums_round_the_exact_total():
     # 1 + 2^-53 + 2^-106 lies just above a tie: each pass keeps one term, and
     # only a correctly rounded sum of the pass sums rounds up
     pieces = np.array([1.0, 2.0**-53, 2.0**-106])
-    assert wavelet_system._segment_fsums(pieces, np.array([0]))[0] == 1.0 + 2.0**-52
+    assert _segment_fsums(pieces, np.array([0]))[0] == 1.0 + 2.0**-52
 
 
 def test_segment_fsums_pass_zeros_and_non_finite_pieces_through():
     pieces = np.array([-0.0, -0.0, 1.0, -1.0, 0.5, math.inf, 1.0])
-    assert wavelet_system._segment_fsums(pieces[:4], np.array([0, 2])).tolist() == [0.0, 0.0]
-    got = wavelet_system._segment_fsums(pieces, np.array([0, 2, 5]))
+    assert _segment_fsums(pieces[:4], np.array([0, 2])).tolist() == [0.0, 0.0]
+    got = _segment_fsums(pieces, np.array([0, 2, 5]))
     assert got.tolist() == [0.0, 0.5, math.inf]
 
 
@@ -507,3 +512,15 @@ def test_refusals_name_the_points_in_the_callers_order(gen, p, q, what):
     named = f"points ({p.dilation:g}, {p.translation:g}) and ({q.dilation:g}, {q.translation:g})"
     with pytest.raises(BadParameterError, match=f"^{re.escape(named)} {what}"):
         inner_product(gen, p, q)
+
+
+@pytest.mark.parametrize("dilation", (6e307, 1e308, 1.7e308))
+def test_bound_of_a_factor_near_the_float_maximum_is_finite_and_covers_the_entry(dilation):
+    # r = dilation: 3 (1 + r) overflows, but (1 + r) times the window's
+    # reach, 2 / r, is about 2
+    exact = 1 / Fraction(dilation) ** 2  # int x phi(d x) dx = d^-2 int t phi(t) dt
+    for p, q in ((P(dilation, 0), P(1, 0)), (P(1, 0), P(dilation, 0))):
+        value, error = inner_product(Hat(), p, q)
+        assert (value, error) == reference_pair(Hat(), p, q)
+        assert math.isfinite(error) and value.imag == 0.0
+        assert abs(Fraction(value.real) - exact) <= Fraction(error)

@@ -1,9 +1,11 @@
 """Gram matrices, numeric verdicts and the certificate engine."""
 
+import ast
 import bisect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from twoscale.errors import BadParameterError, DuplicatePointError
 from twoscale.generators import (
     CatalogGenerator,
     Gaussian,
+    GeneratorSpec,
     Hat,
     RationalL2,
     RefinementGenerator,
@@ -711,13 +714,30 @@ def test_tol_that_is_not_positive_is_refused_before_any_pairing(monkeypatch, gen
     def forbidden(*args, **kwargs):
         raise AssertionError("a pairing ran")
 
-    monkeypatch.setattr(wavelet_system, "_sampled_pairs", forbidden)
     monkeypatch.setattr(type(gen), "pair", forbidden)
     message = f"^tol must be a positive number, not {tol!r}$"
     with pytest.raises(BadParameterError, match=message):
         gram(WaveletSystem(gen, [P(1, 0), P(2, 1)]), tol)
     with pytest.raises(BadParameterError, match=message):
         inner_product(gen, P(1, 0), P(2, 1), tol)
+
+
+def test_gram_layer_reads_nothing_of_the_sampled_format():
+    # every kind pairs through its own pair: wavelet_system imports no
+    # private name and no SampledGenerator from generators, and reads none
+    # of a sampled generator's own data
+    tree = ast.parse(Path(wavelet_system.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "generators"
+        for alias in node.names
+    ]
+    assert imported and not [n for n in imported if n.startswith("_") or n == "SampledGenerator"]
+    own = set(vars(Hat())) - set(GeneratorSpec.__annotations__)
+    assert {"breaks", "grid", "values", "peak", "lipschitz", "sampled"} <= own
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not own & read
 
 
 SPIKE = SampledGenerator(
