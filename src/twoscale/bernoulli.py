@@ -27,9 +27,14 @@ __all__ = [
     "density",
 ]
 
-# sign bits summed into the sorted tail; the rest are prefix bits
+# sign bits summed into the tail (2^20 sums); the rest are prefix bits
 _TAIL_BITS = 20
-# largest number of (prefix, edge) searches made at once
+# sign bits of one sorted piece of the tail: at most 2^16 sums (512 KiB).
+# density(0.6, 24, 256) with 2^15/2^16/2^17 sums a piece/one 2^20 tail took
+# 11.2/9.6/8.7/9.9 ms and peaked at 0.5/1.0/2.0/8.1 MiB under tracemalloc
+# (medians of 25 alternating calls, Xeon, 2 cores)
+_PIECE_BITS = 16
+# largest number of (prefix, edge) searches of one piece made at once
 _CHUNK = 2**_TAIL_BITS
 
 
@@ -115,14 +120,17 @@ def fourier(model: BernoulliModel, gamma, tol: float):
     return float(values[0]) if g.ndim == 0 else values.reshape(g.shape)
 
 
-def _sign_sums(alpha: float, exponents: range) -> np.ndarray:
-    """All 2^len(exponents) values of sum_j (+-1) alpha^j, ordered by sign bits.
+def _sign_sums(alpha: float, exponents: range, start: float = 0.0) -> np.ndarray:
+    """All 2^len(exponents) values of start + sum_j (+-1) alpha^j, ordered by sign bits.
 
     Formed in place in one array: after the sums over the first k exponents
     fill sums[:n], n = 2^k, the next term makes sums[n:2n] = sums[:n] + term
-    and then sums[:n] -= term.
+    and then sums[:n] -= term.  So a start that is itself such a sum over
+    leading exponents continues it: each value is the same float the sums
+    over all the exponents hold at that sign pattern.
     """
-    sums = np.zeros(2 ** len(exponents))
+    sums = np.empty(2 ** len(exponents))
+    sums[0] = start
     n = 1
     for j in exponents:
         term = alpha**j
@@ -130,6 +138,17 @@ def _sign_sums(alpha: float, exponents: range) -> np.ndarray:
         sums[:n] -= term
         n *= 2
     return sums
+
+
+def _split_bits(tail_bits: int, searches: int) -> int:
+    """Leading tail exponents whose sign patterns cut the tail into pieces.
+
+    Each piece holds at most 2^_PIECE_BITS sums and takes ``searches``
+    searches, so the tail is cut only while all the pieces together make no
+    more searches than the tail has sums; otherwise it stays one piece.
+    """
+    split = max(0, tail_bits - _PIECE_BITS)
+    return split if searches << split <= 1 << tail_bits else 0
 
 
 def _prefix_offsets(terms: list, start: int, stop: int) -> np.ndarray:
@@ -175,13 +194,21 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
     """Exact counts of the depth-truncated sign series, binned.
 
     Each of the 2^depth sign patterns has weight 2^-depth, so the masses are
-    exact dyadic rationals.  The deepest 20 terms are summed into a sorted
-    tail once; every atom is fl(o + t) for a prefix offset o over the other
+    exact dyadic rationals.  The deepest min(depth, 20) terms are summed into
+    a tail; every atom is fl(o + t) for a prefix offset o over the other
     terms and a tail sum t, and the atoms of one prefix below each edge are
-    counted by a search of the tail, with the comparisons np.histogram would
-    make.  That is 2^(depth - 20) prefixes x (bins + 1) edges searches,
-    which must fit the grid budget, or BudgetExceededError is raised before
-    anything is allocated.
+    counted by a search of the sorted tail, with the comparisons
+    np.histogram would make.  That is 2^(depth - 20) prefixes x (bins + 1)
+    edges searches, which must fit the grid budget, or BudgetExceededError
+    is raised before anything is allocated.
+
+    A tail of more than 2^16 sums is formed, sorted and searched in
+    2^(tail bits - 16) pieces of 2^16 sums (512 KiB each, at most two held
+    at once), one per sign pattern of its leading exponents, while the
+    pieces together make no more searches than the tail has sums.  Past
+    that (say 2^16 bins at depth 20, or 256 bins at depth 33) it is one
+    piece of up to 2^20 sums (8 MiB).  Each tail sum is the same float
+    either way, so the counts are too.
     """
     if depth < 1:
         raise BadParameterError("depth must be positive")
@@ -200,9 +227,10 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
     targets = edges.copy()
     targets[-1] = np.nextafter(targets[-1], np.inf)
 
-    # sums over the deepest tail_bits exponents, reused for every prefix
-    tail = _sign_sums(alpha, range(prefix_bits + 1, depth + 1))
-    tail.sort()
+    # sums over the deepest tail_bits exponents, reused for every prefix, in
+    # pieces: one per sign pattern (head) of the leading split exponents
+    exponents = range(prefix_bits + 1, depth + 1)
+    split = _split_bits(tail_bits, prefixes * targets.size)
     terms = [alpha**j for j in range(1, prefix_bits + 1)]
 
     # below[k]: atoms under edge k (at or under the last one); np.histogram's
@@ -210,11 +238,14 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
     below = np.zeros(bins + 1, dtype=np.int64)
     rows = max(1, _CHUNK // targets.size)
     cols = min(targets.size, _CHUNK)
-    for start in range(0, prefixes, rows):
-        offsets = _prefix_offsets(terms, start, min(start + rows, prefixes))[:, None]
-        for left in range(0, targets.size, cols):
-            block = targets[None, left : left + cols]
-            below[left : left + cols] += _count_below(tail, offsets, block).sum(axis=0)
+    for head in _sign_sums(alpha, exponents[:split]):
+        tail = _sign_sums(alpha, exponents[split:], head)
+        tail.sort()
+        for start in range(0, prefixes, rows):
+            offsets = _prefix_offsets(terms, start, min(start + rows, prefixes))[:, None]
+            for left in range(0, targets.size, cols):
+                block = targets[None, left : left + cols]
+                below[left : left + cols] += _count_below(tail, offsets, block).sum(axis=0)
     counts = np.diff(below)
 
     weight = 2.0 ** (-depth)

@@ -82,6 +82,9 @@ _TINY = 2.0**-1073
 _EXCLUSIONS = (
     ("compact_support", "noncompact_support"),
     ("compact_support", "ft_compact_support"),
+    # Paley-Wiener: a compactly supported L2 function has an entire Fourier
+    # transform, so one that vanishes on (-eps, eps) vanishes everywhere
+    ("compact_support", "ft_vanishes_near_zero"),
 )
 
 

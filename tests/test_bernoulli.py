@@ -6,14 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twoscale import bernoulli
 from twoscale.bernoulli import (
     BernoulliModel,
     SmoothnessVerdict,
     _count_below,
     _sign_sums,
+    _split_bits,
     density,
     fourier,
     smoothness_verdict,
@@ -154,9 +156,9 @@ class TestFourier:
             fourier(BernoulliModel(0.5), 1e308, 1e-8)
 
 
-def concatenated_sign_sums(alpha, exponents):
+def concatenated_sign_sums(alpha, exponents, start=0.0):
     """_sign_sums as a new array per exponent: [sums - term, sums + term]."""
-    sums = np.zeros(1)
+    sums = np.array([start])
     for j in exponents:
         term = alpha**j
         sums = np.concatenate([sums - term, sums + term])
@@ -172,16 +174,66 @@ class TestDensity:
     def test_sign_sums_in_place_match_concatenation(self, alpha, exponents):
         expected = concatenated_sign_sums(alpha, exponents)
         assert _sign_sums(alpha, exponents).tobytes() == expected.tobytes()
+        for start in (0.1, -0.6**5 + 0.6**6 - 0.6**7, 2.0**-60, -3.0):
+            expected = concatenated_sign_sums(alpha, exponents, start)
+            assert _sign_sums(alpha, exponents, start).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha,split", ((0.6, 4), (0.5, 3), (1 / 3, 1)))
+    def test_sign_sums_continue_from_a_head(self, alpha, split):
+        # the piece of head h holds the whole sums' values at sign patterns h mod 2^split
+        exponents = range(5, 20)
+        whole = _sign_sums(alpha, exponents)
+        for h, head in enumerate(_sign_sums(alpha, exponents[:split])):
+            piece = _sign_sums(alpha, exponents[split:], head)
+            assert piece.tobytes() == whole[h :: 2**split].tobytes()
 
     def test_density_peak_memory(self):
-        # the 2^20 tail sums in one array (8 MiB) and little else
+        # two 2^16-sum pieces of the tail (512 KiB each) and little else
         tracemalloc.start()
         try:
             density(BernoulliModel(0.6), 24, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2**20
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "depth,bins,split",
+        (
+            (16, 1, 0),
+            (17, 1, 1),
+            (20, 256, 4),
+            (24, 256, 4),
+            (26, 1023, 4),
+            (26, 1024, 0),
+            (26, 1500, 0),
+            (20, 2**20 + 7, 0),
+            (33, 256, 0),
+        ),
+    )
+    def test_split_bits(self, depth, bins, split):
+        tail_bits = min(depth, 20)
+        assert _split_bits(tail_bits, 2 ** (depth - tail_bits) * (bins + 1)) == split
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.one_of(st.sampled_from([0.6, 0.5, 2.0**-0.5, 1 / 3]), st.floats(0.01, 0.99)),
+        depth=st.integers(17, 26),
+        bins=st.integers(1, 700),
+    )
+    @example(alpha=0.6, depth=17, bins=1)
+    @example(alpha=0.5, depth=26, bins=700)
+    @example(alpha=2.0**-0.5, depth=20, bins=256)
+    @example(alpha=1 / 3, depth=24, bins=12)
+    # many bins: the split stays off (test_split_bits)
+    @example(alpha=0.6, depth=26, bins=1500)
+    def test_pieces_match_one_tail(self, alpha, depth, bins):
+        pieces = density(BernoulliModel(alpha), depth, bins)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bernoulli, "_PIECE_BITS", 20)
+            whole = density(BernoulliModel(alpha), depth, bins)
+        assert pieces.masses.tobytes() == whole.masses.tobytes()
+        assert pieces.bin_edges.tobytes() == whole.bin_edges.tobytes()
 
     def test_single_flip(self):
         hist = density(BernoulliModel(0.3), 1, 2)

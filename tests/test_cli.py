@@ -14,7 +14,7 @@ import pytest
 
 from twoscale import cli
 from twoscale import serialize as ser
-from twoscale.generators import Gaussian, Hat, TwoSidedExp
+from twoscale.generators import Gaussian, Hat, SampledGenerator, TwoSidedExp
 from twoscale.refinement import cascade_solve, preset
 from twoscale.wavelet_system import WaveletPoint, WaveletSystem
 
@@ -255,6 +255,23 @@ class TestSystemCommands:
         target = target / np.linalg.norm(target)
         null = null.real / np.linalg.norm(null.real)
         assert min(np.max(np.abs(null - target)), np.max(np.abs(null + target))) <= 1e-6
+
+    def test_sampled_hat_declared_ft_vanishes_near_zero_is_refused(self, capsys, tmp_path):
+        # hat(x) = hat(2x) / 2 + hat(2x - 1) + hat(2x - 2) / 2: the samples are dependent,
+        # and a compactly supported transform vanishing near 0 would make them 0
+        points = [WaveletPoint(1, 0), WaveletPoint(2, 0), WaveletPoint(2, 1), WaveletPoint(2, 2)]
+        doc = ser.system_to_dict(WaveletSystem(SampledGenerator(Hat().sampled), points))
+        doc["generator"]["tags"] = ["ft_vanishes_near_zero"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InconsistentTagsError"
+        assert "'compact_support'" in error["message"] and "'ft_vanishes_near_zero'" in error["message"]
+        path = write_system(tmp_path, "hat.json", WaveletSystem(Hat(), points))
+        code, out, _ = run_cli(capsys, "analyze", "--input", path)
+        assert code == 0 and json.loads(out)["outcome"] == "Dependent"
 
     @pytest.mark.parametrize(
         "generator,points,untagged",

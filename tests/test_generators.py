@@ -37,6 +37,20 @@ class TestTags:
             normalize_tags({"compact_support", "noncompact_support"})
         with pytest.raises(InconsistentTagsError):
             normalize_tags({"compact_support", "ft_compact_support"})
+        with pytest.raises(InconsistentTagsError):
+            normalize_tags({"compact_support", "ft_vanishes_near_zero"})
+
+    def test_sampled_generator_refuses_ft_vanishes_near_zero(self):
+        # a compactly supported function whose transform vanishes near 0 is 0
+        with pytest.raises(InconsistentTagsError, match="ft_vanishes_near_zero"):
+            SampledGenerator(Hat().sampled, ["ft_vanishes_near_zero"])
+
+    @pytest.mark.parametrize(
+        "tags",
+        (["schwartz", "ft_abs_ultimately_decreasing_both_sides"], ["ft_le_combination"], ["smooth_all_derivs_L1"]),
+    )
+    def test_sampled_generator_keeps_tags_no_proof_excludes(self, tags):
+        assert set(tags) < SampledGenerator(Hat().sampled, tags).tags
 
     def test_unknown_tag(self):
         with pytest.raises(InconsistentTagsError):
