@@ -34,6 +34,14 @@ _TAIL_BITS = 20
 # 11.2/9.6/8.7/9.9 ms and peaked at 0.5/1.0/2.0/8.1 MiB under tracemalloc
 # (medians of 25 alternating calls, Xeon, 2 cores)
 _PIECE_BITS = 16
+# 2^s pieces are cut only while searches <= 2^(s + _SEARCH_BITS).  Pieces sort
+# faster but each takes every search.  In one process, alternating 16 pieces
+# and one tail (alpha 0.6, medians of 21 calls, same host), depth 20 took
+# 7.4/10.0 ms at 2 searches, 9.3/10.3 at 4,112, 10.9/10.4 at 8,192 and
+# 14.5/11.6 at 16,384; depth 26 with 1,023 bins (65,536 searches) took
+# 30.9/12.6.  With 8, 4 and 2 pieces (depth 19, 18, 17) the two met near
+# 4,096, 2,048 and 1,024 searches.  At the limit pieces were at most 6% slower.
+_SEARCH_BITS = 9
 # largest number of (prefix, edge) searches of one piece made at once
 _CHUNK = 2**_TAIL_BITS
 
@@ -143,12 +151,13 @@ def _sign_sums(alpha: float, exponents: range, start: float = 0.0) -> np.ndarray
 def _split_bits(tail_bits: int, searches: int) -> int:
     """Leading tail exponents whose sign patterns cut the tail into pieces.
 
-    Each piece holds at most 2^_PIECE_BITS sums and takes ``searches``
-    searches, so the tail is cut only while all the pieces together make no
-    more searches than the tail has sums; otherwise it stays one piece.
+    Each of the 2^split pieces holds at most 2^_PIECE_BITS sums and takes
+    all ``searches`` searches.  Cutting saves sort time and costs search
+    time; it pays while searches <= 2^(split + _SEARCH_BITS), so past that
+    the tail stays one piece.
     """
     split = max(0, tail_bits - _PIECE_BITS)
-    return split if searches << split <= 1 << tail_bits else 0
+    return split if searches <= 1 << (split + _SEARCH_BITS) else 0
 
 
 def _prefix_offsets(terms: list, start: int, stop: int) -> np.ndarray:
@@ -204,11 +213,12 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
 
     A tail of more than 2^16 sums is formed, sorted and searched in
     2^(tail bits - 16) pieces of 2^16 sums (512 KiB each, at most two held
-    at once), one per sign pattern of its leading exponents, while the
-    pieces together make no more searches than the tail has sums.  Past
-    that (say 2^16 bins at depth 20, or 256 bins at depth 33) it is one
-    piece of up to 2^20 sums (8 MiB).  Each tail sum is the same float
-    either way, so the counts are too.
+    at once), one per sign pattern of its leading exponents, while there
+    are at most 2^(tail bits - 7) searches, up to where the pieces
+    measured as fast as one tail.  Past that (say 8,192 bins at depth 20,
+    128 bins at depth 26 or 256 bins at depth 33) it is one piece of up to
+    2^20 sums (8 MiB).  Each tail sum is the same float either way, so the
+    counts are too.
     """
     if depth < 1:
         raise BadParameterError("depth must be positive")

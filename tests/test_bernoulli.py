@@ -202,11 +202,19 @@ class TestDensity:
         (
             (16, 1, 0),
             (17, 1, 1),
+            (17, 1023, 1),
+            (17, 1024, 0),
+            (19, 4095, 3),
+            (19, 4096, 0),
             (20, 256, 4),
+            (20, 8191, 4),
+            (20, 8192, 0),
             (24, 256, 4),
-            (26, 1023, 4),
-            (26, 1024, 0),
+            (26, 127, 4),
+            (26, 128, 0),
+            (26, 1023, 0),
             (26, 1500, 0),
+            (20, 2**16 - 1, 0),
             (20, 2**20 + 7, 0),
             (33, 256, 0),
         ),
@@ -222,6 +230,7 @@ class TestDensity:
         bins=st.integers(1, 700),
     )
     @example(alpha=0.6, depth=17, bins=1)
+    @example(alpha=0.5, depth=26, bins=127)
     @example(alpha=0.5, depth=26, bins=700)
     @example(alpha=2.0**-0.5, depth=20, bins=256)
     @example(alpha=1 / 3, depth=24, bins=12)
