@@ -42,8 +42,13 @@ _PIECE_BITS = 16
 # 30.9/12.6.  With 8, 4 and 2 pieces (depth 19, 18, 17) the two met near
 # 4,096, 2,048 and 1,024 searches.  At the limit pieces were at most 6% slower.
 _SEARCH_BITS = 9
-# largest number of (prefix, edge) searches of one piece made at once
-_CHUNK = 2**_TAIL_BITS
+# largest number of (prefix, edge) searches of one piece made at once; each
+# search holds a few 8-byte temporaries.  density(0.5, 30, 4000) (4.1M
+# searches of one 8 MiB tail) with 2^15/2^16/2^17/2^20 a block took
+# 117/110/116/169 ms and peaked at 9.0/9.7/11.3/34.2 MiB under tracemalloc;
+# (0.6, 26, 1023) took 11.7-11.8 ms with each (medians of 15 alternating
+# calls, same host)
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -212,13 +217,15 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
     is raised before anything is allocated.
 
     A tail of more than 2^16 sums is formed, sorted and searched in
-    2^(tail bits - 16) pieces of 2^16 sums (512 KiB each, at most two held
-    at once), one per sign pattern of its leading exponents, while there
+    2^(tail bits - 16) pieces of 2^16 sums (512 KiB each, one held at a
+    time), one per sign pattern of its leading exponents, while there
     are at most 2^(tail bits - 7) searches, up to where the pieces
     measured as fast as one tail.  Past that (say 8,192 bins at depth 20,
     128 bins at depth 26 or 256 bins at depth 33) it is one piece of up to
     2^20 sums (8 MiB).  Each tail sum is the same float either way, so the
-    counts are too.
+    counts are too.  The searches of a piece are made in blocks of at most
+    2^16, each counting whole (prefix, edge) pairs, so the blocks move no
+    count either.
     """
     if depth < 1:
         raise BadParameterError("depth must be positive")
@@ -256,6 +263,7 @@ def density(model: BernoulliModel, depth: int, bins: int) -> DensityHistogram:
             for left in range(0, targets.size, cols):
                 block = targets[None, left : left + cols]
                 below[left : left + cols] += _count_below(tail, offsets, block).sum(axis=0)
+        del tail  # freed before the next piece is formed
     counts = np.diff(below)
 
     weight = 2.0 ** (-depth)

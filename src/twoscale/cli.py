@@ -14,14 +14,18 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bernoulli as bern
 from . import refinement as ref
 from . import serialize as ser
-from . import wavelet_system as ws
 from .errors import TwoscaleError
+
+if TYPE_CHECKING:
+    # the gram, certify and analyze handlers import it: no other command runs it
+    from . import wavelet_system as ws
 
 __all__ = ["run", "main"]
 
@@ -154,11 +158,15 @@ def _cmd_bernoulli_verdict(args) -> str:
 
 
 def _cmd_gram(args) -> str:
+    from . import wavelet_system as ws
+
     report = ws.gram(_system(args), args.tol)
     return ser.dump_json(ser.gram_report_to_dict(report))
 
 
 def _cmd_certify(args) -> str:
+    from . import wavelet_system as ws
+
     cert = ws.certify(_system(args))
     return ser.dump_json(
         {"certificate": None if cert is None else ser.certificate_to_dict(cert)}
@@ -166,6 +174,8 @@ def _cmd_certify(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    from . import wavelet_system as ws
+
     verdict = ws.analyze(_system(args), args.tol)
     return ser.dump_json(ser.verdict_to_dict(verdict))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .errors import (
     InvalidEquationError,
     NotNormalizedError,
 )
-from .numerics import SlopeFit, loglog_slope
+
+if TYPE_CHECKING:
+    from .numerics import SlopeFit
 
 __all__ = [
     "TwoScaleEquation",
@@ -668,6 +670,9 @@ def estimate_regularity(profile: FourierProfile) -> tuple[float, SlopeFit]:
     the superpolynomial sentinel +inf.  This is an empirical diagnostic,
     not a bound.
     """
+    # imported here, its one user, so that refinement loads without numerics
+    from .numerics import loglog_slope
+
     magnitudes = np.abs(profile.values)
     abs_gamma = np.abs(profile.grid)
     gamma_max = float(np.max(abs_gamma))

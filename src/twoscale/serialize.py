@@ -21,24 +21,19 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .bernoulli import DensityHistogram
 from .errors import BadParameterError, InconsistentTagsError, TwoscaleError
-from .generators import (
-    CatalogGenerator,
-    Gaussian,
-    GeneratorSpec,
-    Hat,
-    RationalL2,
-    RefinementGenerator,
-    SampledGenerator,
-    TwoSidedExp,
-)
 from .refinement import FourierProfile, SampledFunction, TwoScaleEquation
-from .wavelet_system import Certificate, GramReport, Verdict, WaveletPoint, WaveletSystem
+
+if TYPE_CHECKING:
+    # generator_from_dict and system_from_dict import what they build, so the
+    # equation, profile and histogram formats load no wavelet-system code
+    from .generators import GeneratorSpec
+    from .wavelet_system import Certificate, GramReport, Verdict, WaveletSystem
 
 __all__ = [
     "ParseError",
@@ -307,6 +302,16 @@ def generator_to_dict(gen: GeneratorSpec) -> dict:
 def generator_from_dict(doc: dict) -> GeneratorSpec:
     """Only a sampled generator takes the document's tags as declared; every
     other kind derives its tags, and its document may list only those."""
+    from .generators import (
+        CatalogGenerator,
+        Gaussian,
+        Hat,
+        RationalL2,
+        RefinementGenerator,
+        SampledGenerator,
+        TwoSidedExp,
+    )
+
     kind = _require(doc, "kind", "generator")
     tags = doc.get("tags")
     if tags is not None and not (
@@ -359,6 +364,8 @@ def system_to_dict(system: WaveletSystem) -> dict:
 
 
 def system_from_dict(doc: dict) -> WaveletSystem:
+    from .wavelet_system import WaveletPoint, WaveletSystem
+
     gen = generator_from_dict(_require(doc, "generator", "system"))
     points_doc = _require(doc, "points", "system")
     if not isinstance(points_doc, list) or not points_doc:

@@ -188,14 +188,44 @@ class TestDensity:
             assert piece.tobytes() == whole[h :: 2**split].tobytes()
 
     def test_density_peak_memory(self):
-        # two 2^16-sum pieces of the tail (512 KiB each) and little else
+        # one 2^16-sum piece of the tail (512 KiB) at a time and little else
         tracemalloc.start()
         try:
             density(BernoulliModel(0.6), 24, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 2**20
+
+    def test_search_blocks_peak_memory(self):
+        # 4.1M searches of one 8 MiB tail, made 2^16 at a time: the tail and
+        # a few 512 KiB temporaries (34 MiB with 2^20 searches at a time)
+        tracemalloc.start()
+        try:
+            density(BernoulliModel(0.5), 30, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+    @pytest.mark.parametrize(
+        "alpha,depth,bins,chunk",
+        (
+            # fewer searches than edges in a block, then more (rows of prefixes)
+            (0.6, 21, 5, 1),
+            (0.6, 21, 5, 4),
+            (0.5, 23, 40, 7),
+            (0.5, 23, 40, 100),
+            # one unsplit tail
+            (1 / 3, 26, 130, 1000),
+        ),
+    )
+    def test_search_blocks_move_no_count(self, alpha, depth, bins, chunk):
+        whole = density(BernoulliModel(alpha), depth, bins)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bernoulli, "_CHUNK", chunk)
+            blocks = density(BernoulliModel(alpha), depth, bins)
+        assert blocks.masses.tobytes() == whole.masses.tobytes()
 
     @pytest.mark.parametrize(
         "depth,bins,split",
