@@ -368,15 +368,30 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
     times the deepest J beyond GRID_BUDGET raise BudgetExceededError first.
     tails() forms the tails, at an exp and an expm1 per point, for the
     callers that report them.
+
+    The products are formed in order of depth, so the points still active
+    at level j are a trailing slice and each level works on views.  An
+    even mask (every Q_d zero: no sine rows) has m(-s) = m(s), since
+    -s / lambda = -(s / lambda) and cos is even, so it is formed once per
+    |gamma| and its values at -gamma and gamma are the same.  Each point
+    gets the same float operations as when formed alone, whatever the
+    other points are.
     """
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
+    if not np.isfinite(points).all():
+        raise BadParameterError("frequencies must be finite")
     lam = eq.lam
     folded = _FoldedMask(eq)
     width = folded.max_frequency
     # the largest phase any level forms: W max|gamma| / lambda
     if not math.isfinite(width * (float(np.max(np.abs(points), initial=0.0)) / lam)):
         raise BadParameterError("frequencies too large: a mask phase 2 pi beta gamma overflows")
+    size = points.size
+    if any(q for _, _, q in folded.rows):
+        back = None
+    else:  # even: the points are the distinct |gamma|, mapped back at the end
+        points, back = np.unique(np.abs(points), return_inverse=True)
     b1 = b2 = 0.0
     for w, p, q in folded.rows:
         ratio = w / width
@@ -400,21 +415,29 @@ def _fourier_product(eq: TwoScaleEquation, points: np.ndarray, tol: float) -> tu
             phase = np.exp(log_phase - depths[nonzero] * log_lam)  # W u at the depth
             bound[nonzero] = np.expm1(phase * (b1 + b2 * phase))
         bound *= np.abs(values)
-        return bound
+        return bound if back is None else bound[back]
 
     max_depth = float(np.max(depths, initial=0.0))
-    check_grid_budget(depths.size, max_depth, "levels")
-    scaled = points.copy()
+    check_grid_budget(size, max_depth, "levels")
+    order = np.argsort(depths, kind="stable")
+    scaled = points[order]
     # a real mask gives a real product: its imaginary part is exactly 0
-    values = np.ones(points.size, dtype=np.float64 if folded.real else np.complex128)
-    # level by level, each point's factors multiplied in one after another,
-    # so its value does not depend on the other points
-    for j in range(1, int(max_depth) + 1):
-        active = depths >= j
-        scaled[active] /= lam
-        values[active] *= folded(scaled[active])
+    product = np.ones(points.size, dtype=np.float64 if folded.real else np.complex128)
+    # level by level, each point's factors multiplied in one after another;
+    # the points of depth >= j start at the j-th of these.  numpy rounds a
+    # complex product by another formula when it multiplies one element in
+    # place, or swaps the operands of `a * temporary`, so the product is
+    # formed out of place in the order (product, factor) at every length
+    for lo in depths[order].searchsorted(np.arange(1.0, max_depth + 1.0)):
+        level = scaled[lo:]
+        level /= lam
+        product[lo:] = np.multiply(product[lo:], folded(level))
+    values = np.empty_like(product)
+    values[order] = product
     values[~nonzero] = 1.0
-    return values, depths, tails
+    if back is None:
+        return values, depths, tails
+    return values[back], depths[back], tails
 
 
 def _largest_phase(b1: float, b2: float, cap: float) -> float:

@@ -74,12 +74,23 @@ def _csv(header: str, *columns) -> str:
     """One ``%.17g`` row per element of the columns, up to the shortest column.
 
     Each block of up to _CSV_ROWS rows is one ``%`` of a block layout over
-    the floats of its rows, interleaved row by row.
+    the floats of its rows, interleaved row by row.  A column whose values
+    all have one bit pattern (the zero imaginary part of a real profile) is
+    formatted once and stands in the layout as text.
     """
     arrays = [np.asarray(column, dtype=np.float64) for column in columns]
     rows = min(a.size for a in arrays)
-    table = np.column_stack([a[:rows] for a in arrays])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells, varying = [], []
+    for a in arrays:
+        a = a[:rows]
+        bits = a.view(np.uint64)
+        if rows and (bits == bits[0]).all():
+            cells.append("%.17g" % float(a[0]))  # never holds a %
+        else:
+            cells.append("%.17g")
+            varying.append(a)
+    table = np.column_stack(varying) if varying else np.empty((rows, 0))
+    row = ",".join(cells) + "\n"
     blocks = [header + "\n"]
     for lo in range(0, rows, _CSV_ROWS):
         block = table[lo : lo + _CSV_ROWS]

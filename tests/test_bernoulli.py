@@ -155,6 +155,11 @@ class TestFourier:
         with pytest.raises(BadParameterError, match="phase"):
             fourier(BernoulliModel(0.5), 1e308, 1e-8)
 
+    @pytest.mark.parametrize("gamma", (math.nan, math.inf, -math.inf, [1.0, math.nan]))
+    def test_nonfinite_frequencies_are_refused(self, gamma):
+        with pytest.raises(BadParameterError, match="^frequencies must be finite$"):
+            fourier(BernoulliModel(0.5), np.array(gamma), 1e-8)
+
 
 def concatenated_sign_sums(alpha, exponents, start=0.0):
     """_sign_sums as a new array per exponent: [sums - term, sums + term]."""

@@ -429,6 +429,62 @@ class TestSolveFourier:
         with pytest.raises(ValueError):
             solve_fourier(preset("hat"), [0.0, 0.0], 1e-8)
 
+    # NaN passes the increasing-grid check, since nan <= 0 is false
+    @pytest.mark.parametrize("grid", ([0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]))
+    def test_nonfinite_frequencies_are_refused(self, grid):
+        with pytest.raises(BadParameterError, match="^frequencies must be finite$"):
+            solve_fourier(preset("rham"), grid, 1e-8)
+
+
+# the even masks (no sine rows) are formed once per |gamma|; hat has sine rows
+PRODUCT_MASKS = {
+    "rham": preset("rham"),
+    **{f"bernoulli({lam:.6g})": preset("bernoulli", lam) for lam in (2.0, 1 / 0.6, 2**0.5, 1 / 0.9)},
+    "complex even": TwoScaleEquation(2.0, [(0.5 + 0.25j, -1.0), (1.0 - 0.5j, 0.0), (0.5 + 0.25j, 1.0)]),
+    "hat": preset("hat"),
+}
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestFourierProduct:
+    @pytest.mark.parametrize("name", PRODUCT_MASKS)
+    def test_each_point_gets_the_bits_it_gets_alone(self, name):
+        eq = PRODUCT_MASKS[name]
+        rng = np.random.default_rng(34)
+        base = np.concatenate(
+            [rng.uniform(-20.0, 20.0, 40), [0.0, -0.0, 1e-6, -1e-6, 3.0, -3.0, 1e3, -1e3]]
+        )
+        points = np.concatenate([base, base[::3]])  # repeated points
+        rng.shuffle(points)
+        values, depths, tails = _fourier_product(eq, points, 1e-8)
+        tails = tails()
+        for k in range(points.size):
+            alone, depth, tail = _fourier_product(eq, points[k : k + 1], 1e-8)
+            assert bits(values[k]) == bits(alone[0])
+            assert bits(depths[k]) == bits(depth[0])
+            assert bits(tails[k]) == bits(tail()[0])
+
+    @pytest.mark.parametrize("name", [name for name in PRODUCT_MASKS if name != "hat"])
+    def test_even_mask_has_the_bits_of_the_product_formed_at_minus_gamma(self, name):
+        eq = PRODUCT_MASKS[name]
+        folded = _FoldedMask(eq)
+        assert not any(q for _, _, q in folded.rows)
+        gammas = np.geomspace(1e-6, 1e6, 121)
+        values, depths, _ = _fourier_product(eq, np.concatenate([gammas, -gammas]), 1e-8)
+        assert bits(values[:121]) == bits(values[121:])
+        assert bits(depths[:121]) == bits(depths[121:])
+        # the factors formed at -gamma itself, level by level: cos(-x) == cos(x)
+        scaled = -gammas
+        product = np.ones(gammas.size, dtype=values.dtype)
+        for j in range(1, int(depths.max()) + 1):
+            active = depths[121:] >= j
+            scaled[active] /= eq.lam
+            product[active] *= folded(scaled[active])
+        assert bits(values[121:]) == bits(product)
+
 
 class TestCascade:
     @pytest.mark.parametrize("resolution", (0.0, float("inf"), float("nan")))

@@ -467,6 +467,23 @@ class TestCsv:
             header = ",".join(f"c{k}" for k in range(width))
             assert ser._csv(header, *columns) == row_writer(header, *columns)
 
+    @pytest.mark.parametrize("constant", [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0 / 3.0])
+    def test_constant_columns_match_row_writer(self, constant):
+        size = ser._CSV_ROWS + 5
+        varying = np.linspace(-1.0, 1.0, size)
+        same = np.full(size, constant)
+        for columns in (
+            [same],
+            [same, same],
+            [varying, same, varying],
+            [same[:1], varying[:1]],  # a single row: every column is constant
+            [np.append(same[:7], 2.0), varying[:7]],  # constant up to the shortest column
+            [same, []],  # an empty column
+            [np.array([constant, -constant] * 3), same[:6]],  # two bit patterns (+-0, +-nan)
+        ):
+            header = ",".join(f"c{k}" for k in range(len(columns)))
+            assert ser._csv(header, *columns) == row_writer(header, *columns)
+
     def test_profile_csv(self):
         prof = solve_fourier(preset("hat"), [-0.5, 0.0, 0.5], 1e-10)
         text = ser.profile_to_csv(prof)
